@@ -71,7 +71,7 @@ func DatasetNames() []string {
 }
 
 // Observer collects observability signals from a pipeline run: a registry
-// of counters/gauges/histograms (Monte Carlo sampling volume, genObf
+// of counters/gauges/latencies (Monte Carlo sampling volume, genObf
 // effort, phase timings), the recorded trace spans, and an optional
 // structured logger (set the Logger field). A nil *Observer is a valid
 // no-op sink, so instrumentation can stay wired unconditionally.

@@ -41,6 +41,9 @@ func golden(t *testing.T, goldenFile string, args ...string) {
 // TestSummaryGolden pins the summary table: a completed run, a failed run
 // whose error lands in the ERROR column, and a truncated run (begin with
 // no end record) reported with status "truncated" and a "-" duration.
+// The completed run's final snapshot carries a non-empty "histograms"
+// object, the fixed-bucket family older journals recorded: those journals
+// must keep loading, with the object ignored.
 func TestSummaryGolden(t *testing.T) {
 	golden(t, "summary.golden", filepath.Join("testdata", "runs.jsonl"))
 }

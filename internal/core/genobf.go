@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"sort"
 
-	"chameleon/internal/obs"
 	"chameleon/internal/privacy"
 	"chameleon/internal/truncnorm"
 	"chameleon/internal/uncertain"
@@ -104,7 +103,7 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 		sp.SetAttr("epsilon_tilde", best.epsilon)
 	}
 	sp.End()
-	reg.Histogram("core.genobf_seconds", obs.TimeBuckets).ObserveDuration(sp.Duration())
+	reg.Latency("core.genobf_seconds").Observe(sp.Duration())
 	st.p.Obs.Debug("core: genobf", "sigma", sigma, "ok", best.ok(),
 		"epsilon_tilde", best.epsilon, "dur", sp.Duration())
 	return best

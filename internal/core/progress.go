@@ -18,7 +18,7 @@ import (
 // below SigmaTolerance, plus one pending feasibility probe while the
 // exponential phase is still bracketing. The ETA multiplies that remainder
 // by the mean GenObf cost observed so far (the core.genobf_seconds
-// histogram genObf maintains). Both are estimates — the exponential phase
+// latency genObf maintains). Both are estimates — the exponential phase
 // can widen the bracket again — which is exactly what a progress bar is.
 func (st *searchState) publishProgress(cur *searchCursor, res *Result) {
 	reg := st.p.Obs.Registry()
@@ -37,12 +37,8 @@ func (st *searchState) publishProgress(cur *searchCursor, res *Result) {
 	reg.Gauge(obs.ProgressGauge).Set(base + frac*span)
 
 	if owned {
-		h := reg.Histogram("core.genobf_seconds", obs.TimeBuckets)
-		var eta float64
-		if n := h.Count(); n > 0 {
-			eta = h.Sum() / float64(n) * float64(remaining)
-		}
-		reg.Gauge(obs.ETAGauge).Set(eta)
+		meanNS := reg.Latency("core.genobf_seconds").Snapshot().Mean()
+		reg.Gauge(obs.ETAGauge).Set(meanNS / 1e9 * float64(remaining))
 	}
 }
 

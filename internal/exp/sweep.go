@@ -36,7 +36,7 @@ func (p *sweepProgress) claimTotal(total int) {
 }
 
 // step marks one cell finished and republishes the gauges. The ETA is the
-// mean observed cell cost (the exp.cell_seconds histogram) times the cells
+// mean observed cell cost (the exp.cell_seconds latency) times the cells
 // left; restored cells cost ~nothing, so the mean self-corrects as the
 // sweep replays or computes.
 func (p *sweepProgress) step(reg *obs.Registry) {
@@ -53,12 +53,8 @@ func (p *sweepProgress) step(reg *obs.Registry) {
 		done = total
 	}
 	reg.Gauge(obs.ProgressGauge).Set(float64(done) / float64(total))
-	h := reg.Histogram("exp.cell_seconds", obs.TimeBuckets)
-	var eta float64
-	if n := h.Count(); n > 0 {
-		eta = h.Sum() / float64(n) * float64(total-done)
-	}
-	reg.Gauge(obs.ETAGauge).Set(eta)
+	meanNS := reg.Latency("exp.cell_seconds").Snapshot().Mean()
+	reg.Gauge(obs.ETAGauge).Set(meanNS / 1e9 * float64(total-done))
 }
 
 // window returns the [base, base+span) slice of the progress bar the next
@@ -182,7 +178,7 @@ func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method
 		if run.Failed {
 			c.Obs.Registry().Counter("exp.cells_failed").Inc()
 		}
-		c.Obs.Registry().Histogram("exp.cell_seconds", obs.TimeBuckets).ObserveDuration(run.Elapsed)
+		c.Obs.Registry().Latency("exp.cell_seconds").Observe(run.Elapsed)
 		c.Obs.Debug("exp: cell done", "dataset", d.Name, "method", method,
 			"k", k, "failed", run.Failed, "anon", run.AnonElapsed,
 			"eval", run.EvalElapsed, "total", run.Elapsed)

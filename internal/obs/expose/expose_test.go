@@ -16,6 +16,18 @@ import (
 	"chameleon/internal/obs"
 )
 
+// wallTimeLatencies are the σ-search, sweep-cell and GC-pause wall-time
+// instruments with their /metrics family names.
+var wallTimeLatencies = []struct {
+	name, family string
+	each         time.Duration
+	count        int
+}{
+	{"core.genobf_seconds", "chameleon_core_genobf_seconds", 250 * time.Millisecond, 4},
+	{"exp.cell_seconds", "chameleon_exp_cell_seconds", 1500 * time.Millisecond, 2},
+	{obs.RuntimeGCPause, "chameleon_runtime_gc_pause_seconds", 50 * time.Microsecond, 10},
+}
+
 func testObserver() *obs.Observer {
 	o := obs.NewObserver()
 	r := o.Registry()
@@ -23,9 +35,12 @@ func testObserver() *obs.Observer {
 	r.Counter("sweep.cells").Add(3)
 	r.Gauge("err.stderr.mean").Set(0.125)
 	r.Gauge("weird name-with.chars").Set(-1.5)
-	h := r.Histogram("op.seconds", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.05, 0.5, 2, 4} {
-		h.Observe(v)
+	// The wall-time instruments the pipeline records: every value of one
+	// instrument is identical, so each SLO quantile clamps to it exactly.
+	for _, inst := range wallTimeLatencies {
+		for i := 0; i < inst.count; i++ {
+			r.Latency(inst.name).Observe(inst.each)
+		}
 	}
 	q := r.Quality("mc.quality.ExpectedConnectedPairs")
 	for _, v := range []float64{100, 104, 96, 102, 98} {
@@ -44,13 +59,13 @@ func testObserver() *obs.Observer {
 }
 
 // metricLine matches a Prometheus text-format sample: a valid metric name,
-// an optional label set (histogram le buckets, build_info identity
-// labels), and a float value.
+// an optional label set (summary quantiles, build_info identity labels),
+// and a float value.
 var metricLine = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? (NaN|[+-]?Inf|[+-]?\d+(\.\d+)?([eE][+-]?\d+)?)$`)
 
 // typeLine matches a # TYPE comment.
-var typeLine = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary)$`)
+var typeLine = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary)$`)
 
 // TestMetricsEndpointFormat round-trips /metrics through httptest and
 // checks every line against the Prometheus text exposition grammar.
@@ -80,8 +95,7 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	// The Prometheus text parser aborts the whole scrape on a repeated
 	// "# TYPE" line or sample name, so duplicates are hard failures here.
 	samples := map[string]float64{}
-	typed := map[string]bool{}
-	var bucketLines []string
+	typed := map[string]string{}
 	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			tm := typeLine.FindStringSubmatch(line)
@@ -89,10 +103,10 @@ func TestMetricsEndpointFormat(t *testing.T) {
 				t.Errorf("malformed comment line: %q", line)
 				continue
 			}
-			if typed[tm[1]] {
+			if typed[tm[1]] != "" {
 				t.Errorf("duplicate # TYPE for metric %s", tm[1])
 			}
-			typed[tm[1]] = true
+			typed[tm[1]] = tm[2]
 			continue
 		}
 		m := metricLine.FindStringSubmatch(line)
@@ -105,8 +119,8 @@ func TestMetricsEndpointFormat(t *testing.T) {
 		}
 		v, _ := strconv.ParseFloat(m[3], 64)
 		samples[m[1]+m[2]] = v
-		if strings.HasPrefix(m[2], `{le="`) {
-			bucketLines = append(bucketLines, line)
+		if strings.HasSuffix(m[1], "_bucket") || strings.HasPrefix(m[2], `{le="`) {
+			t.Errorf("bucket sample in a summaries-only exposition: %q", line)
 		}
 	}
 
@@ -117,12 +131,6 @@ func TestMetricsEndpointFormat(t *testing.T) {
 		"chameleon_weird_name_with_chars":                        -1.5,
 		"chameleon_mc_quality_ExpectedConnectedPairs_count":      5,
 		"chameleon_mc_quality_ExpectedConnectedPairs_mean":       100,
-		"chameleon_op_seconds_count":                             5,
-		"chameleon_op_seconds_sum":                               6.555,
-		`chameleon_op_seconds_bucket{le="0.01"}`:                 1,
-		`chameleon_op_seconds_bucket{le="0.1"}`:                  2,
-		`chameleon_op_seconds_bucket{le="1"}`:                    3,
-		`chameleon_op_seconds_bucket{le="+Inf"}`:                 5,
 		"chameleon_mc_worlds_sampled_per_second":                 samples["chameleon_mc_worlds_sampled_per_second"],
 		"chameleon_mc_quality_ExpectedConnectedPairs_stderr":     math.Sqrt(10) / math.Sqrt(5),
 		"chameleon_mc_quality_ExpectedConnectedPairs_rel_stderr": math.Sqrt(10) / math.Sqrt(5) / 100,
@@ -156,14 +164,25 @@ func TestMetricsEndpointFormat(t *testing.T) {
 		t.Error("missing chameleon_uptime_seconds")
 	}
 
-	// Cumulative bucket counts must be monotonically non-decreasing.
-	var prev float64
-	for _, line := range bucketLines {
-		v := samples[line[:strings.LastIndexByte(line, ' ')]]
-		if v < prev {
-			t.Errorf("bucket counts not cumulative at %q", line)
+	// The wall-time instruments export as summaries in seconds under
+	// their registry names.
+	for _, inst := range wallTimeLatencies {
+		if typ := typed[inst.family]; typ != "summary" {
+			t.Errorf("# TYPE %s = %q, want summary", inst.family, typ)
 		}
-		prev = v
+		sec := inst.each.Seconds()
+		for _, q := range []string{"0.5", "0.9", "0.99", "0.999"} {
+			name := inst.family + `{quantile="` + q + `"}`
+			if got, ok := samples[name]; !ok || math.Abs(got-sec) > 1e-9*sec {
+				t.Errorf("%s = %v (present %v), want %v", name, got, ok, sec)
+			}
+		}
+		if got := samples[inst.family+"_count"]; got != float64(inst.count) {
+			t.Errorf("%s_count = %v, want %d", inst.family, got, inst.count)
+		}
+		if got, want := samples[inst.family+"_sum"], sec*float64(inst.count); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s_sum = %v, want %v", inst.family, got, want)
+		}
 	}
 }
 
@@ -407,8 +426,8 @@ func TestNilServerSafety(t *testing.T) {
 // repeated # TYPE line or sample name aborts a Prometheus scrape. The
 // colliding inputs here are a gauge shadowing a quality stream's _stderr
 // expansion (the recordQuality-vs-expansion hazard), two gauges that
-// sanitize identically, and a counter whose _per_second rate gauge lands
-// on an existing gauge name.
+// sanitize identically, a counter whose _per_second rate gauge lands on
+// an existing gauge name, and a gauge taking a latency's _count name.
 func TestNoDuplicateMetricNames(t *testing.T) {
 	o := obs.NewObserver()
 	r := o.Registry()
@@ -420,6 +439,8 @@ func TestNoDuplicateMetricNames(t *testing.T) {
 	r.Gauge("dotted_name").Set(2)             //   both sanitize to dotted_name
 	r.Counter("work.items").Add(5)            // rate gauge work_items_per_second ...
 	r.Gauge("work.items_per_second").Set(123) // ... collides with this gauge
+	r.Latency("core.genobf_seconds").Observe(time.Second)
+	r.Gauge("core.genobf_seconds_count").Set(7) // takes the summary's _count
 
 	var sb strings.Builder
 	err := WritePrometheus(&sb, "ns", o.Registry().Snapshot(), map[string]float64{"work.items": 2.5})
@@ -456,6 +477,14 @@ func TestNoDuplicateMetricNames(t *testing.T) {
 	}
 	if !seen["ns_mc_quality_ERR_mean"] {
 		t.Error("non-colliding quality expansion suffixes were dropped")
+	}
+	// The summary family is claimed as a whole: losing its _count to the
+	// gauge drops every line of it, never a partial family.
+	if !strings.Contains(sb.String(), "ns_core_genobf_seconds_count 7\n") {
+		t.Error("gauge did not win the colliding core_genobf_seconds_count name")
+	}
+	if typed["ns_core_genobf_seconds"] || seen["ns_core_genobf_seconds_sum"] {
+		t.Error("summary family partially emitted next to a gauge holding its _count")
 	}
 }
 

@@ -12,20 +12,18 @@ import (
 // WritePrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
 // samples, quality streams expanded into their derived estimator-health
-// gauges, histograms with cumulative le-buckets plus _sum and _count,
-// latency instruments as summaries carrying their p50/p90/p99/p999 SLO
-// quantiles in seconds, and
-// the differ's counter rates as companion _per_second gauges. Metric names
-// are namespaced and sanitized (every character outside [a-zA-Z0-9_:]
-// becomes '_'), and families are emitted in sorted order so the output is
-// deterministic for a given snapshot.
+// gauges, latency instruments as summaries carrying their p50/p90/p99/p999
+// SLO quantiles in seconds, and the differ's counter rates as companion
+// _per_second gauges. Metric names are namespaced and sanitized (every
+// character outside [a-zA-Z0-9_:] becomes '_'), and families are emitted
+// in sorted order so the output is deterministic for a given snapshot.
 //
 // Each metric name is emitted at most once: distinct registry names can
 // sanitize or expand to the same exposition name (e.g. a gauge "a.b_c"
 // next to a gauge "a.b.c", or a gauge shadowing a quality stream's
 // derived suffixes), and the Prometheus text parser rejects a scrape that
 // repeats a "# TYPE" line or a sample name. First family in emission
-// order (counters, gauges, quality, histograms, latencies, rates) wins;
+// order (counters, gauges, quality, latencies, rates) wins;
 // later claims are dropped.
 func WritePrometheus(w io.Writer, namespace string, s obs.Snapshot, rates map[string]float64) error {
 	p := &promWriter{w: w, ns: namespace, seen: map[string]bool{}}
@@ -64,30 +62,6 @@ func WritePrometheus(w io.Writer, namespace string, s obs.Snapshot, rates map[st
 			}
 			p.sample(base+part.suffix, "", part.value)
 		}
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		base := p.name(name)
-		if !p.claimAll(base, base+"_bucket", base+"_sum", base+"_count") {
-			continue
-		}
-		if p.err == nil {
-			_, p.err = fmt.Fprintf(p.w, "# TYPE %s histogram\n", base)
-		}
-		var cum int64
-		seenInf := false
-		for _, b := range h.Buckets {
-			cum += b.Count
-			if b.LE == "+Inf" {
-				seenInf = true
-			}
-			p.sample(base+"_bucket", `le="`+b.LE+`"`, float64(cum))
-		}
-		if !seenInf {
-			p.sample(base+"_bucket", `le="+Inf"`, float64(h.Count))
-		}
-		p.sample(base+"_sum", "", h.Sum)
-		p.sample(base+"_count", "", float64(h.Count))
 	}
 	for _, name := range sortedKeys(s.Latencies) {
 		l := s.Latencies[name]

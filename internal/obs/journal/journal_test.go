@@ -19,9 +19,9 @@ func populatedObserver() *obs.Observer {
 	r := o.Registry()
 	r.Counter("mc.worlds_sampled").Add(512)
 	r.Gauge("err.stderr.mean").Set(0.03125)
-	h := r.Histogram("op.seconds", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.002, 0.02, 0.2, 2} {
-		h.Observe(v)
+	l := r.Latency("core.genobf_seconds")
+	for _, d := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond, 200 * time.Millisecond, 2 * time.Second} {
+		l.Observe(d)
 	}
 	q := r.Quality("mc.quality.ExpectedConnectedPairs")
 	for _, v := range []float64{10, 12, 11, 9, 8} {

@@ -6,10 +6,9 @@ import (
 	"chameleon/internal/obs/hdr"
 )
 
-// Latency is the registry's latency-class instrument: a sharded HDR
-// histogram recording durations in nanoseconds. Unlike the fixed-bucket
-// Histogram — whose quantiles interpolate within hand-picked bounds and
-// saturate at the largest finite one — a Latency answers p50/p99/p999
+// Latency is the registry's distribution instrument: a sharded HDR
+// histogram recording durations in nanoseconds. Unlike fixed buckets,
+// which saturate at the largest bound, a Latency answers p50/p99/p999
 // within a guaranteed relative-error bound across the whole nanosecond-
 // to-minutes range, which is what request-path SLOs need. Recording is
 // lock-free; a nil *Latency drops updates like every other instrument.

@@ -147,32 +147,3 @@ func TestRegistryQuality(t *testing.T) {
 		t.Errorf("snapshot lacks spread: %+v", snap)
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2, 4, 8})
-	// 10 observations spread so the quantiles land in known buckets.
-	for _, v := range []float64{0.5, 0.5, 1.5, 1.5, 1.5, 3, 3, 3, 5, 20} {
-		h.Observe(v)
-	}
-	hs := r.Snapshot().Histograms["h"]
-
-	// p50: rank 5 falls in the (1,2] bucket (cumulative 2 then 5): upper
-	// edge of that bucket by linear interpolation.
-	if got := hs.Quantile(0.50); math.Abs(got-2) > 1e-9 {
-		t.Errorf("p50 = %v, want 2", got)
-	}
-	// p90: rank 9 falls in the (4,8] bucket.
-	if got := hs.Quantile(0.90); got <= 4 || got > 8 {
-		t.Errorf("p90 = %v, want in (4, 8]", got)
-	}
-	// p99: rank 9.9 falls in the overflow bucket: clamp to the largest
-	// finite bound.
-	if got := hs.Quantile(0.99); got != 8 {
-		t.Errorf("p99 = %v, want 8 (largest finite bound)", got)
-	}
-	// Empty histogram.
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-}

@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only observability subsystem of the pipeline:
-// a registry of atomic counters, gauges, fixed-bucket histograms and
-// HDR-backed latency instruments with JSON and aligned-text snapshot
+// a registry of atomic counters, gauges, HDR-backed latency instruments
+// and estimator-quality streams with JSON and aligned-text snapshot
 // export; lightweight hierarchical spans
 // with monotonic timing for phase-level traces; an Observer that bundles
 // both with optional structured logging; and helpers that wire the runtime
@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -64,71 +63,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// TimeBuckets are the default histogram bounds for durations in seconds,
-// spanning microsecond estimator calls to minute-scale sweeps.
-var TimeBuckets = []float64{
-	1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60,
-}
-
-// Histogram counts observations into fixed buckets. Bucket i holds
-// observations v <= bounds[i]; one implicit overflow bucket holds the rest.
-// Observe is lock-free and safe for concurrent use.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1, last = overflow
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
-}
-
-// NewHistogram builds a histogram over the given ascending upper bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram bounds not ascending at %d: %v", i, bounds))
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
-
-// Observe records one value. No-op on a nil histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = overflow
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 for a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // Registry is a concurrency-safe, get-or-create collection of named
 // instruments. The zero value is NOT usable; construct with NewRegistry.
 // A nil *Registry is usable and hands out nil instruments.
@@ -136,7 +70,6 @@ type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
 	qualities map[string]*Quality
 	lats      map[string]*Latency
 }
@@ -146,7 +79,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
 		qualities: make(map[string]*Quality),
 		lats:      make(map[string]*Latency),
 	}
@@ -183,22 +115,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Latency returns the named latency-class instrument (an HDR histogram
 // over durations), creating it on first use.
 func (r *Registry) Latency(name string) *Latency {
@@ -231,88 +147,23 @@ func (r *Registry) Quality(name string) *Quality {
 	return q
 }
 
-// BucketCount is one histogram bucket in a snapshot. LE is the bucket's
-// inclusive upper bound formatted as a decimal string ("+Inf" for the
-// overflow bucket) so the snapshot stays valid JSON.
-type BucketCount struct {
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// HistogramSnapshot is the frozen state of one histogram.
-type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	Sum     float64       `json:"sum"`
-	Mean    float64       `json:"mean"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation inside the containing bucket, the way Prometheus's
-// histogram_quantile does: the bucket's mass is assumed uniform between
-// its lower and upper bound. Observations in the overflow bucket have no
-// upper bound, so a quantile landing there returns the largest finite
-// bound. Returns 0 for an empty histogram.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	var cum int64
-	lower, largestFinite := 0.0, 0.0
-	for _, b := range h.Buckets {
-		upper, isInf := bucketBound(b.LE)
-		if !isInf {
-			largestFinite = upper
-		}
-		prev := cum
-		cum += b.Count
-		if float64(cum) >= rank {
-			if isInf {
-				return largestFinite
-			}
-			frac := (rank - float64(prev)) / float64(b.Count)
-			return lower + (upper-lower)*frac
-		}
-		if !isInf {
-			lower = upper
-		}
-	}
-	return largestFinite
-}
-
-// bucketBound parses a snapshot bucket's LE string back into its numeric
-// upper bound; the overflow bucket reports isInf.
-func bucketBound(le string) (bound float64, isInf bool) {
-	if le == "+Inf" {
-		return math.Inf(1), true
-	}
-	v, err := strconv.ParseFloat(le, 64)
-	if err != nil {
-		return 0, true // malformed bound: treat as unbounded
-	}
-	return v, false
-}
-
 // Snapshot is the frozen state of a registry. Maps serialize with sorted
 // keys, so the JSON form is deterministic for a given state.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Latencies  map[string]LatencySnapshot   `json:"latencies"`
-	Quality    map[string]QualitySnapshot   `json:"quality"`
+	Counters  map[string]int64           `json:"counters"`
+	Gauges    map[string]float64         `json:"gauges"`
+	Latencies map[string]LatencySnapshot `json:"latencies"`
+	Quality   map[string]QualitySnapshot `json:"quality"`
 }
 
 // Snapshot freezes the registry's current state. A nil registry yields an
 // empty (but fully initialized) snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Latencies:  map[string]LatencySnapshot{},
-		Quality:    map[string]QualitySnapshot{},
+		Counters:  map[string]int64{},
+		Gauges:    map[string]float64{},
+		Latencies: map[string]LatencySnapshot{},
+		Quality:   map[string]QualitySnapshot{},
 	}
 	if r == nil {
 		return s
@@ -324,24 +175,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
-		if hs.Count > 0 {
-			hs.Mean = hs.Sum / float64(hs.Count)
-		}
-		for i := range h.counts {
-			n := h.counts[i].Load()
-			if n == 0 {
-				continue // keep snapshots small: empty buckets are implied
-			}
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-			}
-			hs.Buckets = append(hs.Buckets, BucketCount{LE: le, Count: n})
-		}
-		s.Histograms[name] = hs
 	}
 	for name, l := range r.lats {
 		s.Latencies[name] = l.Snapshot()
@@ -368,17 +201,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(s.Gauges) {
 		fmt.Fprintf(tw, "gauge\t%s\t%g\n", name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		fmt.Fprintf(tw, "histogram\t%s\tcount=%d sum=%.6g mean=%.6g\n", name, h.Count, h.Sum, h.Mean)
-		if h.Count > 0 {
-			fmt.Fprintf(tw, "\t  quantiles\tp50=%.6g p90=%.6g p99=%.6g p999=%.6g\n",
-				h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999))
-		}
-		for _, b := range h.Buckets {
-			fmt.Fprintf(tw, "\t  le=%s\t%d\n", b.LE, b.Count)
-		}
 	}
 	for _, name := range sortedKeys(s.Latencies) {
 		l := s.Latencies[name]

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -29,46 +28,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent checks bucket placement, count and sum under
-// concurrent observation.
-func TestHistogramConcurrent(t *testing.T) {
-	r := NewRegistry()
-	bounds := []float64{1, 10, 100}
-	const workers, perWorker = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := r.Histogram("lat", bounds)
-			for i := 0; i < perWorker; i++ {
-				h.Observe(0.5) // <= 1 bucket
-				h.Observe(5)   // <= 10 bucket
-				h.Observe(1e6) // overflow
-			}
-		}()
-	}
-	wg.Wait()
-	h := r.Histogram("lat", bounds)
-	if got := h.Count(); got != int64(3*workers*perWorker) {
-		t.Fatalf("count = %d, want %d", got, 3*workers*perWorker)
-	}
-	wantSum := float64(workers*perWorker) * (0.5 + 5 + 1e6)
-	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6*wantSum {
-		t.Fatalf("sum = %g, want %g", got, wantSum)
-	}
-	snap := r.Snapshot().Histograms["lat"]
-	if len(snap.Buckets) != 3 {
-		t.Fatalf("buckets = %+v, want 3 non-empty", snap.Buckets)
-	}
-	per := int64(workers * perWorker)
-	for i, want := range []BucketCount{{"1", per}, {"10", per}, {"+Inf", per}} {
-		if snap.Buckets[i] != want {
-			t.Fatalf("bucket %d = %+v, want %+v", i, snap.Buckets[i], want)
-		}
-	}
-}
-
 // TestGauge checks last-write-wins semantics and nil safety.
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
@@ -86,7 +45,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(5)
 	r.Gauge("y").Set(1)
-	r.Histogram("z", TimeBuckets).Observe(3)
 	r.Latency("l").Observe(time.Millisecond)
 	r.Latency("l").ObserveCorrected(time.Second, time.Millisecond)
 	if got := r.Counter("x").Value(); got != 0 {
@@ -96,7 +54,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 		t.Fatalf("nil latency count = %d", got)
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Latencies) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Latencies) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
 	}
 	var o *Observer
@@ -105,14 +63,4 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	if o.Registry() != nil || o.Spans() != nil {
 		t.Fatal("nil observer must expose nil registry and no spans")
 	}
-}
-
-// TestHistogramBadBounds: non-ascending bounds are a programming error.
-func TestHistogramBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-ascending bounds")
-		}
-	}()
-	NewHistogram([]float64{1, 1})
 }

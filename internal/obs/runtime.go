@@ -6,7 +6,7 @@ import (
 	"runtime/metrics"
 )
 
-// Names of the gauges and histograms the runtime sampler publishes.
+// Names of the gauges and latency instruments the runtime sampler publishes.
 const (
 	RuntimeGoroutines   = "runtime.goroutines"
 	RuntimeGomaxprocs   = "runtime.gomaxprocs"
@@ -17,12 +17,8 @@ const (
 	RuntimeSchedLatency = "runtime.sched_latency_seconds"
 )
 
-// gcPauseBuckets spans the realistic Go GC stop-the-world pause range,
-// 10µs to 100ms.
-var gcPauseBuckets = []float64{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1}
-
 // maxPauseReplay caps how many individual pause observations one Sample
-// call replays into the registry histogram; a long gap between samples on
+// call replays into the registry latency; a long gap between samples on
 // a GC-heavy process must not turn a poll tick into an O(pauses) stall.
 const maxPauseReplay = 10_000
 
@@ -34,7 +30,7 @@ const maxPauseReplay = 10_000
 // adds no goroutine and no overhead when telemetry is off.
 //
 // GC pauses arrive from the runtime as a cumulative histogram; Sample
-// replays the delta since the previous call into a registry Histogram by
+// replays the delta since the previous call into a registry Latency by
 // observing each new pause at its bucket midpoint. Scheduler latencies
 // can accumulate millions of counts, so those are summarized into
 // p50/p90/p99 gauges computed directly from the cumulative distribution
@@ -105,7 +101,7 @@ func sampleFloat(v metrics.Value) float64 {
 
 // samplePauses replays new GC pause observations (the delta of the
 // cumulative runtime histogram since the last call) into the registry
-// histogram, each at its bucket's midpoint.
+// latency, each at its bucket's midpoint.
 func (s *RuntimeSampler) samplePauses(v metrics.Value) {
 	if v.Kind() != metrics.KindFloat64Histogram {
 		return
@@ -121,7 +117,7 @@ func (s *RuntimeSampler) samplePauses(v metrics.Value) {
 		s.prevPause = append(s.prevPause[:0], h.Counts...)
 		return
 	}
-	hist := s.reg.Histogram(RuntimeGCPause, gcPauseBuckets)
+	lat := s.reg.Latency(RuntimeGCPause)
 	replayed := 0
 	for i, c := range h.Counts {
 		delta := c - s.prevPause[i]
@@ -129,9 +125,9 @@ func (s *RuntimeSampler) samplePauses(v metrics.Value) {
 		if delta == 0 {
 			continue
 		}
-		mid := bucketMidpoint(h.Buckets, i)
+		mid := int64(bucketMidpoint(h.Buckets, i) * 1e9)
 		for j := uint64(0); j < delta && replayed < maxPauseReplay; j++ {
-			hist.Observe(mid)
+			lat.ObserveNS(mid)
 			replayed++
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -33,26 +34,39 @@ func TestRuntimeSamplerGauges(t *testing.T) {
 
 // TestRuntimeSamplerGCPauseDelta: the first Sample only records the
 // baseline; after forced GC cycles a later Sample replays the new pauses
-// into the registry histogram.
+// into the registry latency, each at a bucket midpoint of the runtime's
+// own pause histogram, so min and max stay inside its finite range.
 func TestRuntimeSamplerGCPauseDelta(t *testing.T) {
 	reg := NewRegistry()
 	s := NewRuntimeSampler(reg)
 	s.Sample() // baseline — must not replay process history
 
-	if h, ok := reg.Snapshot().Histograms[RuntimeGCPause]; ok && h.Count > 0 {
-		t.Fatalf("baseline sample replayed %d historical pauses", h.Count)
+	if n := reg.Snapshot().Latencies[RuntimeGCPause].Count; n != 0 {
+		t.Fatalf("baseline sample replayed %d historical pauses", n)
 	}
 
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
 	s.Sample()
-	h, ok := reg.Snapshot().Histograms[RuntimeGCPause]
-	if !ok || h.Count == 0 {
+	l, ok := reg.Snapshot().Latencies[RuntimeGCPause]
+	if !ok || l.Count == 0 {
 		t.Fatal("no GC pauses recorded after forced GC cycles")
 	}
-	if h.Sum < 0 || math.IsNaN(h.Sum) || math.IsInf(h.Sum, 0) {
-		t.Fatalf("pause sum = %v", h.Sum)
+
+	pauses := []metrics.Sample{{Name: "/gc/pauses:seconds"}}
+	metrics.Read(pauses)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, b := range pauses[0].Value.Float64Histogram().Buckets {
+		if !math.IsInf(b, 0) {
+			lo, hi = math.Min(lo, b), math.Max(hi, b)
+		}
+	}
+	// A stop-the-world pause takes far more than a nanosecond, so a zero
+	// max would mean the replay lost the seconds-to-nanoseconds scaling.
+	if l.MaxNS <= 0 || float64(l.MinNS) < math.Floor(lo*1e9) || float64(l.MaxNS) > math.Ceil(hi*1e9) {
+		t.Fatalf("pause min/max = %dns/%dns, want max > 0 and both within the runtime buckets' finite range [%gs, %gs]",
+			l.MinNS, l.MaxNS, lo, hi)
 	}
 }
 

@@ -18,10 +18,6 @@ func goldenObserver() *Observer {
 	r.Counter("core.genobf_calls").Add(18)
 	r.Counter("mc.worlds_sampled").Add(3000)
 	r.Gauge("core.sigma").Set(0.03125)
-	h := r.Histogram("mc.seconds.EdgeRelevance", []float64{0.001, 0.01, 0.1, 1})
-	h.Observe(0.004)
-	h.Observe(0.007)
-	h.Observe(0.25)
 	q := r.Quality("mc.quality.ExpectedConnectedPairs")
 	for _, v := range []float64{100, 104, 96, 102, 98} {
 		q.Observe(v)

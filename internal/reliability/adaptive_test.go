@@ -190,15 +190,13 @@ func TestModeWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestLabelKeyCoversSamplingTuple is the cache-correctness satellite of
-// ISSUE 7: labelKey used to key only on `fast`, so a mode or adaptive
-// change silently served stale labels. Every field of the sampling tuple
-// must now change the key.
+// TestLabelKeyCoversSamplingTuple: every field of the sampling tuple must
+// change the label-cache key, or a mode or adaptive change would silently
+// serve stale labels.
 func TestLabelKeyCoversSamplingTuple(t *testing.T) {
 	g := randomGraph(77, 20, 40)
 	base := Estimator{Samples: 100, Seed: 1}
 	variants := []Estimator{
-		{Samples: 100, Seed: 1, FastSampling: true},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleAntithetic},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleStratified},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleCoupled},

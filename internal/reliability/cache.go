@@ -11,7 +11,7 @@ import (
 // labelKey identifies one immutable Monte Carlo labeling: the graph
 // snapshot (pointer identity plus mutation version, so in-place edits
 // invalidate) and everything that determines the drawn worlds — the full
-// sampling-mode tuple (mode, fast path, seed, fixed budget, and the
+// sampling-mode tuple (mode, seed, fixed budget, and the
 // adaptive target/cap, which together determine the effective sample count
 // since the stopping rule is a deterministic function of the drawn
 // stream). Workers does not participate: the worlds, labels and stopping
@@ -25,7 +25,6 @@ type labelKey struct {
 	version    uint64
 	samples    int
 	seed       uint64
-	fast       bool
 	mode       uncertain.SamplingMode
 	targetRSE  uint64 // math.Float64bits of TargetRSE (0 = fixed budget)
 	maxSamples int    // adaptive cap; 0 outside adaptive mode
@@ -163,8 +162,7 @@ func (c *LabelCache) Len() int {
 }
 
 func (e Estimator) labelKeyFor(g uncertain.View) labelKey {
-	k := labelKey{g: g, version: g.Version(), samples: e.samples(), seed: e.Seed,
-		fast: e.FastSampling, mode: e.Mode}
+	k := labelKey{g: g, version: g.Version(), samples: e.samples(), seed: e.Seed, mode: e.Mode}
 	if e.adaptive() {
 		k.targetRSE = math.Float64bits(e.TargetRSE)
 		k.maxSamples = e.maxSamples()

@@ -5,9 +5,9 @@ import (
 )
 
 // TestCSROracle runs the CSR bit-identity oracle over the sampling corpus
-// (which includes the exact-enumeration corpus plus the geometric-skip
-// stress graph): the packed view must reproduce the slice-backed engine's
-// estimates bit for bit on every graph, mode and stream.
+// (which includes the exact-enumeration corpus plus the low-probability
+// class graph): the packed view must reproduce the slice-backed engine's
+// estimates bit for bit on every graph and mode.
 func TestCSROracle(t *testing.T) {
 	const samples = 200
 	const seed = 0xC5A

@@ -52,7 +52,7 @@ func modeStream(i int) uint64 {
 // parity 0/1 restricts the count to even (plain) or odd (mirrored)
 // antithetic indices — within one parity class the worlds are iid, which
 // the chi-square marginal test below needs; parity -1 counts all worlds.
-func sampleModeCounts(g *uncertain.Graph, mode uncertain.SamplingMode, geometric bool, parity int, seed uint64) ([]int, int) {
+func sampleModeCounts(g *uncertain.Graph, mode uncertain.SamplingMode, parity int, seed uint64) ([]int, int) {
 	s := g.Sampler()
 	pcg := rand.NewPCG(0, 0)
 	counts := make([]int, g.NumEdges())
@@ -65,22 +65,14 @@ func sampleModeCounts(g *uncertain.Graph, mode uncertain.SamplingMode, geometric
 		switch mode {
 		case uncertain.SampleAntithetic:
 			pcg.Seed(seed, modeStream(i>>1))
-			if geometric {
-				s.SampleIntoGeometricAntithetic(&w, pcg, i&1 == 1)
-			} else {
-				s.SampleIntoAntithetic(&w, pcg, i&1 == 1)
-			}
+			s.SampleIntoAntithetic(&w, pcg, i&1 == 1)
 		case uncertain.SampleStratified:
 			s.SampleIntoStratified(&w, seed, i)
 		case uncertain.SampleCoupled:
 			s.SampleIntoCoupled(&w, seed, i)
 		default:
 			pcg.Seed(seed, modeStream(i))
-			if geometric {
-				s.SampleIntoGeometric(&w, pcg)
-			} else {
-				s.SampleInto(&w, pcg)
-			}
+			s.SampleInto(&w, pcg)
 		}
 		n++
 		for j := range counts {
@@ -94,8 +86,7 @@ func sampleModeCounts(g *uncertain.Graph, mode uncertain.SamplingMode, geometric
 
 // TestSamplerModeMarginals extends the marginal GOF coverage to the
 // variance-reduction modes on every sampling-corpus graph: the mirrored
-// half of the antithetic stream (threshold AND geometric-skip kernels),
-// the stratified lattice and the coupled hash must all produce the right
+// half of the antithetic stream, the stratified lattice and the coupled hash must all produce the right
 // per-edge Bernoulli marginals. Pinned edges stay deterministic, rare
 // edges stay under their Chernoff caps, and the well-populated edges pass
 // a pooled chi-square. For the lattice the per-edge counts are
@@ -104,17 +95,14 @@ func sampleModeCounts(g *uncertain.Graph, mode uncertain.SamplingMode, geometric
 // marginal bias would still shift the counts by Theta(n) and reject.
 func TestSamplerModeMarginals(t *testing.T) {
 	variants := []struct {
-		name      string
-		mode      uncertain.SamplingMode
-		geometric bool
-		parity    int
+		name   string
+		mode   uncertain.SamplingMode
+		parity int
 	}{
-		{"antithetic-plain", uncertain.SampleAntithetic, false, 0},
-		{"antithetic-mirrored", uncertain.SampleAntithetic, false, 1},
-		{"antithetic-geom-plain", uncertain.SampleAntithetic, true, 0},
-		{"antithetic-geom-mirrored", uncertain.SampleAntithetic, true, 1},
-		{"stratified", uncertain.SampleStratified, false, -1},
-		{"coupled", uncertain.SampleCoupled, false, -1},
+		{"antithetic-plain", uncertain.SampleAntithetic, 0},
+		{"antithetic-mirrored", uncertain.SampleAntithetic, 1},
+		{"stratified", uncertain.SampleStratified, -1},
+		{"coupled", uncertain.SampleCoupled, -1},
 	}
 	for _, cg := range SamplingCorpus() {
 		for _, vr := range variants {
@@ -122,7 +110,7 @@ func TestSamplerModeMarginals(t *testing.T) {
 			t.Run(cg.Name+"/"+vr.name, func(t *testing.T) {
 				t.Parallel()
 				g := cg.G
-				counts, n := sampleModeCounts(g, vr.mode, vr.geometric, vr.parity, gofSeeds[0])
+				counts, n := sampleModeCounts(g, vr.mode, vr.parity, gofSeeds[0])
 				chiEdges := 0
 				for j, c := range counts {
 					p := g.Edge(j).P
@@ -152,7 +140,7 @@ func TestSamplerModeMarginals(t *testing.T) {
 					return
 				}
 				err := RetryGOF(fmt.Sprintf("marginals %s/%s", cg.Name, vr.name), func(seed uint64) float64 {
-					cs, m := sampleModeCounts(g, vr.mode, vr.geometric, vr.parity, seed)
+					cs, m := sampleModeCounts(g, vr.mode, vr.parity, seed)
 					var stat float64
 					for j, c := range cs {
 						p := g.Edge(j).P
@@ -181,8 +169,8 @@ func TestAntitheticPairComplement(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(2, 3, 0.5)
-	plain, np := sampleModeCounts(g, uncertain.SampleAntithetic, false, 0, gofSeeds[0])
-	mirror, nm := sampleModeCounts(g, uncertain.SampleAntithetic, false, 1, gofSeeds[0])
+	plain, np := sampleModeCounts(g, uncertain.SampleAntithetic, 0, gofSeeds[0])
+	mirror, nm := sampleModeCounts(g, uncertain.SampleAntithetic, 1, gofSeeds[0])
 	if np != nm {
 		t.Fatalf("halves differ in size: %d vs %d", np, nm)
 	}

@@ -79,19 +79,15 @@ func TestTruncnormMean(t *testing.T) {
 	}
 }
 
-// sampleMode draws gofSamples worlds from g with the chosen sampler mode
+// sampleWorlds draws gofSamples worlds from g with the threshold sampler
 // and returns per-edge presence counts.
-func sampleMode(g *uncertain.Graph, geometric bool, seed uint64) []int {
+func sampleWorlds(g *uncertain.Graph, seed uint64) []int {
 	s := g.Sampler()
 	pcg := rand.NewPCG(seed, 0x5a1ad)
 	counts := make([]int, g.NumEdges())
 	var w uncertain.World
 	for i := 0; i < gofSamples; i++ {
-		if geometric {
-			s.SampleIntoGeometric(&w, pcg)
-		} else {
-			s.SampleInto(&w, pcg)
-		}
+		s.SampleInto(&w, pcg)
 		for j := range counts {
 			if w.Present(j) {
 				counts[j]++
@@ -101,82 +97,76 @@ func sampleMode(g *uncertain.Graph, geometric bool, seed uint64) []int {
 	return counts
 }
 
-// TestWorldSamplerMarginals checks that both world-sampling modes produce
-// the right per-edge Bernoulli marginals on every sampling-corpus graph:
+// TestWorldSamplerMarginals checks that the world sampler produces the
+// right per-edge Bernoulli marginals on every sampling-corpus graph:
 // a pooled chi-square over the well-populated edges, exact checks for
 // pinned edges, and Chernoff-bounded count caps for edges too rare for a
 // chi-square cell.
 func TestWorldSamplerMarginals(t *testing.T) {
 	for _, cg := range SamplingCorpus() {
-		for _, geometric := range []bool{false, true} {
-			cg, geometric := cg, geometric
-			mode := "default"
-			if geometric {
-				mode = "geometric"
+		cg := cg
+		t.Run(cg.Name+"/default", func(t *testing.T) {
+			t.Parallel()
+			g := cg.G
+			// Hard structural checks on the first pinned seed: pinned
+			// edges are deterministic, rare edges Chernoff-capped (tail
+			// < 1e-9 each, far below the suite budget).
+			counts := sampleWorlds(g, gofSeeds[0])
+			chiEdges := 0
+			for j, c := range counts {
+				p := g.Edge(j).P
+				switch {
+				case p <= 0:
+					if c != 0 {
+						t.Errorf("edge %d has p=0 but appeared %d times", j, c)
+					}
+				case p >= 1:
+					if c != gofSamples {
+						t.Errorf("edge %d has p=1 but appeared only %d/%d times", j, c, gofSamples)
+					}
+				case gofSamples*math.Min(p, 1-p) < 25:
+					rare, rareP := c, p
+					if p > 0.5 {
+						rare, rareP = gofSamples-c, 1-p
+					}
+					if maxC := RareCountMax(rareP, gofSamples); rare > maxC {
+						t.Errorf("edge %d (p=%v): rare-side count %d exceeds Chernoff cap %d",
+							j, p, rare, maxC)
+					}
+				default:
+					chiEdges++
+				}
 			}
-			t.Run(cg.Name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				g := cg.G
-				// Hard structural checks on the first pinned seed: pinned
-				// edges are deterministic, rare edges Chernoff-capped (tail
-				// < 1e-9 each, far below the suite budget).
-				counts := sampleMode(g, geometric, gofSeeds[0])
-				chiEdges := 0
-				for j, c := range counts {
+			if chiEdges == 0 {
+				return
+			}
+			// Marginal GOF on the well-populated edges: each edge's
+			// standardized count z_j^2 is ~chi-square(1), and edges are
+			// independent, so the sum is ~chi-square(chiEdges).
+			err := RetryGOF("marginals "+cg.Name, func(seed uint64) float64 {
+				cs := sampleWorlds(g, seed)
+				var stat float64
+				for j, c := range cs {
 					p := g.Edge(j).P
-					switch {
-					case p <= 0:
-						if c != 0 {
-							t.Errorf("edge %d has p=0 but appeared %d times", j, c)
-						}
-					case p >= 1:
-						if c != gofSamples {
-							t.Errorf("edge %d has p=1 but appeared only %d/%d times", j, c, gofSamples)
-						}
-					case gofSamples*math.Min(p, 1-p) < 25:
-						rare, rareP := c, p
-						if p > 0.5 {
-							rare, rareP = gofSamples-c, 1-p
-						}
-						if maxC := RareCountMax(rareP, gofSamples); rare > maxC {
-							t.Errorf("edge %d (p=%v): rare-side count %d exceeds Chernoff cap %d",
-								j, p, rare, maxC)
-						}
-					default:
-						chiEdges++
+					if p <= 0 || p >= 1 || gofSamples*math.Min(p, 1-p) < 25 {
+						continue
 					}
+					z := (float64(c) - gofSamples*p) / math.Sqrt(gofSamples*p*(1-p))
+					stat += z * z
 				}
-				if chiEdges == 0 {
-					return
-				}
-				// Marginal GOF on the well-populated edges: each edge's
-				// standardized count z_j^2 is ~chi-square(1), and edges are
-				// independent, so the sum is ~chi-square(chiEdges).
-				err := RetryGOF("marginals "+cg.Name+"/"+mode, func(seed uint64) float64 {
-					cs := sampleMode(g, geometric, seed)
-					var stat float64
-					for j, c := range cs {
-						p := g.Edge(j).P
-						if p <= 0 || p >= 1 || gofSamples*math.Min(p, 1-p) < 25 {
-							continue
-						}
-						z := (float64(c) - gofSamples*p) / math.Sqrt(gofSamples*p*(1-p))
-						stat += z * z
-					}
-					return ChiSquareTail(stat, chiEdges)
-				})
-				if err != nil {
-					t.Error(err)
-				}
+				return ChiSquareTail(stat, chiEdges)
 			})
-		}
+			if err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // TestWorldSamplerPairwiseIndependence runs 2x2 chi-square independence
-// checks on edge pairs drawn from the same geometric-skip class, across
-// classes, and among dense edges — a correlation bug in the skip-gap
-// arithmetic would show up here, not in the marginals.
+// checks on edge pairs sharing one low probability, across two low
+// probabilities, and among high-probability edges — a correlation bug in
+// the per-edge draw stream would show up here, not in the marginals.
 func TestWorldSamplerPairwiseIndependence(t *testing.T) {
 	var skip CorpusGraph
 	for _, cg := range SamplingCorpus() {
@@ -214,54 +204,43 @@ func TestWorldSamplerPairwiseIndependence(t *testing.T) {
 			t.Fatalf("%s: pair not found in skipclasses graph", name)
 		}
 	}
-	for _, geometric := range []bool{false, true} {
-		geometric := geometric
-		mode := "default"
-		if geometric {
-			mode = "geometric"
-		}
-		for name, pr := range pairs {
-			name, pr := name, pr
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				pa, pb := g.Edge(pr[0]).P, g.Edge(pr[1]).P
-				err := RetryGOF("independence "+name+"/"+mode, func(seed uint64) float64 {
-					s := g.Sampler()
-					pcg := rand.NewPCG(seed, 0x1d3)
-					var w uncertain.World
-					var obs [4]float64
-					for i := 0; i < gofSamples; i++ {
-						if geometric {
-							s.SampleIntoGeometric(&w, pcg)
-						} else {
-							s.SampleInto(&w, pcg)
-						}
-						k := 0
-						if w.Present(pr[0]) {
-							k |= 1
-						}
-						if w.Present(pr[1]) {
-							k |= 2
-						}
-						obs[k]++
+	for name, pr := range pairs {
+		name, pr := name, pr
+		t.Run(name+"/default", func(t *testing.T) {
+			t.Parallel()
+			pa, pb := g.Edge(pr[0]).P, g.Edge(pr[1]).P
+			err := RetryGOF("independence "+name, func(seed uint64) float64 {
+				s := g.Sampler()
+				pcg := rand.NewPCG(seed, 0x1d3)
+				var w uncertain.World
+				var obs [4]float64
+				for i := 0; i < gofSamples; i++ {
+					s.SampleInto(&w, pcg)
+					k := 0
+					if w.Present(pr[0]) {
+						k |= 1
 					}
-					exp := [4]float64{
-						gofSamples * (1 - pa) * (1 - pb),
-						gofSamples * pa * (1 - pb),
-						gofSamples * (1 - pa) * pb,
-						gofSamples * pa * pb,
+					if w.Present(pr[1]) {
+						k |= 2
 					}
-					_, p, err := ChiSquare(obs[:], exp[:], 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return p
-				})
-				if err != nil {
-					t.Error(err)
+					obs[k]++
 				}
+				exp := [4]float64{
+					gofSamples * (1 - pa) * (1 - pb),
+					gofSamples * pa * (1 - pb),
+					gofSamples * (1 - pa) * pb,
+					gofSamples * pa * pb,
+				}
+				_, p, err := ChiSquare(obs[:], exp[:], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			})
-		}
+			if err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -98,14 +98,14 @@ func Corpus() []CorpusGraph {
 }
 
 // SamplingCorpus returns graphs for distribution-level sampler tests.
-// They are too large for exact enumeration but deliberately trigger every
-// sampling path, in particular the geometric-skip classes (>= 16 edges
-// sharing one low probability) that FastSampling uses.
+// They are too large for exact enumeration and add populous classes of
+// edges sharing one low probability, where a correlated draw stream would
+// show up in the pairwise-independence tests.
 func SamplingCorpus() []CorpusGraph {
 	out := Corpus()
 
-	// A 40-edge graph holding two geometric-skip classes (20 edges at
-	// p=0.05, 16 at p=0.2), a dense remainder, and certain edges.
+	// A 40-edge graph holding two low-probability classes (20 edges at
+	// p=0.05, 16 at p=0.2), a high-probability remainder, and certain edges.
 	g := uncertain.New(30)
 	id := 0
 	add := func(p float64) {

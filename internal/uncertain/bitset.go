@@ -70,15 +70,3 @@ func (b Bitset) Mask(n int) []bool {
 	}
 	return mask
 }
-
-// grow returns a bitset backed by b with capacity for exactly n bits,
-// reusing b's storage when large enough. All words are zeroed.
-func (b Bitset) grow(n int) Bitset {
-	words := bitsetWords(n)
-	if cap(b) < words {
-		return make(Bitset, words)
-	}
-	b = b[:words]
-	b.Reset()
-	return b
-}

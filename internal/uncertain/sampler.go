@@ -13,22 +13,6 @@ const mask53 = 1<<53 - 1
 // randomness. Everything in between is a draw.
 const threshAlways = ^uint64(0)
 
-// geomCut and geomMinRun bound when the geometric-skip path kicks in: a
-// probability class is skip-sampled only when it is rare enough (few
-// successes per scan) and populous enough (the per-class setup amortizes).
-const (
-	geomCut    = 0.25
-	geomMinRun = 16
-)
-
-// skipClass is one probability class of the geometric-skip sampler: edges
-// sharing the same low probability p, visited by jumping geometric gaps
-// instead of flipping a coin per edge.
-type skipClass struct {
-	invLog1p float64 // 1 / ln(1-p)
-	idx      []int32 // edge indices, ascending
-}
-
 // WorldSampler is the allocation-free possible-world sampler for one graph
 // snapshot. It precomputes, per edge, the integer threshold t = ceil(p*2^53)
 // such that
@@ -47,18 +31,12 @@ type WorldSampler struct {
 	core    *edgeCore
 	version uint64
 	thresh  []uint64 // per edge: 0 = never, threshAlways = certain, else draw
-
-	// Geometric-skip layout (SampleIntoGeometric): low-probability classes
-	// are skip-sampled, everything else falls back to per-edge draws.
-	classes []skipClass
-	dense   []int32 // edges outside every skip class, ascending
 }
 
 // newWorldSampler builds the sampler snapshot for the view's current state.
 func newWorldSampler(src View) *WorldSampler {
 	core := src.dataCore()
 	s := &WorldSampler{src: src, core: core, version: src.Version(), thresh: make([]uint64, len(core.edges))}
-	counts := make(map[float64]int)
 	for i, e := range core.edges {
 		switch {
 		case e.P >= 1:
@@ -69,23 +47,6 @@ func newWorldSampler(src View) *WorldSampler {
 			// p*2^53 is an exact power-of-two scaling, so the ceiling is the
 			// exact integer threshold for the Float64 comparison above.
 			s.thresh[i] = uint64(math.Ceil(e.P * (1 << 53)))
-			if e.P < geomCut {
-				counts[e.P]++
-			}
-		}
-	}
-	classIdx := make(map[float64]int)
-	for i, e := range core.edges {
-		if e.P > 0 && e.P < geomCut && counts[e.P] >= geomMinRun {
-			ci, ok := classIdx[e.P]
-			if !ok {
-				ci = len(s.classes)
-				classIdx[e.P] = ci
-				s.classes = append(s.classes, skipClass{invLog1p: 1 / math.Log1p(-e.P)})
-			}
-			s.classes[ci].idx = append(s.classes[ci].idx, int32(i))
-		} else if s.thresh[i] != 0 {
-			s.dense = append(s.dense, int32(i))
 		}
 	}
 	return s

@@ -2,7 +2,6 @@ package uncertain
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand/v2"
 )
@@ -165,71 +164,6 @@ func (s *WorldSampler) sampleThreshold(w *World, pcg *rand.PCG, flip uint64) {
 		}
 		w.bits[wi] = word
 		m += bits.OnesCount64(word)
-	}
-	w.m = m
-}
-
-// SampleIntoGeometricAntithetic is SampleIntoGeometric with complemented
-// uniforms when mirror is set — the geometric-skip counterpart of
-// SampleIntoAntithetic. The complement is applied to the raw 53-bit draw
-// before BOTH uses (the dense threshold test and the log-gap mapping), so
-// the mirrored world consumes the stream identically and the pairing
-// survives the skip path. With mirror false it is bit-identical to
-// SampleIntoGeometric.
-func (s *WorldSampler) SampleIntoGeometricAntithetic(w *World, pcg *rand.PCG, mirror bool) {
-	var flip uint64
-	if mirror {
-		flip = mask53
-	}
-	s.sampleGeometric(w, pcg, flip)
-}
-
-// SampleIntoGeometric draws one possible world into w using geometric-skip
-// sampling for low-probability edge classes: within a class of k edges
-// sharing probability p, the gap to the next present edge is geometric, so
-// the cost is O(k*p) draws instead of k. High-probability and certain
-// edges take the per-edge path.
-//
-// The result follows the same distribution as SampleInto but consumes the
-// PCG stream differently, so the drawn world differs for the same state:
-// deterministic per seed, but a different world stream. Estimators expose
-// this as an opt-in (Estimator.FastSampling) precisely because it trades
-// the cross-implementation replay contract for speed.
-func (s *WorldSampler) SampleIntoGeometric(w *World, pcg *rand.PCG) {
-	s.sampleGeometric(w, pcg, 0)
-}
-
-// sampleGeometric is the shared geometric-skip kernel; flip complements
-// every 53-bit draw (0 = plain, mask53 = antithetic mirror).
-func (s *WorldSampler) sampleGeometric(w *World, pcg *rand.PCG, flip uint64) {
-	w.src, w.core = s.src, s.core
-	w.bits = w.bits.grow(len(s.core.edges))
-	m := 0
-	for _, i := range s.dense {
-		t := s.thresh[i]
-		if t == threshAlways {
-			w.bits.Set(int(i))
-			m++
-		} else if pcg.Uint64()&mask53^flip < t {
-			w.bits.Set(int(i))
-			m++
-		}
-	}
-	for ci := range s.classes {
-		c := &s.classes[ci]
-		pos := 0
-		for pos < len(c.idx) {
-			// u in (0,1]: the +1 offset keeps Log finite at the stream's 0.
-			u := (float64(pcg.Uint64()&mask53^flip) + 1) * (1.0 / (1 << 53))
-			gap := math.Log(u) * c.invLog1p
-			if gap >= float64(len(c.idx)-pos) {
-				break
-			}
-			pos += int(gap)
-			w.bits.Set(int(c.idx[pos]))
-			m++
-			pos++
-		}
 	}
 	w.m = m
 }

@@ -24,6 +24,12 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet + go test (bench/ module) =="
+# bench/ is its own module (it replaces chameleon with ../), so the root
+# go vet/go test never visit it. Building it here catches an internal/
+# change that breaks the end-to-end benchmark before the benchmark runs.
+(cd bench && go vet ./... && go test .)
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then

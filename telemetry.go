@@ -10,7 +10,7 @@ import (
 )
 
 // MetricsSnapshot is the frozen state of an observer's metrics registry:
-// counters, gauges, histograms and estimator-quality streams. Obtain one
+// counters, gauges, latencies and estimator-quality streams. Obtain one
 // with Observer.Registry().Snapshot().
 type MetricsSnapshot = obs.Snapshot
 
