@@ -12,12 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"chameleon/internal/anf"
 	"chameleon/internal/centrality"
 	"chameleon/internal/core"
 	"chameleon/internal/exp"
 	"chameleon/internal/gen"
-	"chameleon/internal/hyperanf"
 	"chameleon/internal/metrics"
 	"chameleon/internal/obs"
 	"chameleon/internal/obs/expose"
@@ -547,23 +545,6 @@ func BenchmarkCSweepAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkHyperANF compares the two neighborhood-function estimators on
-// one sampled world.
-func BenchmarkHyperANF(b *testing.B) {
-	g := benchGraph(b)
-	w := g.SampleWorld(rand.New(rand.NewPCG(1, 1)))
-	b.Run("fm-anf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			anf.Neighborhood(w, anf.Options{Seed: uint64(i)})
-		}
-	})
-	b.Run("hyperanf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hyperanf.Neighborhood(w, hyperanf.Options{Seed: uint64(i)})
-		}
-	})
 }
 
 // BenchmarkDPComparison is the extension experiment comparing the

@@ -1,13 +1,15 @@
 // Command benchcmp compares two benchmark-artifact JSON files (the
 // BENCH_obs.json / BENCH_reliability.json / BENCH_mc.json /
-// BENCH_format.json schema written by scripts/check.sh: an array of
-// {name, ns_per_op, allocs_per_op, iterations, samples_to_target_rse?,
-// bytes_on_disk?} records) and fails when any benchmark present in both
-// got slower than the allowed budget.
+// BENCH_format.json schema: an array of {name, ns_per_op, allocs_per_op,
+// iterations, samples_to_target_rse?, bytes_on_disk?} records) and fails
+// when any benchmark present in both got slower than the allowed budget.
+// With -emit it writes such a file instead, converting `go test -bench`
+// output read from standard input (see parseBench).
 //
 // Usage:
 //
 //	benchcmp [-max-slowdown 25] [-skip-ns] baseline.json current.json
+//	go test -bench . -benchmem | benchcmp -emit > BENCH_x.json
 //
 // Two quantities are gated against the same percentage budget: ns_per_op
 // (unless -skip-ns) and, where present in both files, the
@@ -58,7 +60,19 @@ type entry struct {
 func main() {
 	maxSlowdown := flag.Float64("max-slowdown", 25, "fail when a gated metric grows more than this percentage")
 	skipNs := flag.Bool("skip-ns", false, "do not gate ns_per_op (for sample-efficiency artifacts where wall time is a function of the gated sample count)")
+	emit := flag.Bool("emit", false, "convert go test -bench output on stdin to a benchmark-artifact JSON file on stdout")
 	flag.Parse()
+	if *emit {
+		es, err := parseBench(os.Stdin)
+		if err == nil {
+			err = writeEntries(os.Stdout, es)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "benchcmp: want exactly two arguments: baseline.json current.json")
 		flag.Usage()

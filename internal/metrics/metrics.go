@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"chameleon/internal/anf"
-	"chameleon/internal/hyperanf"
 	"chameleon/internal/privacy"
 	"chameleon/internal/uncertain"
 )
@@ -30,11 +29,6 @@ type Options struct {
 	// ANF configures the neighborhood-function estimator for distance
 	// metrics.
 	ANF anf.Options
-	// UseHyperANF switches the distance metrics to the HyperLogLog-based
-	// HyperANF estimator [8] instead of the classic Flajolet–Martin ANF.
-	UseHyperANF bool
-	// HyperANF configures the HyperANF estimator when UseHyperANF is set.
-	HyperANF hyperanf.Options
 }
 
 func (o Options) samples(def int) int {
@@ -163,16 +157,9 @@ func (o Options) Distances(g *uncertain.Graph) DistanceStats {
 	ad := make([]float64, n)
 	ed := make([]float64, n)
 	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
-		var r anf.Result
-		if o.UseHyperANF {
-			opts := o.HyperANF
-			opts.Seed = o.Seed ^ (uint64(i) * 0x9e3779b9)
-			r = hyperanf.Neighborhood(w, opts)
-		} else {
-			opts := o.ANF
-			opts.Seed = o.Seed ^ (uint64(i) * 0x9e3779b9)
-			r = anf.Neighborhood(w, opts)
-		}
+		opts := o.ANF
+		opts.Seed = o.Seed ^ (uint64(i) * 0x9e3779b9)
+		r := anf.Neighborhood(w, opts)
 		ad[i] = r.AverageDistance()
 		ed[i] = r.EffectiveDiameter(0.9)
 	})

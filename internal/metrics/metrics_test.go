@@ -186,25 +186,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDistancesHyperANFAgreesWithFM(t *testing.T) {
-	g, err := gen.BarabasiAlbert(120, 2, gen.UniformProbs(0.6, 1), rand.New(rand.NewPCG(9, 9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm := Options{Samples: 5, Seed: 12}
-	fm.ANF.Trials = 64
-	hll := Options{Samples: 5, Seed: 12, UseHyperANF: true}
-	hll.HyperANF.LogRegisters = 8
-	a := fm.Distances(g)
-	b := hll.Distances(g)
-	if a.AverageDistance <= 0 || b.AverageDistance <= 0 {
-		t.Fatalf("distances should be positive: %+v %+v", a, b)
-	}
-	if math.Abs(a.AverageDistance-b.AverageDistance)/a.AverageDistance > 0.3 {
-		t.Fatalf("FM %v and HyperANF %v disagree", a.AverageDistance, b.AverageDistance)
-	}
-}
-
 func TestExpectedDegreeDistributionMatchesMC(t *testing.T) {
 	g, err := gen.ErdosRenyi(25, 50, gen.UniformProbs(0.1, 0.9), rand.New(rand.NewPCG(3, 3)))
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 func TestAdaptiveStopsEarly(t *testing.T) {
 	g := randomGraph(71, 40, 120)
 	est := Estimator{Seed: 1, Workers: 1, TargetRSE: 0.05, MaxSamples: 16384}
-	w := est.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		_, pairs := sc.componentsPairs()
 		return float64(pairs)
 	})
@@ -37,7 +37,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 func TestAdaptiveCapped(t *testing.T) {
 	g := randomGraph(72, 40, 110)
 	est := Estimator{Seed: 2, Workers: 1, TargetRSE: 1e-12, MaxSamples: 256}
-	w := est.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		_, pairs := sc.componentsPairs()
 		return float64(pairs)
 	})
@@ -49,30 +49,51 @@ func TestAdaptiveCapped(t *testing.T) {
 // TestAdaptiveWorkerIndependence: the stopping decision is a function of
 // the chunk-order prefix alone, so every worker count must stop at the
 // same sample count with identical moments — the parallel rounds replay
-// the serial schedule exactly.
+// the serial schedule exactly. The paired inputs run the same scheduler
+// over index-aligned worlds of g and a perturbed copy, under every mode.
 func TestAdaptiveWorkerIndependence(t *testing.T) {
 	g := randomGraph(73, 50, 100)
-	run := func(workers int) obs.Welford {
-		est := Estimator{Seed: 3, Workers: workers, TargetRSE: 0.04, MaxSamples: 8192}
-		return est.forEachSample(g, func(i int, sc *scratch) float64 {
-			_, pairs := sc.componentsPairs()
-			return float64(pairs)
-		})
+	h := perturbClone(g, 0.2)
+	type input struct {
+		name   string
+		mode   uncertain.SamplingMode
+		h      uncertain.View
+		target float64
 	}
-	serial := run(1)
-	if serial.Count() >= 8192 || serial.Count() < adaptiveMinSamples {
-		t.Fatalf("serial baseline stopped at %v samples; test needs a mid-range stop", serial.Count())
+	inputs := []input{{name: "single", target: 0.04}}
+	for _, mode := range allModes {
+		inputs = append(inputs, input{name: "paired/" + mode.String(), mode: mode, h: h, target: 0.05})
 	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		par := run(workers)
-		if par.Count() != serial.Count() {
-			t.Fatalf("workers=%d stopped at %v samples, serial at %v", workers, par.Count(), serial.Count())
+	for _, in := range inputs {
+		run := func(workers int) obs.Welford {
+			est := Estimator{Seed: 3, Workers: workers, TargetRSE: in.target, MaxSamples: 8192, Mode: in.mode}
+			return est.forEachSample(g, in.h, func(i int, sc *scratch) float64 {
+				_, pairs := sc.componentsPairs()
+				if in.h == nil {
+					return float64(pairs)
+				}
+				_, hp := sc.pair.componentsPairs()
+				return float64(pairs - hp)
+			})
 		}
-		if math.Abs(par.Mean()-serial.Mean()) > 1e-9*math.Abs(serial.Mean()) {
-			t.Errorf("workers=%d: mean %v != serial %v", workers, par.Mean(), serial.Mean())
+		serial := run(1)
+		if serial.Count() >= 8192 || serial.Count() < adaptiveMinSamples {
+			t.Fatalf("%s: serial baseline stopped at %v samples; test needs a mid-range stop", in.name, serial.Count())
 		}
-		if math.Abs(par.Variance()-serial.Variance()) > 1e-6*serial.Variance() {
-			t.Errorf("workers=%d: variance %v != serial %v", workers, par.Variance(), serial.Variance())
+		for _, workers := range []int{2, 3, 4, 5, 7} {
+			par := run(workers)
+			if par.Count() != serial.Count() {
+				t.Fatalf("%s: workers=%d stopped at %v samples, serial at %v", in.name, workers, par.Count(), serial.Count())
+			}
+			if math.Abs(par.Mean()-serial.Mean()) > 1e-9*math.Abs(serial.Mean()) {
+				t.Errorf("%s: workers=%d: mean %v != serial %v", in.name, workers, par.Mean(), serial.Mean())
+			}
+			if math.Abs(par.Variance()-serial.Variance()) > 1e-6*serial.Variance() {
+				t.Errorf("%s: workers=%d: variance %v != serial %v", in.name, workers, par.Variance(), serial.Variance())
+			}
+			if par != serial {
+				t.Errorf("%s: workers=%d: accumulator %+v is not bit-identical to serial %+v", in.name, workers, par, serial)
+			}
 		}
 	}
 }
@@ -145,14 +166,11 @@ func TestAdaptiveLoopSteadyStateAllocs(t *testing.T) {
 	}
 	g := randomGraph(75, 60, 140)
 	visit := func(i int, sc *scratch) float64 { _, p := sc.componentsPairs(); return float64(p) }
-	for _, mode := range []uncertain.SamplingMode{
-		uncertain.SampleIndependent, uncertain.SampleAntithetic,
-		uncertain.SampleStratified, uncertain.SampleCoupled,
-	} {
+	for _, mode := range allModes {
 		est := Estimator{Seed: 1, Workers: 1, TargetRSE: 0.05, MaxSamples: 512, Mode: mode}
-		est.forEachSample(g, visit) // warm-up: sampler snapshot + pooled scratch
+		est.forEachSample(g, nil, visit) // warm-up: sampler snapshot + pooled scratch
 		allocs := testing.AllocsPerRun(20, func() {
-			est.forEachSample(g, visit)
+			est.forEachSample(g, nil, visit)
 		})
 		if allocs != 0 {
 			t.Errorf("mode %v: adaptive serial loop allocated %v times per pass, want 0", mode, allocs)
@@ -160,30 +178,46 @@ func TestAdaptiveLoopSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// allModes lists every sampling mode.
+var allModes = []uncertain.SamplingMode{
+	uncertain.SampleIndependent, uncertain.SampleAntithetic,
+	uncertain.SampleStratified, uncertain.SampleCoupled,
+}
+
 // TestModeWorkerIndependence: every sampling mode draws world i as a pure
 // function of (seed, i), so parallel scheduling must replay the serial
-// worlds for all modes — including the paired antithetic indices.
+// worlds for all modes — including the paired antithetic indices and the
+// paired second graph — and the fixed-budget accumulator, merged in chunk
+// order, must come back bit-identical for any worker count.
 func TestModeWorkerIndependence(t *testing.T) {
 	g := randomGraph(76, 50, 110)
-	for _, mode := range []uncertain.SamplingMode{
-		uncertain.SampleAntithetic, uncertain.SampleStratified, uncertain.SampleCoupled,
-	} {
-		collect := func(workers int) []int64 {
-			est := Estimator{Samples: 192, Seed: 5, Workers: workers, Mode: mode}
-			out := make([]int64, est.samples())
-			est.forEachSample(g, func(i int, sc *scratch) float64 {
-				_, out[i] = sc.componentsPairs()
-				return float64(out[i])
-			})
-			return out
-		}
-		serial := collect(1)
-		for _, workers := range []int{2, 5} {
-			got := collect(workers)
-			for i := range serial {
-				if got[i] != serial[i] {
-					t.Fatalf("mode %v workers=%d: world %d has %d pairs, serial drew %d",
-						mode, workers, i, got[i], serial[i])
+	h := perturbClone(g, 0.05)
+	for _, mode := range allModes {
+		for _, hv := range []uncertain.View{nil, h} {
+			collect := func(workers int) ([]int64, obs.Welford) {
+				est := Estimator{Samples: 450, Seed: 5, Workers: workers, Mode: mode}
+				out := make([]int64, 2*est.samples())
+				w := est.forEachSample(g, hv, func(i int, sc *scratch) float64 {
+					_, out[2*i] = sc.componentsPairs()
+					if hv != nil {
+						_, out[2*i+1] = sc.pair.componentsPairs()
+					}
+					return float64(out[2*i] - out[2*i+1])
+				})
+				return out, w
+			}
+			serial, serialStat := collect(1)
+			for _, workers := range []int{2, 5, 7} {
+				got, stat := collect(workers)
+				for i := range serial {
+					if got[i] != serial[i] {
+						t.Fatalf("mode %v paired=%v workers=%d: world %d of graph %d has %d pairs, serial drew %d",
+							mode, hv != nil, workers, i/2, i%2, got[i], serial[i])
+					}
+				}
+				if stat != serialStat {
+					t.Errorf("mode %v paired=%v workers=%d: accumulator %+v is not bit-identical to serial %+v",
+						mode, hv != nil, workers, stat, serialStat)
 				}
 			}
 		}
@@ -354,10 +388,10 @@ func BenchmarkAdaptiveChunkLoop(b *testing.B) {
 		_, p := sc.componentsPairs()
 		return float64(p)
 	}
-	est.forEachSample(g, visit) // warm-up: sampler snapshot + pooled scratch
+	est.forEachSample(g, nil, visit) // warm-up: sampler snapshot + pooled scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.forEachSample(g, visit)
+		est.forEachSample(g, nil, visit)
 	}
 }

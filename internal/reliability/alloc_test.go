@@ -17,9 +17,9 @@ func TestForEachSampleSteadyStateAllocs(t *testing.T) {
 	visit := func(i int, sc *scratch) float64 { sc.componentsPairs(); return 0 }
 	// Warm-up: builds the sampler snapshot, grows the pooled scratch's
 	// bitset and DSU to this graph's size.
-	est.forEachSample(g, visit)
+	est.forEachSample(g, nil, visit)
 	allocs := testing.AllocsPerRun(20, func() {
-		est.forEachSample(g, visit)
+		est.forEachSample(g, nil, visit)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sampling allocated %v times per pass, want 0", allocs)
@@ -35,7 +35,7 @@ func TestForEachSampleWorkerIndependence(t *testing.T) {
 	collect := func(workers int) []int64 {
 		est := Estimator{Samples: 130, Seed: 3, Workers: workers}
 		out := make([]int64, est.samples())
-		est.forEachSample(g, func(i int, sc *scratch) float64 {
+		est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 			_, out[i] = sc.componentsPairs()
 			return float64(out[i])
 		})

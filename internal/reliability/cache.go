@@ -201,7 +201,7 @@ func (e Estimator) sampleLabelsT(g uncertain.View) *labelSet {
 		ls = new(labelSet)
 	}
 	ls.grow(nv, ns)
-	w := e.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		d, pairs := sc.componentsPairs()
 		ls.cc[i] = pairs
 		lab := ls.lab

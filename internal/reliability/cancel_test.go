@@ -38,7 +38,7 @@ func TestForEachSampleCancelledUpFront(t *testing.T) {
 		o := obs.NewObserver()
 		est := Estimator{Samples: 2048, Seed: 9, Workers: workers, Obs: o, Ctx: ctx}
 		var calls atomic.Int64
-		est.forEachSample(g, func(i int, sc *scratch) float64 {
+		est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 			calls.Add(1)
 			return 0
 		})
@@ -61,31 +61,56 @@ func TestForEachSampleCancelledUpFront(t *testing.T) {
 // TestForEachSampleCancelMidway: cancelling while sampling is in flight
 // stops every worker at its next chunk boundary — strictly fewer worlds
 // than the budget are drawn — and the counters account for exactly the
-// worlds that fn saw.
+// worlds that fn saw (two per call when paired), on the fixed budget and
+// the adaptive rounds alike: a chunk a round drew after the merged prefix
+// ended is still counted.
 func TestForEachSampleCancelMidway(t *testing.T) {
 	g := cancelTestGraph(t)
 	const n = 1 << 14
-	for _, workers := range []int{1, 4} {
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		adaptive bool
+		paired   bool
+	}{
+		{"fixed/serial", 1, false, false},
+		{"fixed/parallel", 4, false, false},
+		{"adaptive/serial", 1, true, false},
+		{"adaptive/parallel", 4, true, false},
+		{"paired/fixed/serial", 1, false, true},
+		{"paired/fixed/parallel", 4, false, true},
+		{"paired/adaptive/serial", 1, true, true},
+		{"paired/adaptive/parallel", 4, true, true},
+	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		o := obs.NewObserver()
-		est := Estimator{Samples: n, Seed: 9, Workers: workers, Obs: o, Ctx: ctx}
+		est := Estimator{Samples: n, Seed: 9, Workers: tc.workers, Obs: o, Ctx: ctx}
+		if tc.adaptive {
+			// Unreachable target: only the cancellation can stop the run.
+			est.TargetRSE, est.MaxSamples = 1e-12, n
+		}
+		var h uncertain.View
+		worldsPerCall := int64(1)
+		if tc.paired {
+			h, worldsPerCall = g, 2
+		}
 		var calls atomic.Int64
-		est.forEachSample(g, func(i int, sc *scratch) float64 {
+		est.forEachSample(g, h, func(i int, sc *scratch) float64 {
 			if calls.Add(1) == 3*sampleChunk {
 				cancel()
 			}
-			return 1
+			return float64(i & 7)
 		})
 		drawn := calls.Load()
 		if drawn >= n {
-			t.Errorf("workers=%d: cancellation did not stop sampling (drew all %d worlds)", workers, n)
+			t.Errorf("%s: cancellation did not stop sampling (drew all %d worlds)", tc.name, n)
 		}
 		if drawn < 3*sampleChunk {
-			t.Errorf("workers=%d: drew %d worlds, want at least the %d before cancel", workers, drawn, 3*sampleChunk)
+			t.Errorf("%s: drew %d worlds, want at least the %d before cancel", tc.name, drawn, 3*sampleChunk)
 		}
 		snap := o.Registry().Snapshot()
-		if got := snap.Counters["mc.worlds_sampled"]; got != drawn {
-			t.Errorf("workers=%d: worlds_sampled=%d, fn saw %d", workers, got, drawn)
+		if got := snap.Counters["mc.worlds_sampled"]; got != worldsPerCall*drawn {
+			t.Errorf("%s: worlds_sampled=%d, fn saw %d calls of %d worlds", tc.name, got, drawn, worldsPerCall)
 		}
 		var workerSum int64
 		for name, v := range snap.Counters {
@@ -93,8 +118,8 @@ func TestForEachSampleCancelMidway(t *testing.T) {
 				workerSum += v
 			}
 		}
-		if workerSum != drawn {
-			t.Errorf("workers=%d: per-worker counters sum to %d, fn saw %d", workers, workerSum, drawn)
+		if workerSum != worldsPerCall*drawn {
+			t.Errorf("%s: per-worker counters sum to %d, fn saw %d calls of %d worlds", tc.name, workerSum, drawn, worldsPerCall)
 		}
 	}
 }
@@ -105,7 +130,7 @@ func TestNilContextSamplesEverything(t *testing.T) {
 	g := cancelTestGraph(t)
 	est := Estimator{Samples: 300, Seed: 4, Workers: 2}
 	var calls atomic.Int64
-	est.forEachSample(g, func(i int, sc *scratch) float64 {
+	est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		calls.Add(1)
 		return 0
 	})

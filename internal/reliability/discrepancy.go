@@ -156,7 +156,7 @@ func (e Estimator) SampledPairDiscrepancy(g, h uncertain.View, ps PairSample) (f
 
 // DeltaExpectedConnectedPairs estimates E[cc(G)] - E[cc(H)] from PAIRED
 // worlds: world i of both graphs is drawn at the same sample index (see
-// forEachSamplePair), the per-index difference feeds the accumulator, and
+// forEachSample), the per-index difference feeds the accumulator, and
 // the estimate is the mean difference. Under the coupled and stratified
 // modes the two draws share one uniform per common edge — common random
 // numbers — so the difference's variance collapses to the contribution of
@@ -173,17 +173,17 @@ func (e Estimator) DeltaExpectedConnectedPairs(g, h uncertain.View) (float64, er
 	limit := e.budget()
 	dg := make([]float64, limit)
 	dh := make([]float64, limit)
-	w := e.forEachSamplePair(g, h, func(i int, scg, sch *scratch) float64 {
-		_, pg := scg.componentsPairs()
-		_, ph := sch.componentsPairs()
+	w := e.forEachSample(g, h, func(i int, sc *scratch) float64 {
+		_, pg := sc.componentsPairs()
+		_, ph := sc.pair.componentsPairs()
 		dg[i], dh[i] = float64(pg), float64(ph)
 		return float64(pg) - float64(ph)
 	})
 	e.recordQuality("DeltaExpectedConnectedPairs", w)
-	// Deterministic reduction over the counted prefix: the parallel fixed
-	// path's accumulator merge order is scheduling-dependent in its float
-	// rounding, so the estimate is recomputed sequentially from the side
-	// arrays, like every other estimator in this package.
+	// The estimate is the sequential sum over the counted prefix of the
+	// side arrays, like every other estimator in this package: its sum
+	// order is what pins the published value, which the accumulator's
+	// chunk-wise mean would round differently.
 	n := e.effSamples(w)
 	var sum float64
 	var sg, sh, sd obs.Welford

@@ -174,11 +174,13 @@ func (e Estimator) timeOp(name string, start time.Time) {
 // scratch is one worker's reusable Monte Carlo state: the PCG that is
 // re-seeded per sample, the world the sampler fills in place, and the
 // union-find structure recycled across worlds. Pooled so steady-state
-// sampling performs zero allocations.
+// sampling performs zero allocations. A paired run draws the second
+// graph's world into pair, which stays attached across pool round trips.
 type scratch struct {
 	pcg   rand.PCG
 	world uncertain.World
 	dsu   *unionfind.DSU
+	pair  *scratch
 }
 
 // components returns the component structure of the scratch's current
@@ -229,10 +231,7 @@ func drawCoupled(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
 }
 
 // drawFn selects the world-drawing kernel for the configured mode as a
-// package-level function (no closure allocation). Call sites keep the
-// returned variable single-assignment: a reassigned variable captured by
-// the worker goroutines would be heap-allocated on every forEachSample
-// call, even down the serial path.
+// package-level function (no closure allocation).
 func (e Estimator) drawFn() drawFunc {
 	switch e.Mode {
 	case uncertain.SampleAntithetic:
@@ -246,7 +245,7 @@ func (e Estimator) drawFn() drawFunc {
 	}
 }
 
-// pairSeed is the seed a paired loop uses to draw the SECOND graph's
+// pairSeed is the seed a paired run uses to draw the SECOND graph's
 // worlds. The hashed modes keep the base seed: index-aligned draws then
 // reuse the same uniform per edge-endpoint pair, which IS the
 // common-random-numbers coupling. The stream modes decorrelate the second
@@ -284,353 +283,173 @@ func stopRSE(w obs.Welford, target float64) bool {
 	return w.Count() >= adaptiveMinSamples && w.RelStdErr() <= target
 }
 
-// forEachSample runs fn(sampleIndex, scratch) over sampled worlds of g,
-// fanning out over the configured workers. When fn is called, sc.world
-// holds world sampleIndex; fn may use sc.components() and must not retain
+// forEachSample is the package's one Monte Carlo scheduler. It runs
+// fn(sampleIndex, scratch) over sampled worlds of g and returns the
+// Welford accumulator of fn's per-world statistic (the value whose mean
+// the caller is estimating). When fn is called, sc.world holds world
+// sampleIndex of g; fn may use sc.components() and must not retain
 // references into the scratch past its return. fn must be safe for
 // concurrent invocation on distinct indices.
 //
-// fn returns the world's per-sample statistic (the value whose mean the
-// caller is estimating); forEachSample streams it through a Welford
-// accumulator — one per worker, merged once at the end — and returns the
-// merged state, from which callers derive the estimator's standard error
-// and confidence interval (see recordQuality). Callers with no meaningful
-// per-world statistic return 0 and drop the result. In fixed-budget mode
-// the estimates themselves are never computed from the accumulator (its
-// merge order is scheduling-dependent in the parallel case); they keep
-// their existing deterministic reductions. In adaptive mode (TargetRSE >
-// 0) the accumulator additionally DECIDES the sample count — see
-// forEachSampleAdaptive — and its count is the effective N.
+// With h non-nil the worlds are PAIRED: sc.pair.world additionally holds
+// world sampleIndex of h, and fn's statistic is typically a difference.
+// Under the hashed modes (coupled, stratified) both graphs draw from the
+// SAME seed, so every edge the graphs share receives identical uniforms at
+// every index — the common-random-numbers coupling that collapses the
+// variance of difference estimates. Under the stream modes h draws from a
+// decorrelated seed (pairSeed), giving the classical independent
+// two-sample estimator. Each drawn pair counts as two worlds.
 //
-// Work is handed out in chunks of sampleChunk consecutive indices claimed
-// off an atomic cursor, and each worker draws worlds into a pooled scratch,
-// so the steady state allocates nothing. Metrics go through the nil-safe
-// registry path: a nil Obs yields a nil registry whose instruments drop
-// updates, so no call site guards.
+// Work is cut into chunks of sampleChunk consecutive indices. A round of
+// chunks is claimed off one atomic cursor by the workers, each drawing
+// into a pooled scratch (the steady state allocates nothing), and each
+// chunk's accumulator lands in its own slot. The slots are then merged IN
+// CHUNK-INDEX ORDER, so the returned accumulator is bit-identical for any
+// worker count. The fixed budget is a single round spanning all of it. In
+// adaptive mode (TargetRSE > 0) rounds are one chunk per worker, and the
+// stopping rule (stopRSE) is tested on the merged prefix after every
+// chunk: the stop point is a function of the chunk-order prefix alone, and
+// the accumulator's count is the effective N. Chunks a round drew past the
+// stopping point are counted as drawn but not merged, so the counted
+// prefix is always contiguous — callers truncate their per-world side
+// arrays to it. One worker runs the same chunks in the same order inline,
+// merging each as it finishes, with no goroutine and no slot array.
 //
-// Cancellation (Estimator.Ctx) is cooperative at chunk boundaries: the
-// serial loop re-tests the context every sampleChunk samples and the
-// parallel workers re-test it before claiming each chunk, so a cancelled
-// call drains within one chunk per worker and forEachSample returns with
-// whatever was accumulated. The mc.worlds_sampled and per-worker counters
-// record the worlds actually drawn (not the requested budget), so the
-// sample-balance invariant sum(mc.worker.*) == mc.worlds_sampled holds on
-// interrupted runs too.
-func (e Estimator) forEachSample(g uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
-	if e.adaptive() {
-		return e.forEachSampleAdaptive(g, fn)
+// Fixed-budget estimates are never computed from the accumulator; callers
+// keep their own index-ordered reductions over per-world side arrays, and
+// the accumulator feeds the quality streams (see recordQuality).
+//
+// Cancellation (Estimator.Ctx) is cooperative at chunk boundaries: no
+// chunk is started once the context is done, and a started chunk runs to
+// its end. The merged prefix stops at the first chunk that did not run.
+// The mc.worlds_sampled and per-worker counters record every world
+// actually drawn, merged or not, so the sample-balance invariant
+// sum(mc.worker.*) == mc.worlds_sampled holds on interrupted runs too.
+// Metrics go through the nil-safe registry path: a nil Obs yields a nil
+// registry whose instruments drop updates.
+func (e Estimator) forEachSample(g, h uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
+	r := mcRun{fn: fn, draw: e.drawFn(), g: g.Sampler(), seed: e.Seed, limit: e.budget(), worlds: 1}
+	if h != nil {
+		r.h, r.seedH, r.worlds = h.Sampler(), e.pairSeed(), 2
 	}
-	n := e.samples()
 	reg := e.Obs.Registry()
-	sampler := g.Sampler()
-	draw := e.drawFn()
-	workers := e.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Separate accumulator from the parallel path's: that one is
-		// captured by the worker closures and therefore heap-allocated;
-		// this one stays on the stack, keeping the serial steady state
-		// allocation-free.
-		var stat obs.Welford
-		sc := scratchPool.Get().(*scratch)
-		i := 0
-		for ; i < n; i++ {
-			if i%sampleChunk == 0 && e.cancelled() {
+	chunks := (r.limit + sampleChunk - 1) / sampleChunk
+	workers := min(e.workers(), chunks)
+	var stat obs.Welford
+	var drawn int64
+	if workers == 1 {
+		sc := r.scratch()
+		for c := 0; c < chunks && !e.cancelled(); c++ {
+			part := r.chunk(sc, c)
+			drawn += part.Count()
+			if e.fold(&stat, part) {
 				break
 			}
-			draw(e.Seed, sampler, sc, i)
-			stat.Add(fn(i, sc))
 		}
 		scratchPool.Put(sc)
-		reg.Counter("mc.worlds_sampled").Add(int64(i))
-		reg.Counter(workerName(0)).Add(int64(i))
-		return stat
+		reg.Counter(workerName(0)).Add(r.worlds * drawn)
+	} else {
+		perRound := chunks
+		if e.adaptive() {
+			perRound = workers
+		}
+		parts := make([]obs.Welford, perRound)
+		done := false
+		for first := 0; first < chunks && !done; first += perRound {
+			round := parts[:min(perRound, chunks-first)]
+			r.round(e, workers, first, round)
+			for _, part := range round {
+				drawn += part.Count()
+			}
+			for _, part := range round {
+				// A chunk with no draws was never started (cancellation): the
+				// merged prefix ends there.
+				if done = part.Count() == 0 || e.fold(&stat, part); done {
+					break
+				}
+			}
+		}
 	}
-	var stat obs.Welford
-	var totalDrawn int64
-	var mu sync.Mutex
+	reg.Counter("mc.worlds_sampled").Add(r.worlds * drawn)
+	if e.adaptive() {
+		e.recordAdaptive(stat, int(drawn))
+	}
+	return stat
+}
+
+// fold merges the next chunk's accumulator into the chunk-order prefix and
+// reports whether the adaptive stopping rule fires on the result.
+func (e Estimator) fold(stat *obs.Welford, part obs.Welford) bool {
+	stat.Merge(part)
+	return e.adaptive() && stopRSE(*stat, e.TargetRSE)
+}
+
+// mcRun holds one forEachSample call's inputs, read-only once the workers
+// start.
+type mcRun struct {
+	fn          func(i int, sc *scratch) float64
+	draw        drawFunc
+	g, h        *uncertain.WorldSampler
+	seed, seedH uint64
+	limit       int   // sample budget: indices run over [0, limit)
+	worlds      int64 // worlds drawn per index: 2 when paired
+}
+
+// scratch checks a scratch out of the pool, with the second world
+// attached when the run is paired.
+func (r *mcRun) scratch() *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if r.h != nil && sc.pair == nil {
+		sc.pair = new(scratch)
+	}
+	return sc
+}
+
+// chunk draws every index of chunk c into sc in order, calls fn on each,
+// and returns the chunk's accumulator.
+func (r *mcRun) chunk(sc *scratch, c int) obs.Welford {
+	var part obs.Welford
+	end := min((c+1)*sampleChunk, r.limit)
+	for i := c * sampleChunk; i < end; i++ {
+		r.draw(r.seed, r.g, sc, i)
+		if r.h != nil {
+			r.draw(r.seedH, r.h, sc.pair, i)
+		}
+		part.Add(r.fn(i, sc))
+	}
+	return part
+}
+
+// round runs chunks first, first+1, ... on workers goroutines that claim
+// them off one atomic cursor, writing chunk first+j's accumulator to
+// parts[j]. A worker stops claiming once the estimator's context is done,
+// so the chunks that ran are a prefix of the round; the slots of the rest
+// are left empty. Each worker adds the worlds it drew to its
+// mc.worker.NN.samples counter.
+func (r mcRun) round(e Estimator, workers, first int, parts []obs.Welford) {
+	reg := e.Obs.Registry()
+	clear(parts)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := scratchPool.Get().(*scratch)
+			sc := r.scratch()
 			var drawn int64
-			var local obs.Welford
 			for !e.cancelled() {
-				start := int(cursor.Add(sampleChunk)) - sampleChunk
-				if start >= n {
+				j := int(cursor.Add(1)) - 1
+				if j >= len(parts) {
 					break
 				}
-				end := start + sampleChunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					draw(e.Seed, sampler, sc, i)
-					local.Add(fn(i, sc))
-				}
-				drawn += int64(end - start)
+				parts[j] = r.chunk(sc, first+j)
+				drawn += parts[j].Count()
 			}
 			scratchPool.Put(sc)
-			mu.Lock()
-			stat.Merge(local)
-			totalDrawn += drawn
-			mu.Unlock()
-			reg.Counter(workerName(w)).Add(drawn)
+			reg.Counter(workerName(w)).Add(r.worlds * drawn)
 		}(w)
 	}
 	wg.Wait()
-	reg.Counter("mc.worlds_sampled").Add(totalDrawn)
-	return stat
-}
-
-// forEachSampleAdaptive is the sequential-stopping sampling loop: draw
-// chunks of sampleChunk worlds, fold each chunk into the running Welford
-// state IN CHUNK-INDEX ORDER, and stop at the first chunk boundary where
-// the prefix's relative standard error reaches TargetRSE (after the
-// adaptiveMinSamples floor), or at the MaxSamples cap.
-//
-// The stopping decision is a function of the chunk-order prefix alone, so
-// any worker count stops at the same boundary and returns the same
-// accumulator: the parallel path runs rounds of one chunk per worker with
-// a barrier, then merges that round's chunks in order, replaying exactly
-// the serial schedule. Workers may overdraw chunks past the stopping
-// boundary within the final round; those worlds are counted as drawn (the
-// sample-balance invariant reflects actual work) but excluded from the
-// accumulator, so the counted prefix is always contiguous — callers
-// truncate their per-world side arrays to the accumulator count.
-func (e Estimator) forEachSampleAdaptive(g uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
-	reg := e.Obs.Registry()
-	sampler := g.Sampler()
-	draw := e.drawFn()
-	maxS := e.maxSamples()
-	target := e.TargetRSE
-	workers := e.workers()
-	if maxChunks := (maxS + sampleChunk - 1) / sampleChunk; workers > maxChunks {
-		workers = maxChunks
-	}
-	if workers <= 1 {
-		// Stack accumulator and no closures: the serial adaptive loop keeps
-		// the steady-state zero-allocation property (guarded by
-		// TestAdaptiveLoopSteadyStateAllocs).
-		var stat obs.Welford
-		sc := scratchPool.Get().(*scratch)
-		drawn := 0
-		for drawn < maxS && !e.cancelled() {
-			end := drawn + sampleChunk
-			if end > maxS {
-				end = maxS
-			}
-			for i := drawn; i < end; i++ {
-				draw(e.Seed, sampler, sc, i)
-				stat.Add(fn(i, sc))
-			}
-			drawn = end
-			if stopRSE(stat, target) {
-				break
-			}
-		}
-		scratchPool.Put(sc)
-		reg.Counter("mc.worlds_sampled").Add(int64(drawn))
-		reg.Counter(workerName(0)).Add(int64(drawn))
-		e.recordAdaptive(stat, drawn)
-		return stat
-	}
-
-	var stat obs.Welford
-	var totalDrawn int64
-	partials := make([]obs.Welford, workers)
-	counts := make([]int, workers)
-	base := 0
-	stopped := false
-	for base < maxS && !stopped && !e.cancelled() {
-		roundEnd := base + workers*sampleChunk
-		if roundEnd > maxS {
-			roundEnd = maxS
-		}
-		nChunks := (roundEnd - base + sampleChunk - 1) / sampleChunk
-		var wg sync.WaitGroup
-		for c := 0; c < nChunks; c++ {
-			counts[c] = 0
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				if e.cancelled() {
-					return
-				}
-				sc := scratchPool.Get().(*scratch)
-				start := base + c*sampleChunk
-				end := start + sampleChunk
-				if end > roundEnd {
-					end = roundEnd
-				}
-				var local obs.Welford
-				for i := start; i < end; i++ {
-					draw(e.Seed, sampler, sc, i)
-					local.Add(fn(i, sc))
-				}
-				scratchPool.Put(sc)
-				partials[c] = local
-				counts[c] = end - start
-			}(c)
-		}
-		wg.Wait()
-		for c := 0; c < nChunks; c++ {
-			if counts[c] == 0 {
-				// Cancelled before this chunk ran: the merged prefix ends
-				// here (later chunks of the round, if any ran, are dropped —
-				// the prefix must stay contiguous).
-				stopped = true
-				break
-			}
-			reg.Counter(workerName(c)).Add(int64(counts[c]))
-			totalDrawn += int64(counts[c])
-			stat.Merge(partials[c])
-			if stopRSE(stat, target) {
-				stopped = true
-				// Later chunks of this round were drawn concurrently but are
-				// past the stopping boundary: count the work, drop the data.
-				for d := c + 1; d < nChunks; d++ {
-					if counts[d] > 0 {
-						reg.Counter(workerName(d)).Add(int64(counts[d]))
-						totalDrawn += int64(counts[d])
-					}
-				}
-				break
-			}
-		}
-		base = roundEnd
-	}
-	reg.Counter("mc.worlds_sampled").Add(totalDrawn)
-	e.recordAdaptive(stat, int(totalDrawn))
-	return stat
-}
-
-// forEachSamplePair runs fn(i, scg, sch) over PAIRED worlds of g and h:
-// for each sample index, world i of g and world i of h are drawn and
-// handed to fn together, and fn's per-index statistic (typically a
-// difference) feeds the accumulator — fixed-budget or adaptive, exactly as
-// in forEachSample, whose scheduling, counting and cancellation contracts
-// all apply (each drawn pair counts as two worlds).
-//
-// Under the hashed modes (coupled, stratified) both graphs draw from the
-// SAME seed, so every edge the graphs share receives identical uniforms at
-// every index — the common-random-numbers coupling that collapses the
-// variance of difference estimates. Under the stream modes the second
-// graph draws from a decorrelated seed (pairSeed), giving the classical
-// independent two-sample estimator.
-func (e Estimator) forEachSamplePair(g, h uncertain.View, fn func(i int, scg, sch *scratch) float64) obs.Welford {
-	reg := e.Obs.Registry()
-	samplerG, samplerH := g.Sampler(), h.Sampler()
-	draw := e.drawFn()
-	seedH := e.pairSeed()
-	limit := e.budget()
-	target := e.TargetRSE
-	workers := e.workers()
-	if maxChunks := (limit + sampleChunk - 1) / sampleChunk; workers > maxChunks {
-		workers = maxChunks
-	}
-	if workers <= 1 {
-		var stat obs.Welford
-		scg := scratchPool.Get().(*scratch)
-		sch := scratchPool.Get().(*scratch)
-		drawn := 0
-		for drawn < limit && !e.cancelled() {
-			end := drawn + sampleChunk
-			if end > limit {
-				end = limit
-			}
-			for i := drawn; i < end; i++ {
-				draw(e.Seed, samplerG, scg, i)
-				draw(seedH, samplerH, sch, i)
-				stat.Add(fn(i, scg, sch))
-			}
-			drawn = end
-			if e.adaptive() && stopRSE(stat, target) {
-				break
-			}
-		}
-		scratchPool.Put(scg)
-		scratchPool.Put(sch)
-		reg.Counter("mc.worlds_sampled").Add(2 * int64(drawn))
-		reg.Counter(workerName(0)).Add(2 * int64(drawn))
-		if e.adaptive() {
-			e.recordAdaptive(stat, drawn)
-		}
-		return stat
-	}
-
-	var stat obs.Welford
-	var totalDrawn int64
-	partials := make([]obs.Welford, workers)
-	counts := make([]int, workers)
-	base := 0
-	stopped := false
-	for base < limit && !stopped && !e.cancelled() {
-		roundEnd := base + workers*sampleChunk
-		if roundEnd > limit {
-			roundEnd = limit
-		}
-		nChunks := (roundEnd - base + sampleChunk - 1) / sampleChunk
-		var wg sync.WaitGroup
-		for c := 0; c < nChunks; c++ {
-			counts[c] = 0
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				if e.cancelled() {
-					return
-				}
-				scg := scratchPool.Get().(*scratch)
-				sch := scratchPool.Get().(*scratch)
-				start := base + c*sampleChunk
-				end := start + sampleChunk
-				if end > roundEnd {
-					end = roundEnd
-				}
-				var local obs.Welford
-				for i := start; i < end; i++ {
-					draw(e.Seed, samplerG, scg, i)
-					draw(seedH, samplerH, sch, i)
-					local.Add(fn(i, scg, sch))
-				}
-				scratchPool.Put(scg)
-				scratchPool.Put(sch)
-				partials[c] = local
-				counts[c] = end - start
-			}(c)
-		}
-		wg.Wait()
-		for c := 0; c < nChunks; c++ {
-			if counts[c] == 0 {
-				stopped = true
-				break
-			}
-			reg.Counter(workerName(c)).Add(2 * int64(counts[c]))
-			totalDrawn += int64(counts[c])
-			stat.Merge(partials[c])
-			if e.adaptive() && stopRSE(stat, target) {
-				stopped = true
-				for d := c + 1; d < nChunks; d++ {
-					if counts[d] > 0 {
-						reg.Counter(workerName(d)).Add(2 * int64(counts[d]))
-						totalDrawn += int64(counts[d])
-					}
-				}
-				break
-			}
-		}
-		base = roundEnd
-	}
-	reg.Counter("mc.worlds_sampled").Add(2 * totalDrawn)
-	if e.adaptive() {
-		e.recordAdaptive(stat, int(totalDrawn))
-	}
-	return stat
 }
 
 // recordAdaptive publishes one adaptive call's closed-loop outcome: the
@@ -758,7 +577,7 @@ func (e Estimator) recordStream(name, op string, w obs.Welford, convergence bool
 func (e Estimator) SampleLabels(g uncertain.View) [][]int32 {
 	labels := make([][]int32, e.budget())
 	nv := g.NumNodes()
-	w := e.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		d, pairs := sc.componentsPairs()
 		row := make([]int32, nv)
 		for v := range row {
@@ -788,7 +607,7 @@ func (e Estimator) ExpectedConnectedPairs(g uncertain.View) float64 {
 		return total / float64(len(ls.cc))
 	}
 	counts := make([]int64, e.budget())
-	w := e.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		_, counts[i] = sc.componentsPairs()
 		return float64(counts[i])
 	})
@@ -829,7 +648,7 @@ func (e Estimator) PairReliability(g uncertain.View, u, v uncertain.NodeID) floa
 		return float64(hits) / float64(n)
 	}
 	hits := make([]int8, e.budget())
-	w := e.forEachSample(g, func(i int, sc *scratch) float64 {
+	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		if sc.components().Connected(int(u), int(v)) {
 			hits[i] = 1
 			return 1

@@ -162,9 +162,8 @@ func TestPairSpreadNotConvergence(t *testing.T) {
 	}
 }
 
-// TestQualityMergeAcrossWorkers: the per-worker Welford partials must
-// merge into the same moments the serial path accumulates, up to
-// floating-point reassociation.
+// TestQualityMergeAcrossWorkers: the per-chunk Welford partials must
+// merge into the same moments for any worker count.
 func TestQualityMergeAcrossWorkers(t *testing.T) {
 	g := randomGraph(51, 45, 100)
 	stats := func(workers int) obs.QualitySnapshot {

@@ -64,7 +64,7 @@ func (e Estimator) EdgeRelevance(g uncertain.View) []float64 {
 
 	ar := relArenaPool.Get().(*relArena)
 	ar.grow(e.budget(), words)
-	ccStat := e.forEachSample(g, func(i int, sc *scratch) float64 {
+	ccStat := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
 		_, pairs := sc.componentsPairs()
 		ar.cc[i] = float64(pairs)
 		copy(ar.masks[i*words:(i+1)*words], sc.world.Bits())

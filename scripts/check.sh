@@ -100,41 +100,12 @@ echo "== chameleond smoke (burst admission + plane responsiveness) =="
 # planes keep answering while the anonymizations run.
 go test -race -count=1 -run '^TestDaemonLoad$' -v ./cmd/chameleond/
 
-# Both BENCH artifacts share one schema — {name, ns_per_op,
-# allocs_per_op, iterations} — so cmd/benchcmp can gate either file.
-# Bench lines look like "BenchmarkName-8 <iters> <ns> ns/op ... <a>
-# allocs/op" (allocs present under -benchmem; ReportMetric columns may
-# sit in between, so allocs/op is located by scanning fields).
-emit_single='
-    BEGIN { print "[" }
-    $1 ~ /^Benchmark/ && $4 == "ns/op" {
-        name = $1; sub(/-[0-9]+$/, "", name)
-        allocs = 0
-        for (i = 5; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
-        if (n++) printf(",\n")
-        printf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %d, \"iterations\": %s}", name, $3, allocs, $2)
-    }
-    END { if (n) printf("\n"); print "]" }
-'
-emit_min='
-    $1 ~ /^Benchmark/ && $4 == "ns/op" {
-        name = $1; sub(/-[0-9]+$/, "", name)
-        a = 0
-        for (i = 5; i <= NF; i++) if ($i == "allocs/op") a = $(i-1)
-        if (!(name in ns) || $3+0 < ns[name]) { ns[name] = $3+0; raw[name] = $3; iters[name] = $2 }
-        allocs[name] = a+0
-        if (!(name in order)) { order[name] = ++n; names[n] = name }
-    }
-    END {
-        print "["
-        for (i = 1; i <= n; i++) {
-            name = names[i]
-            printf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %d, \"iterations\": %s}%s\n",
-                   name, raw[name], allocs[name], iters[name], i < n ? "," : "")
-        }
-        print "]"
-    }
-'
+# Every BENCH_*.json artifact below shares one schema — {name,
+# ns_per_op, allocs_per_op, iterations} plus the samples_to_target_rse /
+# bytes_on_disk ReportMetric columns where a benchmark reports them — so
+# cmd/benchcmp can gate any of them. benchcmp -emit writes it from
+# go test -bench output, keeping the fastest repeat under -count.
+emit() { go run ./cmd/benchcmp -emit; }
 
 echo "== benchmarks (instrumented hot paths) =="
 benchtime="${BENCHTIME:-1s}"
@@ -142,19 +113,19 @@ bench_out=$(go test -run '^$' \
     -bench 'BenchmarkObsOverhead|BenchmarkAnonymizeRSME|BenchmarkEdgeRelevance$|BenchmarkSampleWorld|BenchmarkConnectedPairs|BenchmarkObfuscationCheck|BenchmarkDiscrepancy' \
     -benchmem -benchtime "$benchtime" .)
 echo "$bench_out"
-echo "$bench_out" | awk "$emit_single" > BENCH_obs.json
+echo "$bench_out" | emit > BENCH_obs.json
 echo "wrote BENCH_obs.json ($(grep -c '"name"' BENCH_obs.json) entries)"
 
 echo "== reliability benchmarks (-benchmem -count=3, allocation guard) =="
 # count=3 smooths the single-iteration noise BENCH_obs.json suffers from;
 # the JSON records the minimum ns/op across runs (with that run's
-# iteration count) plus allocs/op so both perf and allocation regressions
-# are catchable.
+# iteration count) plus the highest allocs/op of any run, so both perf and
+# allocation regressions are catchable.
 rel_out=$(go test -run '^$' \
     -bench 'BenchmarkEdgeRelevance$|BenchmarkDiscrepancy$|BenchmarkDiscrepancyUncached|BenchmarkWorldSamplerInto|BenchmarkComponentsInto|BenchmarkSampleWorld$|BenchmarkConnectedPairs$|BenchmarkAdaptiveChunkLoop' \
     -benchmem -count=3 -benchtime "$benchtime" . ./internal/reliability/)
 echo "$rel_out"
-echo "$rel_out" | awk "$emit_min" > BENCH_reliability.json
+echo "$rel_out" | emit > BENCH_reliability.json
 echo "wrote BENCH_reliability.json ($(grep -c '"name"' BENCH_reliability.json) entries)"
 
 echo "== MC sample-efficiency benchmark (adaptive stopping + CRN) =="
@@ -163,20 +134,9 @@ echo "== MC sample-efficiency benchmark (adaptive stopping + CRN) =="
 # Δ-discrepancy at a 5% relative standard error. The counts are
 # deterministic under the pinned benchmark seed; wall time is a function
 # of the sample count, so the benchcmp gate for this file runs -skip-ns.
-emit_mc='
-    BEGIN { print "[" }
-    $1 ~ /^Benchmark/ && $4 == "ns/op" {
-        name = $1; sub(/-[0-9]+$/, "", name)
-        s = 0
-        for (i = 5; i <= NF; i++) if ($i == "samples_to_target_rse") s = $(i-1)
-        if (n++) printf(",\n")
-        printf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": 0, \"iterations\": %s, \"samples_to_target_rse\": %s}", name, $3, $2, s)
-    }
-    END { if (n) printf("\n"); print "]" }
-'
 mc_out=$(go test -run '^$' -bench 'BenchmarkMCSampleEfficiency' -benchtime 2x .)
 echo "$mc_out"
-echo "$mc_out" | awk "$emit_mc" > BENCH_mc.json
+echo "$mc_out" | emit > BENCH_mc.json
 echo "wrote BENCH_mc.json ($(grep -c '"name"' BENCH_mc.json) entries)"
 
 # The headline claim of the adaptive+CRN work: reaching the target RSE on
@@ -199,25 +159,9 @@ echo "== format benchmarks (sectioned v2 vs v1 vs TSV) =="
 # format are gated right here: decoding v2 into the packed CSR view must
 # be >= 5x faster than parsing the TSV, and the v2 file must be >= 3x
 # smaller than the TSV (quantized probability column engaged).
-emit_fmt='
-    BEGIN { print "[" }
-    $1 ~ /^Benchmark/ && $4 == "ns/op" {
-        name = $1; sub(/-[0-9]+$/, "", name)
-        a = 0; bytes = 0
-        for (i = 5; i <= NF; i++) {
-            if ($i == "allocs/op") a = $(i-1)
-            if ($i == "bytes_on_disk") bytes = $(i-1)
-        }
-        if (n++) printf(",\n")
-        printf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %d, \"iterations\": %s", name, $3, a, $2)
-        if (bytes > 0) printf(", \"bytes_on_disk\": %d", bytes)
-        printf("}")
-    }
-    END { if (n) printf("\n"); print "]" }
-'
 fmt_out=$(go test -run '^$' -bench 'BenchmarkFormat' -benchmem -benchtime "$benchtime" ./internal/uncertain/)
 echo "$fmt_out"
-echo "$fmt_out" | awk "$emit_fmt" > BENCH_format.json
+echo "$fmt_out" | emit > BENCH_format.json
 echo "wrote BENCH_format.json ($(grep -c '"name"' BENCH_format.json) entries)"
 
 fmt_field() {
