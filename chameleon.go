@@ -39,10 +39,13 @@ func LoadGraph(path string) (*Graph, error) { return uncertain.LoadFile(path) }
 // SaveGraph writes a graph in the TSV format accepted by LoadGraph.
 func SaveGraph(path string, g *Graph) error { return uncertain.SaveFile(path, g) }
 
-// SaveGraphBinary writes a graph in the compact binary format; LoadGraph
-// auto-detects it on read. Prefer it for large graphs (~5x smaller and
-// much faster to parse than TSV).
-func SaveGraphBinary(path string, g *Graph) error { return uncertain.SaveBinaryFile(path, g) }
+// SaveGraphBinary writes a graph in the sectioned v2 binary format;
+// LoadGraph auto-detects it on read, as it does legacy v1 files.
+// Probabilities round-trip bit-exactly. Prefer it for large graphs: about
+// 10.5 bytes per edge with arbitrary probabilities (TSV needs about 28)
+// and under 5 when every probability is a multiple of 1/65535, and much
+// faster to parse than TSV.
+func SaveGraphBinary(path string, g *Graph) error { return uncertain.SaveBinaryV2File(path, g) }
 
 // ReadGraph parses a graph from a reader in TSV format.
 func ReadGraph(r io.Reader) (*Graph, error) { return uncertain.ReadTSV(r) }

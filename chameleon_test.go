@@ -2,7 +2,9 @@ package chameleon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -310,5 +312,13 @@ func TestSaveGraphBinaryAutoLoad(t *testing.T) {
 	}
 	if !g.Equal(h) {
 		t.Fatal("binary save + auto-detect load changed the graph")
+	}
+	// The file is the sectioned v2 container: magic, then version word 2.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 8 || string(data[:4]) != "GRGU" || binary.LittleEndian.Uint32(data[4:8]) != 2 {
+		t.Fatalf("SaveGraphBinary header = % x, want magic GRGU + version 2", data[:min(8, len(data))])
 	}
 }

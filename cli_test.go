@@ -226,12 +226,18 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// Binary output format round-trips through the tools.
-	binGraph := filepath.Join(dir, "g.bin")
+	binGraph := filepath.Join(dir, "g.ug2")
 	run("genug", "-topology", "er", "-nodes", "60", "-edges", "120",
-		"-seed", "4", "-binary", "-o", binGraph)
+		"-seed", "4", "-format", "v2", "-o", binGraph)
 	statsBin := run("ugstat", "-g", binGraph, "-metric-samples", "3")
 	if !strings.Contains(statsBin, "nodes") {
 		t.Fatalf("ugstat on binary graph:\n%s", statsBin)
+	}
+	// v1 is read-only: asking genug to write it is a usage error (exit 2).
+	v1Out, err := exec.Command(bins["genug"], "-format", "v1", "-o", filepath.Join(dir, "g.v1")).CombinedOutput()
+	var v1Exit *exec.ExitError
+	if !errors.As(err, &v1Exit) || v1Exit.ExitCode() != 2 || !strings.Contains(string(v1Out), "unknown format") {
+		t.Fatalf("genug -format v1: err=%v, want exit 2 with a usage error:\n%s", err, v1Out)
 	}
 
 	// Failure paths: missing flags exit nonzero.

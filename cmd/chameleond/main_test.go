@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"chameleon/internal/jobs"
-	"chameleon/internal/uncertain"
 )
 
 // buildTools compiles the named cmd/ binaries into dir once per test.
@@ -158,28 +157,24 @@ func pollDone(t *testing.T, d *daemon, id string, budget time.Duration) (jobs.St
 	}
 }
 
-// fetchResultCanonical downloads a job's result and re-encodes it in the
-// canonical v1 binary form for byte comparison.
-func fetchResultCanonical(t *testing.T, d *daemon, id string) []byte {
+// fetchResult downloads a job's result: the v2 bytes the daemon
+// published, which must equal what `chameleon -binary` writes for the same
+// spec and seed.
+func fetchResult(t *testing.T, d *daemon, id string) []byte {
 	t.Helper()
 	resp, err := http.Get(d.url("/jobs/" + id + "/result"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("result fetch = %d: %s", resp.StatusCode, body)
-	}
-	g, err := uncertain.ReadAuto(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("result does not decode: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result fetch = %d: %s", resp.StatusCode, body)
+	}
+	return body
 }
 
 // TestDaemonE2E drives the full daemon lifecycle: submit a job by graph
@@ -197,7 +192,7 @@ func TestDaemonE2E(t *testing.T) {
 		"-probs", "discrete", "-seed", "3", "-o", graphPath).CombinedOutput(); err != nil {
 		t.Fatalf("genug: %v\n%s", err, out)
 	}
-	// The reference: a direct CLI run, canonical binary output.
+	// The reference: a direct CLI run, binary (v2) output.
 	if out, err := exec.Command(bins["chameleon"], "-in", graphPath, "-out", basePath, "-binary",
 		"-k", "5", "-eps", "0.05", "-samples", "100", "-seed", "7", "-q", "-workers", "2").CombinedOutput(); err != nil {
 		t.Fatalf("chameleon baseline: %v\n%s", err, out)
@@ -246,7 +241,7 @@ func TestDaemonE2E(t *testing.T) {
 
 	// Byte-identical to the direct CLI run: same seed, same search, same
 	// published graph.
-	if got := fetchResultCanonical(t, d, job.ID); !bytes.Equal(got, base) {
+	if got := fetchResult(t, d, job.ID); !bytes.Equal(got, base) {
 		t.Fatalf("daemon result differs from the CLI run (%d vs %d bytes)", len(got), len(base))
 	}
 
@@ -362,7 +357,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 
 	// Bit-identical to the uninterrupted CLI run — the whole point of
 	// checkpoint-backed recovery.
-	got := fetchResultCanonical(t, d2, job.ID)
+	got := fetchResult(t, d2, job.ID)
 	if !bytes.Equal(got, base) {
 		t.Fatalf("recovered result differs from the uninterrupted run (%d vs %d bytes)", len(got), len(base))
 	}

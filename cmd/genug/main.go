@@ -35,8 +35,7 @@ func main() {
 		probs    = flag.String("probs", "uniform", "probability profile: uniform | small | discrete")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		out      = flag.String("o", "", "output file (default stdout)")
-		binaryF  = flag.Bool("binary", false, "shorthand for -format v1 (kept for compatibility)")
-		format   = flag.String("format", "", "output format: tsv | v1 | v2 (default tsv; v1 = legacy binary triples, v2 = sectioned binary)")
+		format   = flag.String("format", "tsv", "output format: tsv | v2 (v2 = sectioned binary)")
 		stream   = flag.Bool("stream", false, "stream straight to disk without materializing the graph (er topology, v2 format only)")
 	)
 	flag.Parse()
@@ -45,7 +44,7 @@ func main() {
 		dataset: *dataset, topology: *topology,
 		nodes: *nodes, edges: *edges, degree: *degree, blocks: *blocks,
 		pin: *pin, pout: *pout, probs: *probs, seed: *seed,
-		out: *out, binaryF: *binaryF, format: *format, stream: *stream,
+		out: *out, format: *format, stream: *stream,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genug:", err)
@@ -64,33 +63,13 @@ type config struct {
 	probs                string
 	seed                 uint64
 	out                  string
-	binaryF              bool
 	format               string
 	stream               bool
 }
 
-// resolveFormat merges the -format flag with the legacy -binary shorthand.
-func resolveFormat(format string, binaryF bool) (string, error) {
-	switch format {
-	case "":
-		if binaryF {
-			return "v1", nil
-		}
-		return "tsv", nil
-	case "tsv", "v1", "v2":
-		if binaryF && format == "tsv" {
-			return "", runner.Usagef("-binary conflicts with -format tsv")
-		}
-		return format, nil
-	default:
-		return "", runner.Usagef("unknown format %q (want tsv, v1 or v2)", format)
-	}
-}
-
 func run(c config) error {
-	format, err := resolveFormat(c.format, c.binaryF)
-	if err != nil {
-		return err
+	if c.format != "tsv" && c.format != "v2" {
+		return runner.Usagef("unknown format %q (want tsv or v2)", c.format)
 	}
 
 	if c.stream {
@@ -100,7 +79,7 @@ func run(c config) error {
 		if c.dataset != "" || c.topology != "er" {
 			return runner.Usagef("-stream supports only -topology er")
 		}
-		if format != "v2" {
+		if c.format != "v2" {
 			return runner.Usagef("-stream requires -format v2")
 		}
 		pa, err := probAssigner(c.probs)
@@ -131,20 +110,13 @@ func run(c config) error {
 		return err
 	}
 	if c.out == "" {
-		switch format {
-		case "v1":
-			return uncertain.WriteBinary(os.Stdout, g)
-		case "v2":
+		if c.format == "v2" {
 			return uncertain.WriteBinaryV2(os.Stdout, g)
-		default:
-			return uncertain.WriteTSV(os.Stdout, g)
 		}
+		return uncertain.WriteTSV(os.Stdout, g)
 	}
 	save := uncertain.SaveFile
-	switch format {
-	case "v1":
-		save = uncertain.SaveBinaryFile
-	case "v2":
+	if c.format == "v2" {
 		save = uncertain.SaveBinaryV2File
 	}
 	if err := save(c.out, g); err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 
 	"chameleon/internal/atomicfile"
@@ -53,9 +52,10 @@ type CheckpointStep struct {
 //   - the search cursor (phase, σ bracket, doubling count, RNG stream
 //     position Seq, call/attempt totals);
 //   - the best obfuscation found so far, with the graph embedded in the
-//     exact binary format (float64 bit patterns preserved), so a resumed
-//     run finishing from this state is bit-identical to an uninterrupted
-//     one.
+//     v2 binary format (float64 bit patterns and sorted edge order
+//     preserved), so a resumed run finishing from this state is
+//     bit-identical to an uninterrupted one. Checkpoints from builds that
+//     embedded v1 still load: the reader accepts either version.
 //
 // Everything is plain JSON: floats survive encoding/json round-trips
 // bit-exactly, and BestGraph marshals as base64.
@@ -97,15 +97,12 @@ type Checkpoint struct {
 	Steps []CheckpointStep `json:"steps"`
 }
 
-// GraphHash fingerprints a graph through its canonical binary encoding
-// (sorted edges, exact float64 bits), so any difference in topology or
-// probabilities — however small — changes the hash.
-func GraphHash(g *uncertain.Graph) uint64 {
-	h := fnv.New64a()
-	// WriteBinary to a hash.Hash cannot fail: the hasher never errors.
-	_ = uncertain.WriteBinary(h, g)
-	return h.Sum64()
-}
+// GraphHash fingerprints a graph: the FNV-64a hash of its canonical
+// sorted edge stream with exact float64 bits (uncertain.Fingerprint), so
+// any difference in topology or probabilities — however small — changes
+// the hash. The stream is the legacy v1 byte layout, so the value is the
+// one every earlier build recorded in its checkpoints.
+func GraphHash(g *uncertain.Graph) uint64 { return uncertain.Fingerprint(g) }
 
 // LoadCheckpoint reads and version-checks a checkpoint file. Compatibility
 // with a particular graph and parameter set is checked later, by
@@ -271,7 +268,7 @@ func (st *searchState) checkpoint(cur *searchCursor, res *Result) (*Checkpoint, 
 	}
 	if cur.best.graph != nil {
 		var buf bytes.Buffer
-		if err := uncertain.WriteBinary(&buf, cur.best.graph); err != nil {
+		if err := uncertain.WriteBinaryV2(&buf, cur.best.graph); err != nil {
 			return nil, fmt.Errorf("core: encoding best graph for checkpoint: %w", err)
 		}
 		ck.BestGraph = buf.Bytes()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func ckParams(path string) Params {
 func encodeGraph(t *testing.T, g *uncertain.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -243,5 +244,84 @@ func TestGraphHashSensitivity(t *testing.T) {
 	}
 	if GraphHash(mod) == h1 {
 		t.Fatal("probability change must change the hash")
+	}
+}
+
+// TestGraphHashPinned pins GraphHash to the values earlier builds wrote
+// into checkpoints (and the job daemon into its spool), so a hash change
+// can never silently orphan resumable state on disk.
+func TestGraphHashPinned(t *testing.T) {
+	if got, want := GraphHash(testGraph(t, 5)), uint64(0x3783a6666e6df4dc); got != want {
+		t.Errorf("GraphHash(testGraph 5) = %#x, want %#x", got, want)
+	}
+	// The graph of internal/uncertain/testdata/legacy.v1.
+	small := uncertain.New(6)
+	for _, e := range []uncertain.Edge{{U: 0, V: 1, P: 0.5}, {U: 0, V: 3, P: 0.1}, {U: 1, V: 2, P: 1},
+		{U: 2, V: 3, P: 0.123456789}, {U: 3, V: 4, P: 0}, {U: 1, V: 4, P: 0.75}} {
+		small.MustAddEdge(e.U, e.V, e.P)
+	}
+	if got, want := GraphHash(small), uint64(0xa5b88454e5f682bc); got != want {
+		t.Errorf("GraphHash(legacy graph) = %#x, want %#x", got, want)
+	}
+}
+
+// binaryVersion returns the version word of an embedded binary graph.
+func binaryVersion(t *testing.T, data []byte) uint32 {
+	t.Helper()
+	if len(data) < 8 {
+		t.Fatalf("embedded graph is %d bytes, too short for a header", len(data))
+	}
+	return binary.LittleEndian.Uint32(data[4:8])
+}
+
+// TestResumeLegacyCheckpoint resumes testdata/legacy-checkpoint.json, a
+// checkpoint an earlier build wrote mid-bisection with its best graph in
+// the v1 format, and requires the result to be bit-identical to the
+// uninterrupted run. Checkpoints written now embed v2.
+func TestResumeLegacyCheckpoint(t *testing.T) {
+	g := testGraph(t, 5)
+	full, err := Anonymize(g, ckParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := LoadCheckpoint("testdata/legacy-checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binaryVersion(t, ck.BestGraph); v != 1 {
+		t.Fatalf("fixture best_graph is version %d, want the legacy v1", v)
+	}
+	p := ckParams(filepath.Join(t.TempDir(), "search.ckpt"))
+	p.Resume = ck
+	resumed, err := AnonymizeContext(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
+		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
+			resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
+			full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+	}
+	if !bytes.Equal(encodeGraph(t, resumed.Graph), encodeGraph(t, full.Graph)) {
+		t.Error("resumed graph bytes differ from the uninterrupted run")
+	}
+
+	// The same interruption point today writes the best graph in v2.
+	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
+	if _, err := AnonymizeContext(newStepCtx(45), g, ckParams(ckPath)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+	}
+	fresh, err := LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binaryVersion(t, fresh.BestGraph); v != 2 {
+		t.Errorf("new checkpoint best_graph is version %d, want 2", v)
+	}
+	if fresh.GraphHash != ck.GraphHash || fresh.Seq != ck.Seq || fresh.SigmaHi != ck.SigmaHi {
+		t.Errorf("new checkpoint cursor (hash %#x, seq %d, σhi %v) != legacy (%#x, %d, %v)",
+			fresh.GraphHash, fresh.Seq, fresh.SigmaHi, ck.GraphHash, ck.Seq, ck.SigmaHi)
 	}
 }

@@ -3,10 +3,15 @@ package jobs
 import (
 	"bytes"
 	"mime/multipart"
+	"os"
 	"testing"
 
 	"chameleon/internal/uncertain"
 )
+
+// legacyV1Fixture is a graph file written by the v1 writer before the
+// format became read-only; uploads and spools may still carry v1.
+const legacyV1Fixture = "../uncertain/testdata/legacy.v1"
 
 // FuzzJobRequest fuzzes the submission decoder over arbitrary content
 // types and bodies: malformed JSON, hostile multipart framing, truncated
@@ -23,16 +28,18 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add("", []byte{})
 
 	// Multipart seeds: a well-formed submission with a TSV graph, one
-	// with a v2 binary graph, and a truncated binary upload.
+	// with a legacy v1 file, one with a v2 binary graph, and truncated
+	// binary uploads.
 	g := uncertain.New(4)
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.25)
 	g.MustAddEdge(2, 3, 1)
-	var v1, v2 bytes.Buffer
-	if err := uncertain.WriteBinary(&v1, g); err != nil {
+	var v2 bytes.Buffer
+	if err := uncertain.WriteBinaryV2(&v2, g); err != nil {
 		f.Fatal(err)
 	}
-	if err := uncertain.WriteBinaryV2(&v2, g); err != nil {
+	v1, err := os.ReadFile(legacyV1Fixture)
+	if err != nil {
 		f.Fatal(err)
 	}
 	part := func(spec, graph []byte) (string, []byte) {
@@ -52,10 +59,10 @@ func FuzzJobRequest(f *testing.F) {
 	specJSON := []byte(`{"k": 2, "eps": 0.1}`)
 	for _, graph := range [][]byte{
 		[]byte("4\n0\t1\t0.5\n"),
-		v1.Bytes(),
+		v1,
 		v2.Bytes(),
 		v2.Bytes()[:len(v2.Bytes())/2], // truncated v2 container
-		v1.Bytes()[:6],                 // magic but no header
+		v1[:6],                         // magic but no header
 	} {
 		ct, body := part(specJSON, graph)
 		f.Add(ct, body)
@@ -87,7 +94,7 @@ func FuzzJobRequest(f *testing.F) {
 			// The decoded graph must be internally consistent enough to
 			// serialize — a corrupted accepted graph would poison the spool.
 			var buf bytes.Buffer
-			if werr := uncertain.WriteBinary(&buf, g); werr != nil {
+			if werr := uncertain.WriteBinaryV2(&buf, g); werr != nil {
 				t.Fatalf("admitted graph does not re-serialize: %v", werr)
 			}
 		} else if spec.GraphPath == "" {

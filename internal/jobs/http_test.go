@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
@@ -22,7 +23,7 @@ import (
 func postJob(t *testing.T, url string, spec string, g *uncertain.Graph) *http.Response {
 	t.Helper()
 	var gbuf bytes.Buffer
-	if err := uncertain.WriteBinary(&gbuf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&gbuf, g); err != nil {
 		t.Fatal(err)
 	}
 	ct, body := multipartBody(t, []byte(spec), gbuf.Bytes())
@@ -98,8 +99,7 @@ func TestAPIEndToEnd(t *testing.T) {
 		t.Fatalf("listing = %+v", listing)
 	}
 
-	// Result: the v2 container decodes to the same graph stored in the
-	// spool.
+	// Result: the served bytes are the spooled v2 file, and they decode.
 	rresp, err := http.Get(srv.URL + "/jobs/" + job.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
@@ -107,20 +107,20 @@ func TestAPIEndToEnd(t *testing.T) {
 	if rresp.StatusCode != http.StatusOK {
 		t.Fatalf("result = %d", rresp.StatusCode)
 	}
-	fetched, err := uncertain.ReadAuto(rresp.Body)
+	fetched, err := io.ReadAll(rresp.Body)
 	rresp.Body.Close()
-	if err != nil {
-		t.Fatalf("result does not decode: %v", err)
-	}
-	spooled, err := uncertain.LoadFile(st.ResultPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	uncertain.WriteBinary(&a, fetched)
-	uncertain.WriteBinary(&b, spooled)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	spooled, err := os.ReadFile(st.ResultPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fetched, spooled) {
 		t.Fatal("fetched result differs from the spooled result")
+	}
+	if _, err := uncertain.ReadBinary(bytes.NewReader(fetched)); err != nil {
+		t.Fatalf("result does not decode: %v", err)
 	}
 
 	// Certificate: the published graph must verify against the input.
@@ -172,13 +172,11 @@ func TestAPIEndToEnd(t *testing.T) {
 
 	// Determinism across submission routes: same spec, same graph, same
 	// published bytes.
-	viaPath, err := uncertain.LoadFile(st.ResultPath(pathJob.ID))
+	viaPath, err := os.ReadFile(st.ResultPath(pathJob.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	uncertain.WriteBinary(&c, viaPath)
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if !bytes.Equal(fetched, viaPath) {
 		t.Fatal("JSON-route result differs from the multipart-route result")
 	}
 

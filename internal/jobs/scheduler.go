@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -442,9 +443,10 @@ func (m *Manager) runJob(t *tracked) {
 
 // anonymize loads the job's durable input, hands any surviving
 // checkpoint to the σ-search, and runs it under the job's context. A
-// checkpoint that no longer matches (ErrCheckpointMismatch — e.g. a
-// spool hand-edited between daemon lives) is discarded and the job
-// reruns from scratch rather than failing.
+// checkpoint that cannot be read (torn, hand-edited, from another build)
+// or no longer matches (ErrCheckpointMismatch) is discarded — logged and
+// journaled as checkpoint-discarded — and the job reruns from scratch
+// rather than failing.
 func (m *Manager) anonymize(ctx context.Context, t *tracked, job Job) (*core.Result, error) {
 	g, err := m.cfg.Store.LoadInput(job.ID)
 	if err != nil {
@@ -454,19 +456,27 @@ func (m *Manager) anonymize(ctx context.Context, t *tracked, job Job) (*core.Res
 	if err != nil {
 		return nil, err
 	}
-	ckptPath := m.cfg.Store.CheckpointPath(job.ID)
-	if ck, lerr := core.LoadCheckpoint(ckptPath); lerr == nil {
+	ck, lerr := core.LoadCheckpoint(m.cfg.Store.CheckpointPath(job.ID))
+	switch {
+	case lerr == nil:
 		params.Resume = ck
+	case !errors.Is(lerr, os.ErrNotExist):
+		m.discardCheckpoint(job.ID, lerr)
 	}
 
 	res, err := runVariant(ctx, g, job.Spec.Method, params)
 	if err != nil && errors.Is(err, core.ErrCheckpointMismatch) && params.Resume != nil {
-		m.cfg.Obs.Log("jobs: discarding stale checkpoint", "id", job.ID, "error", err.Error())
-		m.cfg.Store.Event(time.Now(), job.ID, "checkpoint-discarded", err.Error())
+		m.discardCheckpoint(job.ID, err)
 		params.Resume = nil
 		res, err = runVariant(ctx, g, job.Spec.Method, params)
 	}
 	return res, err
+}
+
+// discardCheckpoint records why a job's checkpoint is not resumed.
+func (m *Manager) discardCheckpoint(id string, cause error) {
+	m.cfg.Obs.Log("jobs: discarding checkpoint", "id", id, "error", cause.Error())
+	m.cfg.Store.Event(time.Now(), id, "checkpoint-discarded", cause.Error())
 }
 
 // coreParams maps a job spec onto the search parameterization, wiring

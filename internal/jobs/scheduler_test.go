@@ -3,9 +3,12 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,8 +89,8 @@ func TestManagerLifecycleDeterminism(t *testing.T) {
 	}
 
 	// Direct engine run on the job's durable input (the spool stores the
-	// v1 canonical encoding, whose sorted edge order is what the search
-	// actually iterated), same parameters and worker budget.
+	// v2 encoding, whose sorted edge order is what the search actually
+	// iterated), same parameters and worker budget.
 	durable, err := st.LoadInput(job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -99,19 +102,16 @@ func TestManagerLifecycleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaJobs, err := uncertain.LoadFile(st.ResultPath(job.ID))
+	viaJobs, err := os.ReadFile(st.ResultPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := uncertain.WriteBinary(&a, viaJobs); err != nil {
+	var want bytes.Buffer
+	if err := uncertain.WriteBinaryV2(&want, direct.Graph); err != nil {
 		t.Fatal(err)
 	}
-	if err := uncertain.WriteBinary(&b, direct.Graph); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("job-plane result differs from the direct run (%d vs %d bytes)", a.Len(), b.Len())
+	if !bytes.Equal(viaJobs, want.Bytes()) {
+		t.Fatalf("job-plane result differs from the direct run (%d vs %d bytes)", len(viaJobs), want.Len())
 	}
 	if stt.Sigma != direct.Sigma || stt.EpsilonTilde != direct.EpsilonTilde {
 		t.Fatalf("summary differs: job (σ=%v, ε~=%v) direct (σ=%v, ε~=%v)",
@@ -175,6 +175,127 @@ func TestManagerRecovery(t *testing.T) {
 	}
 	if _, err := uncertain.LoadFile(st2.ResultPath(job.ID)); err != nil {
 		t.Fatalf("recovered job has no readable result: %v", err)
+	}
+}
+
+// legacySpoolJob is the one job in testdata/legacy-spool: a spool an
+// earlier build wrote while the job was mid-bisection, with a v1 input.ug
+// and a checkpoint whose best_graph is v1.
+const legacySpoolJob = "20261017T030000-22738-10"
+
+// recoverLegacySpool copies testdata/legacy-spool, after edit has had its
+// way with the copy, and runs the recovered job to completion. It returns
+// the result file's bytes and the spool's event journal.
+func recoverLegacySpool(t *testing.T, edit func(dir string)) (result []byte, journal string) {
+	t.Helper()
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, legacySpoolJob)
+	if err := os.Mkdir(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{stateFile, inputFile, checkpointFile} {
+		data, err := os.ReadFile(filepath.Join("testdata/legacy-spool", legacySpoolJob, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jobDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(jobDir)
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Store: st, MaxConcurrent: 1, WorkersPerJob: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() {
+		cancel()
+		m.Wait()
+		st.Close()
+	}()
+	if n, err := m.Start(ctx); err != nil || n != 1 {
+		t.Fatalf("Start recovered %d jobs (err %v), want 1", n, err)
+	}
+	waitDone(t, m, legacySpoolJob)
+	stt, err := m.Get(legacySpoolJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stt.State != StateDone {
+		t.Fatalf("recovered job finished %s (%s), want done", stt.State, stt.Job.Error)
+	}
+	if result, err = os.ReadFile(st.ResultPath(legacySpoolJob)); err != nil {
+		t.Fatal(err)
+	}
+	events, err := os.ReadFile(filepath.Join(dir, eventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return result, string(events)
+}
+
+// legacySpoolFresh is the v2 encoding of an uninterrupted run of the
+// legacy spool's job: the bytes every recovery of it must publish.
+func legacySpoolFresh(t *testing.T) []byte {
+	t.Helper()
+	g, err := uncertain.LoadFile(filepath.Join("testdata/legacy-spool", legacySpoolJob, inputFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.AnonymizeContext(context.Background(), g, core.Params{
+		K: 4, Epsilon: 0.05, Samples: 60, Seed: 9, Workers: 1, Variant: core.RSME,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := uncertain.WriteBinaryV2(&buf, res.Graph); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestManagerRecoversLegacySpool: a spool written before inputs and
+// checkpoints moved to v2 still recovers, resumes its v1 checkpoint and
+// publishes the same bytes as an uninterrupted run.
+func TestManagerRecoversLegacySpool(t *testing.T) {
+	got, journal := recoverLegacySpool(t, func(string) {})
+	if !bytes.Equal(got, legacySpoolFresh(t)) {
+		t.Fatal("recovered legacy job differs from a fresh run")
+	}
+	if strings.Contains(journal, "checkpoint-discarded") {
+		t.Fatalf("the legacy checkpoint was discarded instead of resumed:\n%s", journal)
+	}
+}
+
+// TestManagerDiscardsUnreadableCheckpoint: a torn checkpoint is not
+// silently dropped. The job reruns from scratch to the same bytes, and
+// the discard is logged to the event journal.
+func TestManagerDiscardsUnreadableCheckpoint(t *testing.T) {
+	got, journal := recoverLegacySpool(t, func(jobDir string) {
+		path := filepath.Join(jobDir, checkpointFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(got, legacySpoolFresh(t)) {
+		t.Fatal("job rerun after a torn checkpoint differs from a fresh run")
+	}
+	var discarded bool
+	for _, line := range strings.Split(strings.TrimSpace(journal), "\n") {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		discarded = discarded || (ev.JobID == legacySpoolJob && ev.Event == "checkpoint-discarded" && ev.Detail != "")
+	}
+	if !discarded {
+		t.Fatalf("no checkpoint-discarded event in the journal:\n%s", journal)
 	}
 }
 

@@ -138,9 +138,10 @@ func (s *Store) ResultPath(id string) string     { return filepath.Join(s.jobDir
 func (s *Store) CheckpointPath(id string) string { return filepath.Join(s.jobDir(id), checkpointFile) }
 
 // Create admits a new job: it allocates the job directory, persists the
-// input graph in the exact v1 binary encoding (float64 bit patterns
-// preserved — the checkpoint machinery hashes this graph, so the stored
-// bytes must reproduce it exactly) and writes the initial queued record.
+// input graph in the v2 binary encoding (float64 bit patterns and sorted
+// edge order preserved — the checkpoint machinery hashes this graph, so
+// the stored bytes must reproduce it exactly) and writes the initial
+// queued record.
 func (s *Store) Create(spec Spec, g *uncertain.Graph, now time.Time) (*Job, error) {
 	job := &Job{
 		ID:          newJobID(now),
@@ -155,7 +156,7 @@ func (s *Store) Create(spec Spec, g *uncertain.Graph, now time.Time) (*Job, erro
 		return nil, fmt.Errorf("jobs: creating job dir: %w", err)
 	}
 	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&buf, g); err != nil {
 		return nil, fmt.Errorf("jobs: encoding input graph: %w", err)
 	}
 	if err := atomicfile.Write(s.InputPath(job.ID), buf.Bytes()); err != nil {
@@ -175,9 +176,10 @@ func (s *Store) Persist(job *Job) error {
 	return nil
 }
 
-// LoadInput reads a job's stored input graph back.
+// LoadInput reads a job's stored input graph back. Spools written before
+// inputs moved to v2 hold v1 files; LoadFile reads either.
 func (s *Store) LoadInput(id string) (*uncertain.Graph, error) {
-	g, err := uncertain.LoadBinaryFile(s.InputPath(id))
+	g, err := uncertain.LoadFile(s.InputPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: loading input for %s: %w", id, err)
 	}

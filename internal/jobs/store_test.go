@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -47,8 +48,20 @@ func TestStoreCreatePersistRecover(t *testing.T) {
 		t.Fatalf("created job = %+v", j1)
 	}
 
-	// The stored input must reproduce the submitted graph bit for bit —
-	// the checkpoint machinery hashes it on resume.
+	// The stored input is the graph's v2 encoding, and it must reproduce
+	// the submitted graph bit for bit — the checkpoint machinery hashes it
+	// on resume.
+	stored, err := os.ReadFile(st.InputPath(j1.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := uncertain.WriteBinaryV2(&want, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, want.Bytes()) {
+		t.Fatal("input.ug is not the v2 encoding of the submitted graph")
+	}
 	back, err := st.LoadInput(j1.ID)
 	if err != nil {
 		t.Fatal(err)

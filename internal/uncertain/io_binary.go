@@ -5,73 +5,58 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
-	"os"
 )
 
 // Binary container: every binary graph file starts with the same two
 // little-endian words — magic then version — followed by a version-specific
 // body.
 //
-// Version 1 body: node count and edge count as uint32, then (u uint32,
-// v uint32, p float64bits) triples in sorted edge order. Roughly 5x smaller
-// and an order of magnitude faster to load than the TSV format.
-//
 // Version 2 body: the sectioned format of io_v2.go — length-prefixed,
 // checksummed sections carrying delta/varint-coded edges and a quantized
-// probability column. See DESIGN.md §14.
+// probability column. It is the only binary format this package writes.
+// See DESIGN.md §14.
+//
+// Version 1 body (legacy, read-only): node count and edge count as uint32,
+// then (u uint32, v uint32, p float64bits) triples in sorted edge order.
+// Files written before v2 existed still load through ReadBinary, ReadCSR,
+// LoadFile and LoadCSR. The same byte layout survives as the input to
+// Fingerprint.
 const (
 	binaryMagic     uint32 = 0x55475247 // "UGRG"
 	binaryVersion   uint32 = 1
 	binaryVersionV2 uint32 = 2
 )
 
-// ErrTooLarge is returned by the binary writers when a graph cannot be
-// represented in the on-disk format: more than MaxFileNodes vertices (the
-// readers refuse such headers, so writing them would produce files nothing
-// can load back) or an edge count that does not fit the v1 uint32 field.
+// ErrTooLarge is returned by the v2 writer when a graph has more than
+// MaxFileNodes vertices: the readers refuse such headers, so writing them
+// would produce files nothing can load back.
 var ErrTooLarge = errors.New("uncertain: graph too large for binary format")
 
-// checkWritable rejects graphs whose counts the binary formats cannot
-// round-trip. Both versions share the MaxFileNodes cap; v1 additionally
-// needs the edge count to fit its uint32 field, which the cap already
-// implies is the binding constraint only for absurd inputs.
-func checkWritable(n, m int) error {
-	if n > MaxFileNodes {
-		return fmt.Errorf("%w: %d nodes exceeds MaxFileNodes %d", ErrTooLarge, n, MaxFileNodes)
-	}
-	if int64(m) > math.MaxUint32 {
-		return fmt.Errorf("%w: %d edges exceeds uint32", ErrTooLarge, m)
-	}
-	return nil
-}
-
-// WriteBinary serializes g in the version-1 binary format. It refuses
-// graphs the readers would reject (ErrTooLarge) instead of silently
-// truncating the counts through the uint32 header fields.
-func WriteBinary(w io.Writer, g View) error {
-	if err := checkWritable(g.NumNodes(), g.NumEdges()); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	for _, v := range []uint32{binaryMagic, binaryVersion, uint32(g.NumNodes()), uint32(g.NumEdges())} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+// Fingerprint returns the FNV-64a hash of g's canonical edge stream: the
+// v1 byte layout (magic, version word 1, n, m as uint32, then u, v as
+// uint32 and the float64 bits of p for every edge in sorted order). Any
+// difference in topology or probabilities, however small, changes it, and
+// the value equals the hash of the graph's legacy v1 file, so fingerprints
+// recorded before v1 became read-only still match.
+func Fingerprint(g View) uint64 {
+	h := fnv.New64a()
+	var rec [16]byte
+	le := binary.LittleEndian
+	le.PutUint32(rec[0:], binaryMagic)
+	le.PutUint32(rec[4:], binaryVersion)
+	le.PutUint32(rec[8:], uint32(g.NumNodes()))
+	le.PutUint32(rec[12:], uint32(g.NumEdges()))
+	h.Write(rec[:])
 	for _, e := range g.SortedEdges() {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.U)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.V)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(e.P)); err != nil {
-			return err
-		}
+		le.PutUint32(rec[0:], uint32(e.U))
+		le.PutUint32(rec[4:], uint32(e.V))
+		le.PutUint64(rec[8:], math.Float64bits(e.P))
+		h.Write(rec[:])
 	}
-	return bw.Flush()
+	return h.Sum64()
 }
 
 // readBinaryHeader consumes the shared magic + version prefix and returns
@@ -101,10 +86,10 @@ func requireEOF(br *bufio.Reader) error {
 	return nil
 }
 
-// ReadBinary parses the binary container written by WriteBinary (v1) or
-// WriteBinaryV2, dispatching on the version word and validating every edge.
-// The stream must end cleanly at the end of the graph body; trailing bytes
-// are ErrBadFormat.
+// ReadBinary parses the binary container written by WriteBinaryV2, or a
+// legacy v1 file, dispatching on the version word and validating every
+// edge. The stream must end cleanly at the end of the graph body; trailing
+// bytes are ErrBadFormat.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	version, err := readBinaryHeader(br)
@@ -168,27 +153,4 @@ func readV1Body(br *bufio.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// SaveBinaryFile writes g to path in version-1 binary format.
-func SaveBinaryFile(path string, g View) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinaryFile reads a binary graph (either version) from path.
-func LoadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -2,35 +2,118 @@ package uncertain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := mustGraph(t, 5, Edge{0, 1, 0.5}, Edge{2, 3, 0.125}, Edge{0, 4, 1}, Edge{1, 4, 0})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+// encodeV1 is the legacy v1 triple encoder, kept for tests only: the
+// package reads v1 but no longer writes it. It builds the corrupt-v1 cases
+// and the v1 decode benchmark corpus, and TestLegacyV1Fixture holds it to
+// the bytes the removed writer produced.
+func encodeV1(g View) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint32(nil, binaryMagic)
+	out = le.AppendUint32(out, binaryVersion)
+	out = le.AppendUint32(out, uint32(g.NumNodes()))
+	out = le.AppendUint32(out, uint32(g.NumEdges()))
+	for _, e := range g.SortedEdges() {
+		out = le.AppendUint32(out, uint32(e.U))
+		out = le.AppendUint32(out, uint32(e.V))
+		out = le.AppendUint64(out, math.Float64bits(e.P))
+	}
+	return out
+}
+
+// legacyGraph is the graph in testdata/legacy.v1, a file written by the
+// v1 writer before it was removed: vertex 5 is isolated, and 0.1 and
+// 0.123456789 are off the q16 grid.
+func legacyGraph(t *testing.T) *Graph {
+	return mustGraph(t, 6, Edge{0, 1, 0.5}, Edge{0, 3, 0.1}, Edge{1, 2, 1},
+		Edge{2, 3, 0.123456789}, Edge{3, 4, 0}, Edge{1, 4, 0.75})
+}
+
+// legacyFingerprint is Fingerprint(legacyGraph), as GraphHash computed it
+// through the v1 writer. Checkpoints and spools on disk carry values of
+// this function; it must never change.
+const legacyFingerprint uint64 = 0xa5b88454e5f682bc
+
+// TestLegacyV1Fixture pins v1 read compatibility to a file written by the
+// removed v1 writer: every read path decodes it to the same graph, the
+// test encoder reproduces it byte for byte, and Fingerprint hashes exactly
+// its bytes.
+func TestLegacyV1Fixture(t *testing.T) {
+	const path = "testdata/legacy.v1"
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(&buf)
+	want := legacyGraph(t)
+	if !bytes.Equal(encodeV1(want), data) {
+		t.Fatal("encodeV1 does not reproduce testdata/legacy.v1")
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if got := h.Sum64(); got != legacyFingerprint {
+		t.Fatalf("FNV-64a of the fixture = %#x, want %#x", got, legacyFingerprint)
+	}
+	if got := Fingerprint(want); got != legacyFingerprint {
+		t.Fatalf("Fingerprint = %#x, want %#x", got, legacyFingerprint)
+	}
+
+	fromBinary, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadBinary: %v", err)
+	}
+	fromFile, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	csr, err := ReadCSR(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadCSR: %v", err)
+	}
+	fileCSR, err := LoadCSR(path)
+	if err != nil {
+		t.Fatalf("LoadCSR: %v", err)
+	}
+	for name, got := range map[string]View{
+		"ReadBinary": fromBinary, "LoadFile": fromFile, "ReadCSR": csr, "LoadCSR": fileCSR,
+	} {
+		g, err := FromEdges(got.NumNodes(), got.SortedEdges())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !want.Equal(g) {
+			t.Errorf("%s decoded a different graph", name)
+		}
+	}
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	g := mustGraph(t, 5, Edge{0, 1, 0.5}, Edge{2, 3, 0.125}, Edge{0, 4, 1}, Edge{1, 4, 0})
+	h, err := ReadBinary(bytes.NewReader(encodeV1(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(h) {
-		t.Fatal("binary round trip changed the graph")
+		t.Fatal("v1 decode changed the graph")
 	}
 }
 
 func TestBinaryFileRoundTrip(t *testing.T) {
 	g := mustGraph(t, 3, Edge{0, 2, 0.75})
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := SaveBinaryFile(path, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.ug2")
+	if err := SaveBinaryV2File(path, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := LoadBinaryFile(path)
+	h, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +138,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 func TestBinaryRejectsBadVersion(t *testing.T) {
-	g := mustGraph(t, 2, Edge{0, 1, 0.5})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeV1(mustGraph(t, 2, Edge{0, 1, 0.5}))
 	data[4] = 99 // corrupt version
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("want ErrBadFormat, got %v", err)
@@ -68,12 +146,8 @@ func TestBinaryRejectsBadVersion(t *testing.T) {
 }
 
 func TestBinaryRejectsTruncatedEdges(t *testing.T) {
-	g := mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.5})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-7] // cut into the last edge
+	data := encodeV1(mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.5}))
+	data = data[:len(data)-7] // cut into the last edge
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated edge data should error")
 	}
@@ -81,12 +155,7 @@ func TestBinaryRejectsTruncatedEdges(t *testing.T) {
 
 func TestBinaryRejectsImpossibleCounts(t *testing.T) {
 	// Header says 2 nodes, 9 edges: impossible for a simple graph.
-	var buf bytes.Buffer
-	g := mustGraph(t, 2, Edge{0, 1, 0.5})
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeV1(mustGraph(t, 2, Edge{0, 1, 0.5}))
 	data[12] = 9 // edge count low byte
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("want ErrBadFormat, got %v", err)
@@ -94,17 +163,12 @@ func TestBinaryRejectsImpossibleCounts(t *testing.T) {
 }
 
 // TestWriteBinaryRejectsOversizedGraph locks the writer-side count guard:
-// a graph with more than MaxFileNodes vertices used to be written with its
-// node count silently truncated through the uint32 header field, producing
-// a file ReadBinary refuses (or worse, mis-frames). The writer must refuse
-// up front instead. The graph is built as a bare struct literal — the
+// a graph with more than MaxFileNodes vertices would produce a file
+// ReadBinary refuses, so the writer must refuse up front instead. The graph is built as a bare struct literal — the
 // guard only needs the counts, and New would allocate adjacency slices for
 // 16M+ vertices.
 func TestWriteBinaryRejectsOversizedGraph(t *testing.T) {
 	g := &Graph{edgeCore: edgeCore{n: MaxFileNodes + 1}}
-	if err := WriteBinary(&bytes.Buffer{}, g); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("WriteBinary on %d nodes: want ErrTooLarge, got %v", MaxFileNodes+1, err)
-	}
 	if err := WriteBinaryV2(&bytes.Buffer{}, g); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("WriteBinaryV2 on %d nodes: want ErrTooLarge, got %v", MaxFileNodes+1, err)
 	}
@@ -117,12 +181,7 @@ func TestWriteBinaryRejectsOversizedGraph(t *testing.T) {
 // reader used to stop after m edges and silently ignore whatever followed,
 // so a mis-framed or corrupt-header file could parse as a smaller graph.
 func TestBinaryRejectsTrailingGarbage(t *testing.T) {
-	g := mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.25})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := append(buf.Bytes(), 0xAB)
+	data := append(encodeV1(mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.25})), 0xAB)
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("trailing byte: want ErrBadFormat, got %v", err)
 	}
@@ -134,27 +193,12 @@ func TestBinaryRejectsTrailingGarbage(t *testing.T) {
 // fell through to AddEdge and surfaced as a construction error rather
 // than ErrBadFormat.
 func TestBinaryRejectsEndpointBeyondHeaderN(t *testing.T) {
-	// Hand-build a v1 file: n=3, m=1, edge (1, 5): endpoint 5 >= n.
-	var buf bytes.Buffer
-	for _, v := range []uint32{binaryMagic, binaryVersion, 3, 1} {
-		if err := writeU32(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeU32(&buf, 1)
-	writeU32(&buf, 5)
-	var pb [8]byte
-	buf.Write(pb[:]) // p = 0.0
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadFormat) {
+	// A v1 file n=3, m=1, edge (1, 2) whose v is then patched to 5 >= n.
+	data := encodeV1(mustGraph(t, 3, Edge{1, 2, 0}))
+	data[20] = 5
+	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("endpoint 5 with n=3: want ErrBadFormat, got %v", err)
 	}
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) error {
-	var b [4]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	_, err := buf.Write(b[:])
-	return err
 }
 
 func TestBinaryQuickRoundTrip(t *testing.T) {
@@ -171,7 +215,7 @@ func TestBinaryQuickRoundTrip(t *testing.T) {
 			g.MustAddEdge(u, v, rng.Float64())
 		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
+		if err := WriteBinaryV2(&buf, g); err != nil {
 			return false
 		}
 		h, err := ReadBinary(&buf)
@@ -200,7 +244,7 @@ func TestBinarySmallerThanTSV(t *testing.T) {
 	if err := WriteTSV(&tsv, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&bin, g); err != nil {
+	if err := WriteBinaryV2(&bin, g); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= tsv.Len() {
@@ -213,7 +257,7 @@ func TestLoadFileAutoDetectsBinary(t *testing.T) {
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "g.bin")
 	tsvPath := filepath.Join(dir, "g.tsv")
-	if err := SaveBinaryFile(binPath, g); err != nil {
+	if err := SaveBinaryV2File(binPath, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveFile(tsvPath, g); err != nil {

@@ -3,6 +3,8 @@ package uncertain
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
+	"os"
 	"testing"
 )
 
@@ -33,13 +35,20 @@ func fuzzSeedV2() ([]byte, [][]byte) {
 // or yield an internally consistent graph, and any graph constructed from
 // the fuzzed bytes must survive TSV, v1 and v2 round trips unchanged,
 // including cross-format trips (TSV -> v1 -> v2), since LoadFile
-// auto-detects the format and all paths must agree on the graph.
+// auto-detects the format and all paths must agree on the graph. The v1
+// leg goes through the test-only encoder (the package only reads v1),
+// which also pins Fingerprint to the FNV-64a of those bytes.
 func FuzzGraphRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 128, 1, 2, 255, 0, 2, 0})
 	f.Add([]byte("GRGU\x01\x00\x00\x00"))
 	f.Add([]byte{0x47, 0x52, 0x47, 0x55, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{7}, 64))
+	legacy, err := os.ReadFile("testdata/legacy.v1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	validV2, mutants := fuzzSeedV2()
 	f.Add(validV2)
 	for _, m := range mutants {
@@ -103,16 +112,18 @@ func FuzzGraphRoundTrip(f *testing.F) {
 			t.Fatal("TSV round trip changed the graph")
 		}
 
-		var bin bytes.Buffer
-		if err := WriteBinary(&bin, fromTSV); err != nil {
-			t.Fatalf("WriteBinary: %v", err)
-		}
-		fromBin, err := ReadBinary(&bin)
+		bin := encodeV1(fromTSV)
+		fromBin, err := ReadBinary(bytes.NewReader(bin))
 		if err != nil {
-			t.Fatalf("ReadBinary after write: %v", err)
+			t.Fatalf("ReadBinary(v1) after encode: %v", err)
 		}
 		if !g.Equal(fromBin) {
-			t.Fatal("TSV->binary round trip changed the graph")
+			t.Fatal("TSV->v1 round trip changed the graph")
+		}
+		h := fnv.New64a()
+		h.Write(bin)
+		if Fingerprint(g) != h.Sum64() {
+			t.Fatal("Fingerprint disagrees with the FNV-64a of the v1 bytes")
 		}
 
 		var v2 bytes.Buffer

@@ -214,9 +214,6 @@ func (vw *V2Writer) Close() error {
 // compact probability column; everything else round-trips bit-exactly
 // through the float64 column.
 func WriteBinaryV2(w io.Writer, g View) error {
-	if err := checkWritable(g.NumNodes(), g.NumEdges()); err != nil {
-		return err
-	}
 	vw, err := NewV2Writer(w, g.NumNodes())
 	if err != nil {
 		return err

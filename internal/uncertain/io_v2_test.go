@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -91,7 +92,7 @@ func TestV2RoundTripEdgeCases(t *testing.T) {
 func TestReadCSRMatchesReadBinary(t *testing.T) {
 	g := randomV2Graph(t, 9, 100, 300, true)
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return WriteBinary(b, g) },
+		"v1": func(b *bytes.Buffer) error { _, err := b.Write(encodeV1(g)); return err },
 		"v2": func(b *bytes.Buffer) error { return WriteBinaryV2(b, g) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -329,18 +330,15 @@ func TestV2RejectsCorruptFiles(t *testing.T) {
 
 func TestV2SmallerThanV1AndTSV(t *testing.T) {
 	g := randomV2Graph(t, 12, 500, 2000, true)
-	var tsv, v1, v2 bytes.Buffer
+	var tsv, v2 bytes.Buffer
 	if err := WriteTSV(&tsv, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&v1, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBinaryV2(&v2, g); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("v2 (%d bytes) should beat v1 (%d bytes)", v2.Len(), v1.Len())
+	if v1 := encodeV1(g); v2.Len() >= len(v1) {
+		t.Fatalf("v2 (%d bytes) should beat v1 (%d bytes)", v2.Len(), len(v1))
 	}
 	if 3*v2.Len() >= tsv.Len() {
 		t.Fatalf("v2 (%d bytes) should be at least 3x smaller than TSV (%d bytes)", v2.Len(), tsv.Len())
@@ -352,7 +350,7 @@ func TestLoadFileAndLoadCSRAutoDetectV2(t *testing.T) {
 	dir := t.TempDir()
 	paths := map[string]func(string) error{
 		"g.tsv": func(p string) error { return SaveFile(p, g) },
-		"g.v1":  func(p string) error { return SaveBinaryFile(p, g) },
+		"g.v1":  func(p string) error { return os.WriteFile(p, encodeV1(g), 0o644) },
 		"g.v2":  func(p string) error { return SaveBinaryV2File(p, g) },
 	}
 	for name, save := range paths {

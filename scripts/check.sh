@@ -181,22 +181,39 @@ if ! awk -v t="${tsv_bytes:-0}" -v v="${v2_bytes:-0}" 'BEGIN { exit !(v > 0 && t
 fi
 echo "format gates: decode ${tsv_ns} -> ${v2csr_ns} ns (>= 5x), size ${tsv_bytes} -> ${v2_bytes} B (>= 3x)"
 
-echo "== v2 smoke (streamed 100k-edge graph through the CLIs) =="
+echo "== v2 smoke (streamed 100k-edge graph and chameleon -binary through the CLIs) =="
 # End-to-end over the real binaries: genug streams a 100k-edge ER graph
 # straight to a sectioned v2 file without materializing it, and ugstat
 # must pick the format up through LoadFile's magic-number auto-detection
-# and report the exact shape back.
+# and report the exact shape back. Then chameleon -binary publishes an
+# anonymized small graph: the file must start with the magic plus version
+# word 2 (v2 is the only binary format the tools write), and ugstat must
+# read it.
 smokedir=$(mktemp -d)
 go run ./cmd/genug -topology er -nodes 20000 -edges 100000 -probs discrete \
     -format v2 -stream -seed 9 -o "$smokedir/big.ug2"
 smoke_out=$(go run ./cmd/ugstat -g "$smokedir/big.ug2" -metric-samples 2)
 echo "$smoke_out"
+go run ./cmd/genug -topology ba -nodes 120 -degree 2 -probs discrete -seed 3 -o "$smokedir/small.tsv"
+go run ./cmd/chameleon -in "$smokedir/small.tsv" -out "$smokedir/anon.ug2" -binary \
+    -k 5 -eps 0.05 -samples 100 -seed 7 -q
+anon_header=$(od -An -tx1 -N8 "$smokedir/anon.ug2" | tr -d ' \n')
+anon_out=$(go run ./cmd/ugstat -g "$smokedir/anon.ug2" -metric-samples 2)
+echo "$anon_out"
 rm -rf "$smokedir"
 if ! echo "$smoke_out" | grep -Eq 'edges +100000'; then
     echo "v2 smoke: ugstat did not report the streamed graph's 100000 edges" >&2
     exit 1
 fi
-echo "v2 smoke: streamed file round-tripped through genug -> ugstat"
+if [ "$anon_header" != "4752475502000000" ]; then
+    echo "v2 smoke: chameleon -binary wrote header $anon_header, want magic GRGU + version 2" >&2
+    exit 1
+fi
+if ! echo "$anon_out" | grep -Eq 'nodes +120'; then
+    echo "v2 smoke: ugstat did not report the anonymized graph's 120 nodes" >&2
+    exit 1
+fi
+echo "v2 smoke: streamed file round-tripped through genug -> ugstat; chameleon -binary wrote v2"
 
 echo "== ugload smoke (query-plane SLO, open + closed loop) =="
 # A short load run in both loop disciplines against a small generated
