@@ -143,7 +143,8 @@ type Options struct {
 	// relative standard error of the running estimate drops below this
 	// target (or MaxSamples is hit). Samples is then ignored.
 	TargetRSE float64
-	// MaxSamples caps adaptive sampling (0 = a package default).
+	// MaxSamples caps adaptive sampling (0 = a package default). Setting
+	// it without TargetRSE is an error.
 	MaxSamples int
 	// Attempts is the number of randomized trials per noise level
 	// (default 5).
@@ -200,6 +201,10 @@ type Result struct {
 func (r *Result) Trace() *Trace { return r.trace }
 
 func (o Options) coreParams() (core.Params, error) {
+	variant, err := core.ParseVariant(string(o.Method))
+	if err != nil {
+		return core.Params{}, fmt.Errorf("chameleon: %w", err)
+	}
 	mode, err := uncertain.ParseSamplingMode(o.SamplingMode)
 	if err != nil {
 		return core.Params{}, fmt.Errorf("chameleon: %w", err)
@@ -207,6 +212,7 @@ func (o Options) coreParams() (core.Params, error) {
 	return core.Params{
 		K:               o.K,
 		Epsilon:         o.Epsilon,
+		Variant:         variant,
 		Samples:         o.Samples,
 		Seed:            o.Seed,
 		Workers:         o.Workers,
@@ -242,34 +248,16 @@ func Anonymize(g *Graph, o Options) (*Result, error) {
 // partial result before giving up. With Options.CheckpointPath set, the
 // interrupted search state is also saved for Options.Resume.
 func AnonymizeContext(ctx context.Context, g *Graph, o Options) (*Result, error) {
-	if o.Method == "" {
-		o.Method = MethodRSME
-	}
 	p, err := o.coreParams()
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	switch o.Method {
-	case MethodRSME:
-		p.Variant = core.RSME
-		res, err = core.AnonymizeContext(ctx, g, p)
-	case MethodRS:
-		p.Variant = core.RS
-		res, err = core.AnonymizeContext(ctx, g, p)
-	case MethodME:
-		p.Variant = core.ME
-		res, err = core.AnonymizeContext(ctx, g, p)
-	case MethodRepAn:
-		res, err = repan.AnonymizeContext(ctx, g, p)
-	default:
-		return nil, fmt.Errorf("chameleon: unknown method %q", o.Method)
-	}
+	res, err := core.AnonymizeContext(ctx, g, p)
 	if res == nil {
 		return nil, err
 	}
 	o.Observer.AttachSpan(res.Trace)
-	return &Result{Graph: res.Graph, EpsilonTilde: res.EpsilonTilde, Sigma: res.Sigma, Method: o.Method, trace: res.Trace}, err
+	return &Result{Graph: res.Graph, EpsilonTilde: res.EpsilonTilde, Sigma: res.Sigma, Method: Method(p.Variant.String()), trace: res.Trace}, err
 }
 
 // PrivacyReport describes how well a published graph obfuscates the
@@ -315,7 +303,8 @@ type UtilityOptions struct {
 	// TargetRSE, when positive, enables adaptive sequential stopping for
 	// the reliability estimators (see Options.TargetRSE).
 	TargetRSE float64
-	// MaxSamples caps adaptive sampling (0 = a package default).
+	// MaxSamples caps adaptive sampling (0 = a package default). Setting
+	// it without TargetRSE is an error.
 	MaxSamples int
 }
 
@@ -351,6 +340,9 @@ func EvaluateUtility(orig, pub *Graph, o UtilityOptions) (UtilityReport, error) 
 		Samples: o.Samples, Seed: o.Seed, Workers: o.Workers,
 		Cache: reliability.NewLabelCache(), Mode: mode,
 		TargetRSE: o.TargetRSE, MaxSamples: o.MaxSamples,
+	}
+	if err := est.Check(); err != nil {
+		return UtilityReport{}, fmt.Errorf("chameleon: %w", err)
 	}
 	rel, err := est.RelativeDiscrepancy(orig, pub, reliability.PairSample{Pairs: o.Pairs, Seed: o.Seed + 1})
 	if err != nil {

@@ -180,8 +180,9 @@ func fetchResult(t *testing.T, d *daemon, id string) []byte {
 // TestDaemonE2E drives the full daemon lifecycle: submit a job by graph
 // upload, watch its progress monotonically advance, fetch the result and
 // check it is byte-identical to a direct chameleon CLI run with the same
-// parameters and seed, verify the certificate endpoint certifies it, and
-// shut the daemon down cleanly.
+// parameters and seed, verify the certificate endpoint certifies it,
+// repeat the byte comparison for the other three methods, and shut the
+// daemon down cleanly.
 func TestDaemonE2E(t *testing.T) {
 	dir := t.TempDir()
 	bins := buildTools(t, dir, "genug", "chameleon", "chameleond")
@@ -272,6 +273,34 @@ func TestDaemonE2E(t *testing.T) {
 	lresp.Body.Close()
 	if len(listing.Jobs) != 1 || listing.Jobs[0].State != jobs.StateDone {
 		t.Fatalf("listing = %+v", listing)
+	}
+
+	// The other three methods publish the CLI's bytes too: both surfaces
+	// hand the method name to core, which alone dispatches it.
+	for _, method := range []string{"RS", "ME", "Rep-An"} {
+		cliPath := filepath.Join(dir, method+".bin")
+		if out, err := exec.Command(bins["chameleon"], "-in", graphPath, "-out", cliPath, "-binary", "-method", method,
+			"-k", "5", "-eps", "0.05", "-samples", "100", "-seed", "7", "-q", "-workers", "2").CombinedOutput(); err != nil {
+			t.Fatalf("chameleon -method %s: %v\n%s", method, err, out)
+		}
+		want, err := os.ReadFile(cliPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := submitMultipart(t, d, `{"k": 5, "eps": 0.05, "samples": 100, "seed": 7, "method": "`+method+`"}`, graphPath)
+		if resp.StatusCode != http.StatusAccepted {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("submit %s = %d: %s", method, resp.StatusCode, body)
+		}
+		var job jobs.Job
+		json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if st, _ := pollDone(t, d, job.ID, 2*time.Minute); st.State != jobs.StateDone {
+			t.Fatalf("%s job finished %s (%s), want done", method, st.State, st.Job.Error)
+		}
+		if got := fetchResult(t, d, job.ID); !bytes.Equal(got, want) {
+			t.Fatalf("%s: daemon result differs from the CLI run (%d vs %d bytes)", method, len(got), len(want))
+		}
 	}
 
 	d.stop(t)

@@ -77,10 +77,6 @@ func main() {
 		ServeAddr:   *serveAt,
 		Observer:    observer,
 	}, func(env *runner.Env) error {
-		stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf, *trcPath)
-		if err != nil {
-			return err
-		}
 		mode, err := uncertain.ParseSamplingMode(*smpMode)
 		if err != nil {
 			return err
@@ -89,6 +85,13 @@ func main() {
 			Quick: *quick, Samples: *samples, Seed: *seed,
 			SamplingMode: mode, TargetRSE: *tgtRSE, MaxSamples: *maxSmp,
 			Workers: *workers, Obs: observer, Ctx: env.Ctx,
+		}
+		if err := cfg.Check(exp.Methods); err != nil {
+			return err
+		}
+		stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf, *trcPath)
+		if err != nil {
+			return err
 		}
 		if *ckptPath != "" {
 			cfg.Cells, err = exp.OpenCellStore(*ckptPath, cfg)

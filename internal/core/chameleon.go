@@ -9,6 +9,7 @@ import (
 	"chameleon/internal/obs"
 	"chameleon/internal/privacy"
 	"chameleon/internal/reliability"
+	"chameleon/internal/repan"
 	"chameleon/internal/uncertain"
 )
 
@@ -38,6 +39,11 @@ func Anonymize(g *uncertain.Graph, p Params) (*Result, error) {
 // remaining search deterministically and its result is bit-identical to an
 // uninterrupted run with the same inputs. A checkpoint left behind by an
 // earlier interrupt is removed once the search completes.
+//
+// A RepAn run first extracts the input's representative — recorded as a
+// "representative" child of the "precompute" span — and from there on is
+// the Boldi search over it: its checkpoints, its trace's variant attribute
+// and Result.Variant all say Boldi.
 func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if err := p.validate(g); err != nil {
@@ -46,16 +52,26 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.Resume != nil {
-		if err := p.Resume.validateAgainst(g, p); err != nil {
-			return nil, err
-		}
-	}
 	root := obs.NewSpan("anonymize")
-	root.SetAttr("variant", p.Variant.String())
 	defer root.End()
 
 	pre := root.StartChild("precompute")
+	if p.Variant == RepAn {
+		span := pre.StartChild("representative")
+		g, p = repAn(g, p)
+		span.End()
+		if err := p.CheckGraph(g); err != nil {
+			pre.End()
+			return nil, err
+		}
+	}
+	root.SetAttr("variant", p.Variant.String())
+	if p.Resume != nil {
+		if err := p.Resume.validateAgainst(g, p); err != nil {
+			pre.End()
+			return nil, err
+		}
+	}
 	st, err := newSearchState(ctx, g, p)
 	pre.End()
 	if err != nil {
@@ -166,6 +182,26 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 		"epsilon_tilde", res.EpsilonTilde, "genobf_calls", res.GenObfCalls,
 		"attempts", res.Attempts, "dur", root.Duration())
 	return res, nil
+}
+
+// repAn turns a Rep-An run into the Boldi run over the input's
+// representative that it is. The privacy check then runs against the
+// representative's own degrees, exactly as a pipeline unaware of the
+// original uncertainty would do.
+//
+// The candidate-set budget c is defined against the ORIGINAL graph's edge
+// count: representative extraction typically drops a large share of the
+// low-probability edges, and computing c against the shrunken edge set
+// would starve the baseline of injection candidates relative to Chameleon.
+// The rescaling keeps the comparison fair — both pipelines may touch the
+// same number of vertex pairs.
+func repAn(g *uncertain.Graph, p Params) (*uncertain.Graph, Params) {
+	rep := repan.Representative(g)
+	if rep.NumEdges() > 0 {
+		p.SizeMultiplier = p.SizeMultiplier * float64(g.NumEdges()) / float64(rep.NumEdges())
+	}
+	p.Variant = Boldi
+	return rep, p
 }
 
 // interrupted finalizes a cancelled search: it flushes a checkpoint (when

@@ -35,6 +35,23 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
+func TestParseVariantRoundTrip(t *testing.T) {
+	for v := RSME; v <= RepAn; v++ {
+		got, err := ParseVariant(v.String())
+		if err != nil || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	if v, err := ParseVariant(""); err != nil || v != RSME {
+		t.Errorf(`ParseVariant("") = %v, %v; want RSME`, v, err)
+	}
+	for _, bad := range []string{"bogus", "rsme", "RepAn", "Variant(9)"} {
+		if _, err := ParseVariant(bad); err == nil || !strings.Contains(err.Error(), "method") {
+			t.Errorf("ParseVariant(%q) error = %v, want an unknown-method error", bad, err)
+		}
+	}
+}
+
 func TestVariantFlags(t *testing.T) {
 	if !RSME.reliabilitySensitive() || !RS.reliabilitySensitive() {
 		t.Fatal("RSME and RS must be reliability sensitive")

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"chameleon/internal/obs"
 	"chameleon/internal/reliability"
@@ -33,22 +34,37 @@ const (
 	// injection formula. On deterministic (0/1) inputs this is exactly the
 	// published algorithm; it is the obfuscator used inside Rep-An.
 	Boldi
+	// RepAn is the paper's baseline (Section IV): extract a deterministic
+	// representative of the input (repan.Representative), then run Boldi
+	// on it. The search and its checkpoints are the Boldi search over the
+	// representative, so Result.Variant reports Boldi.
+	RepAn
 )
+
+// variantNames is the one method-name table: String prints it and
+// ParseVariant reads it.
+var variantNames = [...]string{RSME: "RSME", RS: "RS", ME: "ME", Boldi: "Boldi", RepAn: "Rep-An"}
 
 // String implements fmt.Stringer.
 func (v Variant) String() string {
-	switch v {
-	case RSME:
-		return "RSME"
-	case RS:
-		return "RS"
-	case ME:
-		return "ME"
-	case Boldi:
-		return "Boldi"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
+	if v >= 0 && int(v) < len(variantNames) {
+		return variantNames[v]
 	}
+	return fmt.Sprintf("Variant(%d)", int(v))
+}
+
+// ParseVariant is the inverse of Variant.String. The empty name means
+// RSME, the default method.
+func ParseVariant(name string) (Variant, error) {
+	if name == "" {
+		return RSME, nil
+	}
+	for v, n := range variantNames {
+		if n == name {
+			return Variant(v), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown method %q (want one of %s)", name, strings.Join(variantNames[:], ", "))
 }
 
 // reliabilitySensitive reports whether the variant weights selection by
@@ -191,26 +207,48 @@ func (p Params) whiteNoise() float64 {
 	return p.WhiteNoise
 }
 
-func (p Params) validate(g *uncertain.Graph) error {
+// Check rejects parameters no input graph could make valid: k < 2, ε
+// outside [0,1), an unknown variant, or a sampling tuple the reliability
+// estimator refuses (see reliability.Estimator.Check). AnonymizeContext
+// runs it first; callers that admit work before the graph is in hand run
+// it themselves.
+func (p Params) Check() error {
+	if p.K < 2 {
+		return fmt.Errorf("core: k must be >= 2, got %d", p.K)
+	}
+	if !(p.Epsilon >= 0 && p.Epsilon < 1) {
+		return fmt.Errorf("core: epsilon must be in [0,1), got %v", p.Epsilon)
+	}
+	if p.Variant < 0 || int(p.Variant) >= len(variantNames) {
+		return fmt.Errorf("core: unknown method %v", p.Variant)
+	}
+	return p.estimator(nil).Check()
+}
+
+// CheckGraph rejects parameters that do not fit g: an empty or edgeless
+// graph, k > |V|, or a Property of the wrong length.
+func (p Params) CheckGraph(g *uncertain.Graph) error {
 	if g == nil || g.NumNodes() == 0 {
 		return errors.New("core: empty graph")
 	}
 	if g.NumEdges() == 0 {
 		return errors.New("core: graph has no edges to perturb")
 	}
-	if p.K < 2 {
-		return fmt.Errorf("core: k must be >= 2, got %d", p.K)
-	}
 	if p.K > g.NumNodes() {
 		return fmt.Errorf("core: k=%d exceeds |V|=%d", p.K, g.NumNodes())
-	}
-	if p.Epsilon < 0 || p.Epsilon >= 1 {
-		return fmt.Errorf("core: epsilon must be in [0,1), got %v", p.Epsilon)
 	}
 	if p.Property != nil && len(p.Property) != g.NumNodes() {
 		return fmt.Errorf("core: property length %d != |V| %d", len(p.Property), g.NumNodes())
 	}
 	return nil
+}
+
+// validate is Check followed by CheckGraph.
+func (p Params) validate(g *uncertain.Graph) error {
+	if err := p.Check(); err != nil {
+		return err
+	}
+	return p.CheckGraph(g)
 }
 
 // Result is the outcome of a successful anonymization.

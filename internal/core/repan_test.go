@@ -1,0 +1,189 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"math/rand/v2"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"chameleon/internal/gen"
+	"chameleon/internal/obs"
+	"chameleon/internal/privacy"
+	"chameleon/internal/repan"
+	"chameleon/internal/uncertain"
+)
+
+// repanTestGraph is a 200-node BA graph with uniform probabilities in
+// [0.1, 0.9]: the representative keeps only part of its edges.
+func repanTestGraph(t testing.TB, seed uint64) *uncertain.Graph {
+	t.Helper()
+	g, err := gen.BarabasiAlbert(200, 3, gen.UniformProbs(0.1, 0.9), rand.New(rand.NewPCG(seed, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestRepAnEndToEnd(t *testing.T) {
+	g := repanTestGraph(t, 5)
+	const k, eps = 6, 0.05
+	res, err := Anonymize(g, Params{K: k, Epsilon: eps, Samples: 100, Seed: 42, Variant: RepAn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EpsilonTilde > eps {
+		t.Fatalf("eps~ = %v > eps = %v", res.EpsilonTilde, eps)
+	}
+	if res.Variant != Boldi {
+		t.Fatalf("Rep-An must use the Boldi obfuscator, got %v", res.Variant)
+	}
+	// The published graph k-obfuscates the representative's own degrees
+	// (the pipeline is oblivious to the original uncertainty by design).
+	rep := repan.Representative(g)
+	check, err := privacy.CheckObfuscation(res.Graph, privacy.DegreeProperty(rep), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if check.EpsilonTilde > eps {
+		t.Fatalf("published graph fails the representative check: %v", check.EpsilonTilde)
+	}
+}
+
+func TestRepAnScalesCandidateBudget(t *testing.T) {
+	// A low-probability graph loses most edges at extraction; the
+	// rescaled candidate budget must still let the pipeline succeed.
+	g, err := gen.BarabasiAlbert(200, 3, gen.SmallProbs(0.3), rand.New(rand.NewPCG(6, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := repan.Representative(g)
+	if rep.NumEdges() >= g.NumEdges() {
+		t.Skip("extraction did not shrink the edge set; scaling not exercised")
+	}
+	res, err := Anonymize(g, Params{K: 4, Epsilon: 0.05, Samples: 100, Seed: 7, Variant: RepAn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph.NumNodes() != g.NumNodes() {
+		t.Fatal("vertex set changed")
+	}
+}
+
+// repAnPinnedSHA256 is the SHA-256 of the v2 bytes a seeded Rep-An run on
+// testGraph(5) published when Rep-An still lived in package repan.
+const repAnPinnedSHA256 = "6b75c38598cfaa8b985f13e8bed893af70f61c13fb12c40572883a11139474b8"
+
+func repAnPinnedParams(ckPath string) Params {
+	return Params{K: 40, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: RepAn, CheckpointPath: ckPath}
+}
+
+// TestRepAnPinnedOutput: a fixed-seed Rep-An run still publishes the
+// exact bytes it did before the method moved into core.
+func TestRepAnPinnedOutput(t *testing.T) {
+	res, err := Anonymize(testGraph(t, 5), repAnPinnedParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(encodeGraph(t, res.Graph))
+	if got := hex.EncodeToString(sum[:]); got != repAnPinnedSHA256 {
+		t.Fatalf("Rep-An output sha256 = %s, want %s", got, repAnPinnedSHA256)
+	}
+	if res.Variant != Boldi {
+		t.Fatalf("Result.Variant = %v, want Boldi", res.Variant)
+	}
+}
+
+// TestResumeRepAnCheckpoint resumes testdata/repan-checkpoint.json, a
+// Rep-An search interrupted mid-bisection by the build in which Rep-An
+// still lived in package repan, and requires the result to be
+// bit-identical to the uninterrupted run.
+func TestResumeRepAnCheckpoint(t *testing.T) {
+	g := testGraph(t, 5)
+	full, err := Anonymize(g, repAnPinnedParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint("testdata/repan-checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Variant != "Boldi" || ck.Phase != phaseBisection || ck.GraphHash != GraphHash(repan.Representative(g)) {
+		t.Fatalf("fixture echo = (%s, %s, %#x), want a Boldi bisection over the representative", ck.Variant, ck.Phase, ck.GraphHash)
+	}
+	p := repAnPinnedParams(filepath.Join(t.TempDir(), "search.ckpt"))
+	p.Resume = ck
+	resumed, err := AnonymizeContext(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
+		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
+			resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
+			full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+	}
+	if string(encodeGraph(t, resumed.Graph)) != string(encodeGraph(t, full.Graph)) {
+		t.Error("resumed graph bytes differ from the uninterrupted run")
+	}
+
+	// The same interruption point today writes the same echo.
+	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
+	if _, err := AnonymizeContext(newStepCtx(45), g, repAnPinnedParams(ckPath)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+	}
+	fresh, err := LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.GraphHash != ck.GraphHash || fresh.SizeMultiplier != ck.SizeMultiplier ||
+		fresh.Variant != ck.Variant || fresh.Seq != ck.Seq || fresh.SigmaHi != ck.SigmaHi {
+		t.Errorf("fresh checkpoint echo differs from the fixture:\n fresh %+v\n fixture %+v", fresh, ck)
+	}
+}
+
+// spanShape renders the span tree down to the precompute level: the
+// root's children in order, with precompute's own children in brackets.
+func spanShape(root *obs.Span) string {
+	var parts []string
+	for _, c := range root.Children {
+		name := c.Name
+		if len(c.Children) > 0 && c.Name == "precompute" {
+			var sub []string
+			for _, cc := range c.Children {
+				sub = append(sub, cc.Name)
+			}
+			name += "[" + strings.Join(sub, ",") + "]"
+		}
+		parts = append(parts, name)
+	}
+	return root.Name + ": " + strings.Join(parts, " ")
+}
+
+// TestTraceShapePerVariant pins each method's phase tree. Rep-An's
+// representative extraction is a child of precompute; the other methods'
+// trees are the ones they always had.
+func TestTraceShapePerVariant(t *testing.T) {
+	g := testGraph(t, 3)
+	want := map[Variant]string{
+		RSME:  "anonymize: precompute exponential-search bisection",
+		RS:    "anonymize: precompute exponential-search bisection",
+		ME:    "anonymize: precompute exponential-search bisection",
+		RepAn: "anonymize: precompute[representative] exponential-search bisection",
+	}
+	for v, shape := range want {
+		res, err := Anonymize(g, Params{K: 6, Epsilon: 0.05, Samples: 40, Seed: 2, Variant: v})
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if got := spanShape(res.Trace); got != shape {
+			t.Errorf("%v trace = %q, want %q", v, got, shape)
+		}
+		if got, _ := res.Trace.Attr("variant"); got != res.Variant.String() {
+			t.Errorf("%v: root variant attr %v, want %v", v, got, res.Variant)
+		}
+	}
+}

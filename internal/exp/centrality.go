@@ -43,12 +43,11 @@ func (c Config) CentralityExperiment() ([]CentralityRow, error) {
 		base := centrality.Expected(g, opts)
 		k := d.KScale(paperK)
 		for _, method := range Methods {
-			params := c.withSampling(core.Params{
-				K: k, Epsilon: d.Epsilon, Samples: c.Samples,
-				Seed: c.Seed ^ hashName(method), Workers: c.Workers,
-				Attempts: 8, MaxDoublings: 10,
-			})
-			res, err := anonymizeWith(c.ctx(), method, g, params)
+			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
+			if params.Variant, err = core.ParseVariant(method); err != nil {
+				return nil, err
+			}
+			res, err := core.AnonymizeContext(c.ctx(), g, params)
 			if err != nil {
 				if cerr := c.ctx().Err(); cerr != nil {
 					return rows, cerr

@@ -123,14 +123,31 @@ func (c Config) estimator(samples int, seedOff uint64) reliability.Estimator {
 	}
 }
 
-// withSampling threads the run's sampling tuple into a σ-search parameter
-// set, so the searches inside sweep cells sample the same way the
-// evaluation estimators do.
-func (c Config) withSampling(p core.Params) core.Params {
-	p.SamplingMode = c.SamplingMode
-	p.TargetRSE = c.TargetRSE
-	p.MaxSamples = c.MaxSamples
-	return p
+// Check rejects a configuration that would fail every cell it ran: an
+// unknown method name, or a sampling tuple the reliability estimator
+// refuses. Call it on the configuration as given, before any experiment
+// runs (defaults would mask a negative sample budget).
+func (c Config) Check(methods []string) error {
+	for _, m := range methods {
+		if _, err := core.ParseVariant(m); err != nil {
+			return err
+		}
+	}
+	return c.estimator(0, 0).Check()
+}
+
+// searchParams is the σ-search parameterization every experiment starts
+// from. It carries the run's budget, workers and sampling tuple, so the
+// searches sample the same way the evaluation estimators do. The top of
+// each k sweep sits near the feasibility edge at this graph scale; extra
+// trials and a wider sigma range keep the randomized search from flaking
+// there.
+func (c Config) searchParams(k int, eps float64, seed uint64) core.Params {
+	return core.Params{
+		K: k, Epsilon: eps, Samples: c.Samples, Seed: seed, Workers: c.Workers,
+		SamplingMode: c.SamplingMode, TargetRSE: c.TargetRSE, MaxSamples: c.MaxSamples,
+		Attempts: 8, MaxDoublings: 10,
+	}
 }
 
 // ctx returns the run's cancellation context, Background when unset.

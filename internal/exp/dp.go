@@ -49,10 +49,7 @@ func (c Config) DPComparison() ([]DPRow, error) {
 			return nil, err
 		}
 		// Chameleon RSME.
-		params := c.withSampling(core.Params{
-			K: d.KScale(paperK), Epsilon: d.Epsilon, Samples: c.Samples,
-			Seed: c.Seed, Workers: c.Workers, Attempts: 8, MaxDoublings: 10,
-		})
+		params := c.searchParams(d.KScale(paperK), d.Epsilon, c.Seed)
 		res, err := core.AnonymizeContext(c.ctx(), g, params)
 		if err != nil {
 			if cerr := c.ctx().Err(); cerr != nil {

@@ -46,10 +46,7 @@ func (c Config) EpsilonSweep(multipliers []float64) ([]EpsilonRow, error) {
 		if eps >= 1 {
 			eps = 0.99
 		}
-		params := c.withSampling(core.Params{
-			K: k, Epsilon: eps, Samples: c.Samples,
-			Seed: c.Seed, Workers: c.Workers, Attempts: 8, MaxDoublings: 10,
-		})
+		params := c.searchParams(k, eps, c.Seed)
 		res, err := core.AnonymizeContext(c.ctx(), g, params)
 		if err != nil {
 			if cerr := c.ctx().Err(); cerr != nil {

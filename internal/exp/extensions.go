@@ -52,12 +52,11 @@ func (c Config) AttackExperiment() ([]AttackRow, error) {
 			TopKRate: base.TopKRate, MeanRank: base.MeanRank,
 		})
 		for _, method := range Methods {
-			params := c.withSampling(core.Params{
-				K: k, Epsilon: d.Epsilon, Samples: c.Samples,
-				Seed: c.Seed ^ hashName(method), Workers: c.Workers,
-				Attempts: 8, MaxDoublings: 10,
-			})
-			res, err := anonymizeWith(c.ctx(), method, g, params)
+			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
+			if params.Variant, err = core.ParseVariant(method); err != nil {
+				return nil, err
+			}
+			res, err := core.AnonymizeContext(c.ctx(), g, params)
 			if err != nil {
 				if cerr := c.ctx().Err(); cerr != nil {
 					return rows, cerr
@@ -125,12 +124,11 @@ func (c Config) KNNExperiment() ([]KNNRow, error) {
 		}
 		k := d.KScale(paperK)
 		for _, method := range Methods {
-			params := c.withSampling(core.Params{
-				K: k, Epsilon: d.Epsilon, Samples: c.Samples,
-				Seed: c.Seed ^ hashName(method), Workers: c.Workers,
-				Attempts: 8, MaxDoublings: 10,
-			})
-			res, err := anonymizeWith(c.ctx(), method, g, params)
+			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
+			if params.Variant, err = core.ParseVariant(method); err != nil {
+				return nil, err
+			}
+			res, err := core.AnonymizeContext(c.ctx(), g, params)
 			if err != nil {
 				if cerr := c.ctx().Err(); cerr != nil {
 					return rows, cerr
@@ -200,11 +198,8 @@ func (c Config) CSweepAblation(multipliers []float64) ([]CSweepRow, error) {
 		if err := c.ctx().Err(); err != nil {
 			return rows, err
 		}
-		params := c.withSampling(core.Params{
-			K: k, Epsilon: d.Epsilon, Samples: c.Samples,
-			Seed: c.Seed, Workers: c.Workers, SizeMultiplier: mult,
-			Attempts: 8, MaxDoublings: 10,
-		})
+		params := c.searchParams(k, d.Epsilon, c.Seed)
+		params.SizeMultiplier = mult
 		res, err := core.AnonymizeContext(c.ctx(), g, params)
 		if err != nil {
 			if cerr := c.ctx().Err(); cerr != nil {

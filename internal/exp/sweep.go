@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -130,25 +129,6 @@ func (c Config) MeasureBaseline(d gen.Dataset, g *uncertain.Graph) Baseline {
 	}
 }
 
-// anonymizeWith dispatches to the right pipeline for a named method.
-func anonymizeWith(ctx context.Context, method string, g *uncertain.Graph, p core.Params) (*core.Result, error) {
-	switch method {
-	case "RSME":
-		p.Variant = core.RSME
-		return core.AnonymizeContext(ctx, g, p)
-	case "RS":
-		p.Variant = core.RS
-		return core.AnonymizeContext(ctx, g, p)
-	case "ME":
-		p.Variant = core.ME
-		return core.AnonymizeContext(ctx, g, p)
-	case "Rep-An":
-		return repan.AnonymizeContext(ctx, g, p)
-	default:
-		return nil, fmt.Errorf("exp: unknown method %q", method)
-	}
-}
-
 // RunCell anonymizes one (dataset, method, k) cell and measures all the
 // figure metrics against the original graph and its baseline values.
 func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method string, paperK int) Run {
@@ -193,22 +173,15 @@ func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method
 		}
 	}
 
-	params := c.withSampling(core.Params{
-		K:       k,
-		Epsilon: d.Epsilon,
-		Samples: c.Samples,
-		Seed:    c.Seed ^ hashName(method) ^ uint64(paperK),
-		Workers: c.Workers,
-		Obs:     c.Obs,
-		Cache:   c.cache,
-		// The top of each k sweep sits near the feasibility edge at this
-		// graph scale; extra trials and a wider sigma range keep the
-		// randomized search from flaking there.
-		Attempts:     8,
-		MaxDoublings: 10,
-	})
+	params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method)^uint64(paperK))
+	params.Obs, params.Cache = c.Obs, c.cache
 	params.ProgressBase, params.ProgressSpan = c.prog.window()
-	res, err := anonymizeWith(c.ctx(), method, g, params)
+	var res *core.Result
+	variant, err := core.ParseVariant(method)
+	if err == nil {
+		params.Variant = variant
+		res, err = core.AnonymizeContext(c.ctx(), g, params)
+	}
 	run.AnonElapsed = time.Since(start)
 	if res != nil {
 		cell.Adopt(res.Trace)

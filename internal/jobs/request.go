@@ -16,6 +16,7 @@ import (
 	"mime"
 	"mime/multipart"
 
+	"chameleon/internal/core"
 	"chameleon/internal/uncertain"
 )
 
@@ -23,11 +24,6 @@ import (
 // graph upload) when Config.MaxUploadBytes is zero: 256 MiB holds a v2
 // container well past the paper's largest dataset.
 const DefaultMaxUploadBytes = 256 << 20
-
-// Methods the job plane accepts; they mirror the chameleon facade.
-var validMethods = map[string]bool{
-	"": true, "RSME": true, "RS": true, "ME": true, "Rep-An": true,
-}
 
 // Spec is the client-supplied parameterization of one anonymization job.
 // It travels as JSON — either the whole request body, or the "spec" part
@@ -86,35 +82,39 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &bre)
 }
 
-// Validate checks the parameter ranges that are knowable without the
-// graph in hand (graph-dependent checks — k <= |V|, a nonempty edge set
-// — happen at admission, once the input is decoded).
+// Validate checks the parameters that are knowable without the graph in
+// hand, with core's rules (graph-dependent checks — k <= |V|, a nonempty
+// edge set — happen at admission, once the input is decoded).
 func (s *Spec) Validate() error {
-	if s.K < 2 {
-		return badRequestf("jobs: k must be >= 2, got %d", s.K)
+	_, err := s.params()
+	return err
+}
+
+// params maps the spec onto the search parameterization and checks it.
+// Every rejection is a BadRequestError wrapping core's reason.
+func (s *Spec) params() (core.Params, error) {
+	variant, err := core.ParseVariant(s.Method)
+	if err != nil {
+		return core.Params{}, badRequestWrap(err, "jobs: %v", err)
 	}
-	if s.Epsilon < 0 || s.Epsilon >= 1 {
-		return badRequestf("jobs: eps must be in [0,1), got %v", s.Epsilon)
+	mode, err := uncertain.ParseSamplingMode(s.SamplingMode)
+	if err != nil {
+		return core.Params{}, badRequestWrap(err, "jobs: %v", err)
 	}
-	if !validMethods[s.Method] {
-		return badRequestf("jobs: unknown method %q", s.Method)
+	p := core.Params{
+		K:            s.K,
+		Epsilon:      s.Epsilon,
+		Variant:      variant,
+		Samples:      s.Samples,
+		SamplingMode: mode,
+		TargetRSE:    s.TargetRSE,
+		MaxSamples:   s.MaxSamples,
+		Seed:         s.Seed,
 	}
-	if _, err := uncertain.ParseSamplingMode(s.SamplingMode); err != nil {
-		return badRequestf("jobs: %v", err)
+	if err := p.Check(); err != nil {
+		return core.Params{}, badRequestWrap(err, "jobs: %v", err)
 	}
-	if s.Samples < 0 {
-		return badRequestf("jobs: samples must be >= 0, got %d", s.Samples)
-	}
-	if s.TargetRSE < 0 || s.TargetRSE >= 1 {
-		return badRequestf("jobs: target_rse must be in [0,1), got %v", s.TargetRSE)
-	}
-	if s.MaxSamples < 0 {
-		return badRequestf("jobs: max_samples must be >= 0, got %d", s.MaxSamples)
-	}
-	if s.MaxSamples > 0 && s.TargetRSE == 0 {
-		return badRequestf("jobs: max_samples requires target_rse")
-	}
-	return nil
+	return p, nil
 }
 
 // ParseSubmission decodes one job submission. contentType routes the
@@ -218,19 +218,4 @@ func parseMultipart(mr *multipart.Reader) (*Spec, *uncertain.Graph, error) {
 		return nil, nil, badRequestf("jobs: graph_path and a graph upload are mutually exclusive")
 	}
 	return spec, g, nil
-}
-
-// checkGraph applies the graph-dependent admission checks shared by both
-// submission routes.
-func checkGraph(spec *Spec, g *uncertain.Graph) error {
-	if g.NumNodes() == 0 {
-		return badRequestf("jobs: empty graph")
-	}
-	if g.NumEdges() == 0 {
-		return badRequestf("jobs: graph has no edges to perturb")
-	}
-	if spec.K > g.NumNodes() {
-		return badRequestf("jobs: k=%d exceeds |V|=%d", spec.K, g.NumNodes())
-	}
-	return nil
 }

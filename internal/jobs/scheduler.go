@@ -13,7 +13,6 @@ import (
 
 	"chameleon/internal/core"
 	"chameleon/internal/obs"
-	"chameleon/internal/repan"
 	"chameleon/internal/uncertain"
 )
 
@@ -97,7 +96,7 @@ type tracked struct {
 	job *Job
 	// obs is the job's private observer: the σ-search publishes its
 	// run.progress / run.eta_seconds gauges there, so concurrent jobs
-	// never fight over one registry. Nil until the job first runs.
+	// never fight over one registry. Set only while the job runs.
 	obs *obs.Observer
 	// cancel interrupts a running job (set for the duration of runJob).
 	cancel context.CancelFunc
@@ -234,11 +233,12 @@ func (m *Manager) retryAfterLocked() time.Duration {
 // then durable creation and enqueue. A *BusyError rejection carries the
 // Retry-After hint.
 func (m *Manager) Submit(spec Spec, g *uncertain.Graph) (*Job, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := spec.params()
+	if err != nil {
 		return nil, err
 	}
-	if err := checkGraph(&spec, g); err != nil {
-		return nil, err
+	if err := p.CheckGraph(g); err != nil {
+		return nil, badRequestWrap(err, "jobs: %v", err)
 	}
 	if m.ctx == nil || m.ctx.Err() != nil {
 		return nil, ErrShuttingDown
@@ -464,11 +464,11 @@ func (m *Manager) anonymize(ctx context.Context, t *tracked, job Job) (*core.Res
 		m.discardCheckpoint(job.ID, lerr)
 	}
 
-	res, err := runVariant(ctx, g, job.Spec.Method, params)
+	res, err := core.AnonymizeContext(ctx, g, params)
 	if err != nil && errors.Is(err, core.ErrCheckpointMismatch) && params.Resume != nil {
 		m.discardCheckpoint(job.ID, err)
 		params.Resume = nil
-		res, err = runVariant(ctx, g, job.Spec.Method, params)
+		res, err = core.AnonymizeContext(ctx, g, params)
 	}
 	return res, err
 }
@@ -483,46 +483,15 @@ func (m *Manager) discardCheckpoint(id string, cause error) {
 // the job's private observer, its spool checkpoint path and the worker
 // budget.
 func (m *Manager) coreParams(t *tracked, job Job) (core.Params, error) {
-	mode, err := uncertain.ParseSamplingMode(job.Spec.SamplingMode)
+	p, err := job.Spec.params()
 	if err != nil {
-		return core.Params{}, badRequestf("jobs: %v", err)
+		return core.Params{}, err
 	}
-	every := m.cfg.CheckpointEvery
-	if every < 0 {
-		every = 0
-	}
-	return core.Params{
-		K:               job.Spec.K,
-		Epsilon:         job.Spec.Epsilon,
-		Samples:         job.Spec.Samples,
-		SamplingMode:    mode,
-		TargetRSE:       job.Spec.TargetRSE,
-		MaxSamples:      job.Spec.MaxSamples,
-		Seed:            job.Spec.Seed,
-		Workers:         m.cfg.WorkersPerJob,
-		Obs:             t.obs,
-		CheckpointPath:  m.cfg.Store.CheckpointPath(job.ID),
-		CheckpointEvery: every,
-	}, nil
-}
-
-// runVariant dispatches the method string onto the core variants. It
-// lives here (rather than going through the public facade) so the job
-// plane and the CLI share the exact same search code path.
-func runVariant(ctx context.Context, g *uncertain.Graph, method string, p core.Params) (*core.Result, error) {
-	switch method {
-	case "", "RSME":
-		p.Variant = core.RSME
-	case "RS":
-		p.Variant = core.RS
-	case "ME":
-		p.Variant = core.ME
-	case "Rep-An":
-		return repan.AnonymizeContext(ctx, g, p)
-	default:
-		return nil, badRequestf("jobs: unknown method %q", method)
-	}
-	return core.AnonymizeContext(ctx, g, p)
+	p.Workers = m.cfg.WorkersPerJob
+	p.Obs = t.obs
+	p.CheckpointPath = m.cfg.Store.CheckpointPath(job.ID)
+	p.CheckpointEvery = max(m.cfg.CheckpointEvery, 0)
+	return p, nil
 }
 
 // finish settles the job's terminal (or parked) state from the search
@@ -540,6 +509,9 @@ func (m *Manager) finish(t *tracked, res *core.Result, runErr error) {
 	now := time.Now()
 	m.mu.Lock()
 	t.cancel = nil
+	// The private observer only feeds Get's live progress view of a
+	// running job; a rerun after parking gets a fresh one.
+	t.obs = nil
 	m.running--
 	m.gRunning.Set(float64(m.running))
 	cancelRequested := t.cancelRequested

@@ -119,6 +119,62 @@ func TestManagerLifecycleDeterminism(t *testing.T) {
 	}
 }
 
+// TestManagerDropsObserverOnFinish: a job's private observer (one HDR
+// latency per instrument) lives only while the job runs. Once it is done
+// the manager holds no observer for it, and Get serves the same status as
+// before: the durable record with no live progress fields.
+func TestManagerDropsObserverOnFinish(t *testing.T) {
+	g := testGraph(t, 60, 3)
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Store: st, MaxConcurrent: 1, WorkersPerJob: 1})
+	var sawObserver bool
+	m.runFn = func(ctx context.Context, tr *tracked, job Job) (*core.Result, error) {
+		m.mu.Lock()
+		sawObserver = tr.obs != nil
+		m.mu.Unlock()
+		return m.anonymize(ctx, tr, job)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cancel()
+		m.Wait()
+		st.Close()
+	}()
+	job, err := m.Submit(Spec{K: 4, Epsilon: 0.05, Samples: 60, Seed: 9}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, job.ID)
+
+	m.mu.Lock()
+	left := m.jobs[job.ID].obs
+	record := *m.jobs[job.ID].job
+	running := sawObserver
+	m.mu.Unlock()
+	if !running {
+		t.Fatal("the running job had no private observer")
+	}
+	if left != nil {
+		t.Fatal("the manager still holds the finished job's observer")
+	}
+	stt, err := m.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stt != (Status{Job: record}) {
+		t.Fatalf("Get = %+v, want the durable record %+v with no live fields", stt, record)
+	}
+	if stt.State != StateDone || stt.Sigma <= 0 || stt.FinishedAt.IsZero() {
+		t.Fatalf("finished job status = %+v", stt)
+	}
+}
+
 // TestManagerRecovery simulates a daemon death: a spool holding one job
 // marked running (its daemon never finished it) must be re-enqueued by
 // Start and driven to done, with the restart counted.

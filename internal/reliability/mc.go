@@ -93,6 +93,24 @@ func (e Estimator) cancelled() bool {
 	return e.Ctx != nil && e.Ctx.Err() != nil
 }
 
+// Check rejects a sampling configuration the fields above do not define:
+// a negative budget or cap, a target RSE outside [0,1), or a cap without
+// the adaptive target it bounds. Callers building an Estimator from user
+// input run it once, before any sampling.
+func (e Estimator) Check() error {
+	switch {
+	case e.Samples < 0:
+		return fmt.Errorf("reliability: samples must be >= 0, got %d", e.Samples)
+	case !(e.TargetRSE >= 0 && e.TargetRSE < 1):
+		return fmt.Errorf("reliability: target_rse must be in [0,1), got %v", e.TargetRSE)
+	case e.MaxSamples < 0:
+		return fmt.Errorf("reliability: max_samples must be >= 0, got %d", e.MaxSamples)
+	case e.MaxSamples > 0 && e.TargetRSE == 0:
+		return fmt.Errorf("reliability: max_samples requires target_rse")
+	}
+	return nil
+}
+
 func (e Estimator) samples() int {
 	if e.Samples <= 0 {
 		return DefaultSamples

@@ -1,9 +1,10 @@
-// Package repan implements the paper's benchmark solution Rep-An
-// (Section IV): it detaches the uncertainty by extracting a single
-// deterministic representative instance of the uncertain graph (following
-// the representative-extraction line of work of Parchas et al. [29]) and
-// then anonymizes that representative with the conventional
-// uncertainty-injection obfuscator of Boldi et al. [7].
+// Package repan holds the representative-extraction half of the paper's
+// benchmark solution Rep-An (Section IV): it detaches the uncertainty by
+// extracting a single deterministic representative instance of the
+// uncertain graph, following the representative-extraction line of work of
+// Parchas et al. [29]. The other half, anonymizing that representative
+// with the conventional uncertainty-injection obfuscator of Boldi et al.
+// [7], is core's Boldi variant; core.RepAn runs the two in sequence.
 //
 // The two phases are deliberately oblivious to each other — that is the
 // point of the baseline: the extraction step alone already distorts the
@@ -11,12 +12,7 @@
 // deterministic-graph objective.
 package repan
 
-import (
-	"context"
-
-	"chameleon/internal/core"
-	"chameleon/internal/uncertain"
-)
+import "chameleon/internal/uncertain"
 
 // Representative extracts a deterministic instance of g that approximates
 // its expected vertex degrees: it starts from the most-probable world and
@@ -99,37 +95,4 @@ func DegreeDiscrepancy(g, rep *uncertain.Graph) float64 {
 		total += d
 	}
 	return total
-}
-
-// Anonymize runs the full Rep-An pipeline: extract the representative,
-// then obfuscate it with the conventional (uncertainty-oblivious) Boldi
-// scheme. The privacy check runs against the representative's own degrees,
-// exactly as a pipeline unaware of the original uncertainty would do.
-//
-// The candidate-set budget c is defined against the ORIGINAL graph's edge
-// count: representative extraction typically drops a large share of the
-// low-probability edges, and computing c against the shrunken edge set
-// would starve the baseline of injection candidates relative to Chameleon.
-// The rescaling keeps the comparison fair — both pipelines may touch the
-// same number of vertex pairs.
-func Anonymize(g *uncertain.Graph, p core.Params) (*core.Result, error) {
-	return AnonymizeContext(context.Background(), g, p)
-}
-
-// AnonymizeContext is Anonymize under a cancellable context; see
-// core.AnonymizeContext for the cancellation and checkpoint/resume
-// semantics. Checkpoints taken here reference the (deterministically
-// re-derived) representative, so resuming through this function validates
-// and replays correctly.
-func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p core.Params) (*core.Result, error) {
-	rep := Representative(g)
-	if rep.NumEdges() > 0 {
-		c := p.SizeMultiplier
-		if c <= 0 {
-			c = 2.0
-		}
-		p.SizeMultiplier = c * float64(g.NumEdges()) / float64(rep.NumEdges())
-	}
-	p.Variant = core.Boldi
-	return core.AnonymizeContext(ctx, rep, p)
 }

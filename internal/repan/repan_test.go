@@ -4,9 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"chameleon/internal/core"
 	"chameleon/internal/gen"
-	"chameleon/internal/privacy"
 	"chameleon/internal/uncertain"
 )
 
@@ -87,51 +85,6 @@ func TestDegreeDiscrepancy(t *testing.T) {
 	full.MustAddEdge(1, 2, 1)
 	if got := DegreeDiscrepancy(g, full); got != 2 {
 		t.Fatalf("discrepancy vs full = %v, want 2", got)
-	}
-}
-
-func TestAnonymizeEndToEnd(t *testing.T) {
-	g := testGraph(t, 5)
-	const k, eps = 6, 0.05
-	res, err := Anonymize(g, core.Params{K: k, Epsilon: eps, Samples: 100, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpsilonTilde > eps {
-		t.Fatalf("eps~ = %v > eps = %v", res.EpsilonTilde, eps)
-	}
-	if res.Variant != core.Boldi {
-		t.Fatalf("Rep-An must use the Boldi obfuscator, got %v", res.Variant)
-	}
-	// The published graph k-obfuscates the representative's own degrees
-	// (the pipeline is oblivious to the original uncertainty by design).
-	rep := Representative(g)
-	check, err := privacy.CheckObfuscation(res.Graph, privacy.DegreeProperty(rep), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if check.EpsilonTilde > eps {
-		t.Fatalf("published graph fails the representative check: %v", check.EpsilonTilde)
-	}
-}
-
-func TestAnonymizeScalesCandidateBudget(t *testing.T) {
-	// A low-probability graph loses most edges at extraction; the
-	// rescaled candidate budget must still let the pipeline succeed.
-	g, err := gen.BarabasiAlbert(200, 3, gen.SmallProbs(0.3), rand.New(rand.NewPCG(6, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Representative(g)
-	if rep.NumEdges() >= g.NumEdges() {
-		t.Skip("extraction did not shrink the edge set; scaling not exercised")
-	}
-	res, err := Anonymize(g, core.Params{K: 4, Epsilon: 0.05, Samples: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph.NumNodes() != g.NumNodes() {
-		t.Fatal("vertex set changed")
 	}
 }
 

@@ -188,7 +188,10 @@ echo "== v2 smoke (streamed 100k-edge graph and chameleon -binary through the CL
 # and report the exact shape back. Then chameleon -binary publishes an
 # anonymized small graph: the file must start with the magic plus version
 # word 2 (v2 is the only binary format the tools write), and ugstat must
-# read it.
+# read it. chameleon -method Rep-An publishes the same graph through the
+# baseline, and ugstat must read that too. Last, the CLI must refuse
+# -max-samples without -target-rse (core's run-spec check) with a
+# non-zero exit.
 smokedir=$(mktemp -d)
 go run ./cmd/genug -topology er -nodes 20000 -edges 100000 -probs discrete \
     -format v2 -stream -seed 9 -o "$smokedir/big.ug2"
@@ -200,6 +203,14 @@ go run ./cmd/chameleon -in "$smokedir/small.tsv" -out "$smokedir/anon.ug2" -bina
 anon_header=$(od -An -tx1 -N8 "$smokedir/anon.ug2" | tr -d ' \n')
 anon_out=$(go run ./cmd/ugstat -g "$smokedir/anon.ug2" -metric-samples 2)
 echo "$anon_out"
+go run ./cmd/chameleon -in "$smokedir/small.tsv" -out "$smokedir/repan.ug2" -binary \
+    -method Rep-An -k 5 -eps 0.05 -samples 100 -seed 7 -q
+repan_out=$(go run ./cmd/ugstat -g "$smokedir/repan.ug2" -metric-samples 2)
+echo "$repan_out"
+go build -o "$smokedir/chameleon" ./cmd/chameleon
+max_samples_status=0
+"$smokedir/chameleon" -in "$smokedir/small.tsv" -out "$smokedir/refused.ug2" \
+    -k 5 -eps 0.05 -max-samples 100 -q 2>/dev/null || max_samples_status=$?
 rm -rf "$smokedir"
 if ! echo "$smoke_out" | grep -Eq 'edges +100000'; then
     echo "v2 smoke: ugstat did not report the streamed graph's 100000 edges" >&2
@@ -213,7 +224,15 @@ if ! echo "$anon_out" | grep -Eq 'nodes +120'; then
     echo "v2 smoke: ugstat did not report the anonymized graph's 120 nodes" >&2
     exit 1
 fi
-echo "v2 smoke: streamed file round-tripped through genug -> ugstat; chameleon -binary wrote v2"
+if ! echo "$repan_out" | grep -Eq 'nodes +120'; then
+    echo "v2 smoke: ugstat did not report the Rep-An graph's 120 nodes" >&2
+    exit 1
+fi
+if [ "$max_samples_status" = "0" ]; then
+    echo "v2 smoke: chameleon accepted -max-samples without -target-rse" >&2
+    exit 1
+fi
+echo "v2 smoke: streamed file round-tripped through genug -> ugstat; chameleon -binary wrote v2 (RSME and Rep-An); -max-samples without -target-rse refused"
 
 echo "== ugload smoke (query-plane SLO, open + closed loop) =="
 # A short load run in both loop disciplines against a small generated
