@@ -195,9 +195,11 @@ type Result struct {
 
 // Trace returns the phase-level search trace of the run: a root
 // "anonymize" span with "precompute", "exponential-search" and "bisection"
-// children; each search phase holds one "genobf" span per call (sigma
-// attribute) whose "attempt" children carry the per-trial outcome
-// (epsilon_tilde, ok, injected_edges) and wall time.
+// children. "precompute" holds a "uniqueness" span (attributes n and
+// distinct, the number of distinct expected degrees) and, for RSME and
+// RS, an "edge-relevance" span; each search phase holds one "genobf"
+// span per call (sigma attribute) whose "attempt" children carry the
+// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall time.
 func (r *Result) Trace() *Trace { return r.trace }
 
 func (o Options) coreParams() (core.Params, error) {

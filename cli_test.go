@@ -69,6 +69,9 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "phases: precompute") {
 		t.Fatalf("chameleon summary missing the phase breakdown: %s", out)
 	}
+	if !strings.Contains(out, "(uniqueness ") || !strings.Contains(out, "edge relevance ") {
+		t.Fatalf("phase breakdown missing the precompute layers: %s", out)
+	}
 
 	// The published file must load back as a valid graph with the same
 	// vertex set.

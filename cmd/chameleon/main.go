@@ -211,9 +211,9 @@ func writeOutput(f runFlags, res *chameleon.Result) error {
 	return save(f.out, res.Graph)
 }
 
-// writePhaseBreakdown reports where the run's time went: the relevance/
-// uniqueness precompute versus the two sigma-search phases, with the
-// genObf effort behind each.
+// writePhaseBreakdown reports where the run's time went: the precompute
+// with its uniqueness and edge-relevance layers versus the two
+// sigma-search phases, with the genObf effort behind each.
 func writePhaseBreakdown(res *chameleon.Result) {
 	t := res.Trace()
 	if t == nil {
@@ -226,9 +226,18 @@ func writePhaseBreakdown(res *chameleon.Result) {
 	if pre == nil || exp == nil || bis == nil {
 		return
 	}
+	layers := ""
+	if u := pre.Find("uniqueness"); u != nil {
+		d, _ := u.Attr("distinct")
+		layers = fmt.Sprintf(" (uniqueness %v over %v distinct expected degrees", rnd(u), d)
+		if r := pre.Find("edge-relevance"); r != nil {
+			layers += fmt.Sprintf(", edge relevance %v", rnd(r))
+		}
+		layers += ")"
+	}
 	fmt.Fprintf(os.Stderr,
-		"phases: precompute %v (relevance+uniqueness), sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
-		rnd(pre), (exp.Duration() + bis.Duration()).Round(time.Millisecond),
+		"phases: precompute %v%s, sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
+		rnd(pre), layers, (exp.Duration() + bis.Duration()).Round(time.Millisecond),
 		rnd(exp), len(exp.FindAll("genobf")), rnd(bis), len(bis.FindAll("genobf")))
 }
 

@@ -72,7 +72,7 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 			return nil, err
 		}
 	}
-	st, err := newSearchState(ctx, g, p)
+	st, err := newSearchState(ctx, pre, g, p)
 	pre.End()
 	if err != nil {
 		return nil, err
@@ -256,16 +256,23 @@ type searchState struct {
 	lastCkpt int       // GenObfCalls at the last periodic checkpoint
 }
 
-func newSearchState(ctx context.Context, g *uncertain.Graph, p Params) (*searchState, error) {
+// newSearchState records the uniqueness and (for RSME and RS) the
+// edge-relevance layers as children of pre.
+func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Params) (*searchState, error) {
 	n := g.NumNodes()
 
-	uniq := privacy.VertexUniqueness(g)
+	span := pre.StartChild("uniqueness")
+	uniq, distinct := privacy.VertexUniquenessDistinct(g)
+	span.SetAttr("n", n)
+	span.SetAttr("distinct", distinct)
+	span.End()
 
 	var vrr []float64
 	if p.Variant.reliabilitySensitive() {
-		est := p.estimator(ctx)
-		edgeRel := est.EdgeRelevance(g)
+		rel := pre.StartChild("edge-relevance")
+		edgeRel := p.estimator(ctx).EdgeRelevance(g)
 		vrr = reliability.NormalizeToUnit(reliability.VertexRelevance(g, edgeRel))
+		rel.End()
 	} else {
 		vrr = make([]float64, n)
 	}

@@ -13,7 +13,7 @@ import (
 
 func newState(t *testing.T, g *uncertain.Graph, p Params) *searchState {
 	t.Helper()
-	st, err := newSearchState(context.Background(), g, p.withDefaults())
+	st, err := newSearchState(context.Background(), nil, g, p.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

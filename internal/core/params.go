@@ -267,11 +267,12 @@ type Result struct {
 	// Variant echoes the heuristic combination used.
 	Variant Variant
 	// Trace is the phase-level search trace: a "precompute" span for the
-	// score precomputation, then one span per search phase
-	// ("exponential-search", "bisection") whose "genobf" children carry
-	// the sigma tried, and whose "attempt" grandchildren carry the
-	// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall
-	// time. Always recorded; query it with Find/FindAll.
+	// score precomputation, with "uniqueness" (attributes n and distinct)
+	// and, for RSME and RS, "edge-relevance" children, then one span per
+	// search phase ("exponential-search", "bisection") whose "genobf"
+	// children carry the sigma tried, and whose "attempt" grandchildren
+	// carry the per-trial outcome (epsilon_tilde, ok, injected_edges) and
+	// wall time. Always recorded; query it with Find/FindAll.
 	Trace *obs.Span
 }
 

@@ -163,16 +163,16 @@ func spanShape(root *obs.Span) string {
 	return root.Name + ": " + strings.Join(parts, " ")
 }
 
-// TestTraceShapePerVariant pins each method's phase tree. Rep-An's
-// representative extraction is a child of precompute; the other methods'
-// trees are the ones they always had.
+// TestTraceShapePerVariant pins each method's phase tree. The precompute's
+// children are its layers: Rep-An's representative extraction, then
+// uniqueness, then edge relevance for the reliability-sensitive methods.
 func TestTraceShapePerVariant(t *testing.T) {
 	g := testGraph(t, 3)
 	want := map[Variant]string{
-		RSME:  "anonymize: precompute exponential-search bisection",
-		RS:    "anonymize: precompute exponential-search bisection",
-		ME:    "anonymize: precompute exponential-search bisection",
-		RepAn: "anonymize: precompute[representative] exponential-search bisection",
+		RSME:  "anonymize: precompute[uniqueness,edge-relevance] exponential-search bisection",
+		RS:    "anonymize: precompute[uniqueness,edge-relevance] exponential-search bisection",
+		ME:    "anonymize: precompute[uniqueness] exponential-search bisection",
+		RepAn: "anonymize: precompute[representative,uniqueness] exponential-search bisection",
 	}
 	for v, shape := range want {
 		res, err := Anonymize(g, Params{K: 6, Epsilon: 0.05, Samples: 40, Seed: 2, Variant: v})
@@ -184,6 +184,14 @@ func TestTraceShapePerVariant(t *testing.T) {
 		}
 		if got, _ := res.Trace.Attr("variant"); got != res.Variant.String() {
 			t.Errorf("%v: root variant attr %v, want %v", v, got, res.Variant)
+		}
+		u := res.Trace.Find("uniqueness")
+		n, _ := u.Attr("n")
+		d, _ := u.Attr("distinct")
+		if nn, ok := n.(int); !ok || nn < 1 || nn > g.NumNodes() {
+			t.Errorf("%v: uniqueness n attr %v, want 1..%d", v, n, g.NumNodes())
+		} else if dd, ok := d.(int); !ok || dd < 1 || dd > nn {
+			t.Errorf("%v: uniqueness distinct attr %v, want 1..%d", v, d, nn)
 		}
 	}
 }

@@ -9,50 +9,115 @@ import (
 // Commonness computes the theta-commonness (Definition 4) of each value in
 // omega against the whole population: C_theta(w) = sum_u phi_{0,theta}(|w - w_u|),
 // with phi the normal density with standard deviation theta.
+//
+// Vertices that share a value share a kernel row, so the cost is D² kernel
+// evaluations and D·n additions for D distinct values, not n² of each.
+// Each row entry is the rounded product norm·exp(·), and every sum adds the
+// n entries in input order, so the result is bit-identical to the
+// all-pairs loop that rounds each product before adding it (a NaN result,
+// from a NaN or infinite value, may differ in sign and payload).
 func Commonness(values []float64, theta float64) []float64 {
+	c, _ := commonness(values, theta)
+	return c
+}
+
+// commonness is Commonness that also returns D, the number of distinct
+// values.
+func commonness(values []float64, theta float64) ([]float64, int) {
 	n := len(values)
 	out := make([]float64, n)
 	if n == 0 {
-		return out
+		return out, 0
 	}
+	distinct, idx := distinctSlots(values)
+	nd := len(distinct)
 	if theta <= 0 || math.IsNaN(theta) {
-		// Degenerate kernel: commonness is the exact-match count.
-		counts := make(map[float64]float64, n)
-		for _, v := range values {
-			counts[v]++
+		// Degenerate kernel: commonness is the exact-match count. A NaN
+		// matches nothing, itself included.
+		counts := make([]float64, nd)
+		for _, s := range idx {
+			counts[s]++
 		}
-		for i, v := range values {
-			out[i] = counts[v]
+		for i, s := range idx {
+			if !math.IsNaN(values[i]) {
+				out[i] = counts[s]
+			}
 		}
-		return out
+		return out, nd
 	}
 	norm := 1 / (theta * math.Sqrt(2*math.Pi))
 	inv2t2 := 1 / (2 * theta * theta)
-	for i, w := range values {
-		var c float64
-		for _, x := range values {
-			d := w - x
-			c += norm * math.Exp(-d*d*inv2t2)
+	// tab interleaves the kernel rows of four distinct values: each x
+	// fills one cache line with four independent exps, and one pass over
+	// idx gathers the four sums from it into four accumulators. The last
+	// group repeats the last value; its surplus sums are never read.
+	const rows = 4
+	tab := make([]float64, rows*nd)
+	sums := make([]float64, nd+rows)
+	var ws [rows]float64
+	for s0 := 0; s0 < nd; s0 += rows {
+		for r := range ws {
+			ws[r] = distinct[min(s0+r, nd-1)]
 		}
-		out[i] = c
+		for j, x := range distinct {
+			t := (*[rows]float64)(tab[rows*j:])
+			d0, d1, d2, d3 := ws[0]-x, ws[1]-x, ws[2]-x, ws[3]-x
+			t[0] = norm * math.Exp(-d0*d0*inv2t2)
+			t[1] = norm * math.Exp(-d1*d1*inv2t2)
+			t[2] = norm * math.Exp(-d2*d2*inv2t2)
+			t[3] = norm * math.Exp(-d3*d3*inv2t2)
+		}
+		var c0, c1, c2, c3 float64
+		for _, s := range idx {
+			t := (*[rows]float64)(tab[rows*int(s):])
+			c0 += t[0]
+			c1 += t[1]
+			c2 += t[2]
+			c3 += t[3]
+		}
+		sums[s0], sums[s0+1], sums[s0+2], sums[s0+3] = c0, c1, c2, c3
 	}
-	return out
+	for i, s := range idx {
+		out[i] = sums[s]
+	}
+	return out, nd
+}
+
+// distinctSlots returns the distinct values in first-seen order and, per
+// value, the index of its slot. +0 and -0 share a slot, which is exact: the
+// kernel of either against any x is the same. Each NaN gets its own.
+func distinctSlots(values []float64) (distinct []float64, idx []int32) {
+	slot := make(map[float64]int32)
+	idx = make([]int32, len(values))
+	for i, v := range values {
+		s, ok := slot[v]
+		if !ok {
+			s = int32(len(distinct))
+			slot[v] = s
+			distinct = append(distinct, v)
+		}
+		idx[i] = s
+	}
+	return distinct, idx
 }
 
 // Uniqueness returns the theta-uniqueness of each vertex property value:
 // U_theta(w) = 1 / C_theta(w). Higher means the vertex's property value is
 // rarer and the vertex needs more anonymization noise.
 func Uniqueness(values []float64, theta float64) []float64 {
-	c := Commonness(values, theta)
-	out := make([]float64, len(c))
+	return invert(Commonness(values, theta))
+}
+
+// invert turns commonness into uniqueness in place.
+func invert(c []float64) []float64 {
 	for i, ci := range c {
 		if ci > 0 {
-			out[i] = 1 / ci
+			c[i] = 1 / ci
 		} else {
-			out[i] = math.Inf(1)
+			c[i] = math.Inf(1)
 		}
 	}
-	return out
+	return c
 }
 
 // VertexUniqueness computes the uniqueness score of every vertex of g over
@@ -60,9 +125,17 @@ func Uniqueness(values []float64, theta float64) []float64 {
 // the standard deviation of the property over the graph (the paper's
 // uncertainty-aware choice in Section V-C).
 func VertexUniqueness(g uncertain.View) []float64 {
+	u, _ := VertexUniquenessDistinct(g)
+	return u
+}
+
+// VertexUniquenessDistinct is VertexUniqueness that also returns the
+// number of distinct expected degrees, which its cost is quadratic in.
+func VertexUniquenessDistinct(g uncertain.View) ([]float64, int) {
 	theta := g.DegreeStdDev()
 	if theta <= 0 {
 		theta = 1
 	}
-	return Uniqueness(g.ExpectedDegrees(), theta)
+	c, d := commonness(g.ExpectedDegrees(), theta)
+	return invert(c), d
 }

@@ -2,8 +2,10 @@ package privacy
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"chameleon/internal/gen"
 	"chameleon/internal/uncertain"
 )
 
@@ -91,5 +93,50 @@ func TestVertexUniquenessRegular(t *testing.T) {
 		if math.Abs(u[v]-u[0]) > 1e-12 {
 			t.Fatalf("regular graph should have uniform uniqueness, got %v", u)
 		}
+	}
+}
+
+func TestVertexUniquenessDistinct(t *testing.T) {
+	// Star graph: the hub's expected degree and the leaves' shared one.
+	g := uncertain.New(5)
+	for i := 1; i < 5; i++ {
+		g.MustAddEdge(0, uncertain.NodeID(i), 0.5)
+	}
+	if _, d := VertexUniquenessDistinct(g); d != 2 {
+		t.Fatalf("distinct expected degrees = %d, want 2", d)
+	}
+}
+
+// BenchmarkCommonness times the kernel on the expected degrees of the
+// benchmark's two anonymization shapes: a duplicate-heavy dblp-shaped
+// graph and an all-distinct brightkite-shaped one. The distinct count is
+// what the cost depends on.
+func BenchmarkCommonness(b *testing.B) {
+	dblp := gen.DiscreteProbs(
+		[]float64{0.13, 0.28, 0.46, 0.64, 0.80},
+		[]float64{0.15, 0.23, 0.27, 0.22, 0.13},
+	)
+	for _, bc := range []struct {
+		name  string
+		nodes int
+		mPer  int
+		probs gen.ProbAssigner
+	}{
+		{"dblp-12k", 12000, 3, dblp},
+		{"brightkite-3.6k", 3600, 2, gen.SmallProbs(0.29)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g, err := gen.BarabasiAlbert(bc.nodes, bc.mPer, bc.probs, rand.New(rand.NewPCG(1, 1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			values, theta := g.ExpectedDegrees(), g.DegreeStdDev()
+			var d int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, d = commonness(values, theta)
+			}
+			b.ReportMetric(float64(d), "distinct")
+		})
 	}
 }

@@ -90,6 +90,7 @@ else
     go test -run '^$' -fuzz '^FuzzReadTSV$'            -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzGraphRoundTrip$'     -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzDegreeDistribution$' -fuzztime "$fuzz_budget" ./internal/privacy/
+    go test -run '^$' -fuzz '^FuzzCommonness$'         -fuzztime "$fuzz_budget" ./internal/testkit/
     go test -run '^$' -fuzz '^FuzzJobRequest$'         -fuzztime "$fuzz_budget" ./internal/jobs/
 fi
 
