@@ -8,9 +8,8 @@ package centrality
 
 import (
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
+	"chameleon/internal/reliability"
 	"chameleon/internal/uncertain"
 )
 
@@ -93,31 +92,10 @@ func Expected(g *uncertain.Graph, o Options) []float64 {
 	if o.Samples <= 0 {
 		o.Samples = 50
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > o.Samples {
-		workers = o.Samples
-	}
 	perSample := make([][]float64, o.Samples)
-	var wg sync.WaitGroup
-	jobs := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-				perSample[i] = Betweenness(g.SampleWorld(rng))
-			}
-		}()
-	}
-	for i := 0; i < o.Samples; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	reliability.ForEachWorld(g, o.Seed, o.Samples, o.Workers, func(i int, w *uncertain.World, _ *rand.PCG) {
+		perSample[i] = Betweenness(w)
+	})
 
 	out := make([]float64, g.NumNodes())
 	for _, bc := range perSample {

@@ -3,6 +3,7 @@ package centrality
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"chameleon/internal/gen"
@@ -207,6 +208,32 @@ func TestExpectedBetweennessParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestExpectedPinned pins the exact bits of Expected on a fixed graph and
+// seed: the sampled worlds and the order they are summed in are part of
+// the reproducibility contract.
+func TestExpectedPinned(t *testing.T) {
+	g, err := gen.BarabasiAlbert(16, 2, gen.UniformProbs(0.3, 0.9), rand.New(rand.NewPCG(6, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{
+		0x403f53e93e93e93e, 0x4034805b05b05b05, 0x40436d82d82d82d8, 0x40309d82d82d82d8,
+		0x3fe78e38e38e38e2, 0x402c8d82d82d82d6, 0x3fd0000000000000, 0x3fbaaaaaaaaaaaaa,
+		0x4020933333333332, 0x3fc38e38e38e38e2, 0x400927d27d27d27c, 0x3ff3c71c71c71c71,
+		0x3fed1c71c71c71c6, 0, 0x3fc7d27d27d27d28, 0,
+	}
+	for _, workers := range []int{1, 3} {
+		got := Expected(g, Options{Samples: 12, Seed: 3, Workers: workers})
+		bits := make([]uint64, len(got))
+		for i, x := range got {
+			bits[i] = math.Float64bits(x)
+		}
+		if !slices.Equal(bits, want) {
+			t.Errorf("workers %d: Expected = %v, bits %#x; want bits %#x", workers, got, bits, want)
+		}
+	}
+}
+
 func TestTopKOverlap(t *testing.T) {
 	a := []float64{10, 9, 8, 0, 0}
 	b := []float64{10, 0, 8, 9, 0}
@@ -223,3 +250,21 @@ func TestTopKOverlap(t *testing.T) {
 		t.Fatalf("length mismatch overlap = %v", got)
 	}
 }
+
+// BenchmarkExpected runs Expected at the shape of the query plane's
+// betweenness precompute: few worlds over a large graph, so how evenly the
+// worlds spread over the workers decides the wall time.
+func BenchmarkExpected(b *testing.B) {
+	probs := gen.DiscreteProbs([]float64{0.13, 0.28, 0.46, 0.64, 0.80}, []float64{0.15, 0.23, 0.27, 0.22, 0.13})
+	g, err := gen.BarabasiAlbert(2000, 3, probs, rand.New(rand.NewPCG(11, 0xc11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := Options{Samples: 8, Seed: 11, Workers: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Expected(g, o)
+	}
+}
+
+var benchSink []float64

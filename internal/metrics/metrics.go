@@ -9,11 +9,11 @@ package metrics
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"sync"
 
 	"chameleon/internal/anf"
 	"chameleon/internal/privacy"
+	"chameleon/internal/reliability"
 	"chameleon/internal/uncertain"
 )
 
@@ -38,43 +38,9 @@ func (o Options) samples(def int) int {
 	return o.Samples
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
-// forEachWorld samples n worlds in parallel and calls fn per world.
+// forEachWorld calls fn on n sampled worlds, in parallel.
 func (o Options) forEachWorld(g *uncertain.Graph, n int, fn func(i int, w *uncertain.World)) {
-	workers := o.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-			fn(i, g.SampleWorld(rng))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-				fn(i, g.SampleWorld(rng))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	reliability.ForEachWorld(g, o.Seed, n, o.Workers, func(i int, w *uncertain.World, _ *rand.PCG) { fn(i, w) })
 }
 
 // AverageDegree returns the expected average node degree. Closed form:
@@ -106,25 +72,23 @@ func (o Options) MaxDegree(g *uncertain.Graph) float64 {
 func (o Options) DegreeDistribution(g *uncertain.Graph) []float64 {
 	n := o.samples(1000)
 	var mu sync.Mutex
-	var acc []float64
+	counts := make([]int64, g.MaxStructuralDegree()+1)
 	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
-		local := make([]int, g.MaxStructuralDegree()+1)
+		local := make([]int64, len(counts))
 		for v := 0; v < w.NumNodes(); v++ {
 			local[w.Degree(uncertain.NodeID(v))]++
 		}
 		mu.Lock()
-		for len(acc) < len(local) {
-			acc = append(acc, 0)
-		}
 		for d, c := range local {
-			acc[d] += float64(c)
+			counts[d] += c
 		}
 		mu.Unlock()
 	})
-	for d := range acc {
-		acc[d] /= float64(n)
+	out := make([]float64, len(counts))
+	for d, c := range counts {
+		out[d] = float64(c) / float64(n)
 	}
-	return acc
+	return out
 }
 
 // ExpectedDegreeDistribution computes the expected degree histogram

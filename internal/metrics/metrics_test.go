@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"chameleon/internal/gen"
@@ -171,18 +172,68 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
+// estimators lists every Monte Carlo estimator of the package, each
+// flattened to the float64 outputs it returns.
+var estimators = []struct {
+	name string
+	run  func(o Options, g *uncertain.Graph) []float64
+}{
+	{"MaxDegree", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.MaxDegree(g)} }},
+	{"DegreeDistribution", func(o Options, g *uncertain.Graph) []float64 { return o.DegreeDistribution(g) }},
+	{"Distances", func(o Options, g *uncertain.Graph) []float64 {
+		d := o.Distances(g)
+		return []float64{d.AverageDistance, d.EffectiveDiameter}
+	}},
+	{"ClusteringCoefficient", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.ClusteringCoefficient(g)} }},
+	{"Triangles", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.Triangles(g)} }},
+}
+
+func estimatorGraph(t *testing.T) *uncertain.Graph {
+	t.Helper()
 	g, err := gen.ErdosRenyi(40, 100, gen.UniformProbs(0.1, 0.9), rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestParallelMatchesSerial(t *testing.T) {
+	g := estimatorGraph(t)
 	serial := Options{Samples: 100, Seed: 11, Workers: 1}
 	parallel := Options{Samples: 100, Seed: 11, Workers: 8}
-	if a, b := serial.MaxDegree(g), parallel.MaxDegree(g); a != b {
-		t.Fatalf("MaxDegree differs across workers: %v vs %v", a, b)
+	for _, c := range estimators {
+		if a, b := c.run(serial, g), c.run(parallel, g); !slices.Equal(a, b) {
+			t.Fatalf("%s differs across workers: %v vs %v", c.name, a, b)
+		}
 	}
-	if a, b := serial.ClusteringCoefficient(g), parallel.ClusteringCoefficient(g); a != b {
-		t.Fatalf("Clustering differs across workers: %v vs %v", a, b)
+}
+
+// TestEstimatorsPinned pins the exact bits every estimator returns for a
+// fixed graph and seed: the sampled worlds, their order of reduction and
+// the per-world statistics are all part of the reproducibility contract.
+func TestEstimatorsPinned(t *testing.T) {
+	g := estimatorGraph(t)
+	want := map[string][]uint64{
+		"MaxDegree": {0x4017888888888889},
+		"DegreeDistribution": {0x4001333333333333, 0x4021a22222222222, 0x4029888888888889, 0x40225dddddddddde,
+			0x4012000000000000, 0x3ffbbbbbbbbbbbbc, 0x3fe3bbbbbbbbbbbc, 0x3fc7777777777777,
+			0x3fa1111111111111, 0x3f91111111111111, 0},
+		"Distances":             {0x40101aa7d73dba72, 0x401769a857d75985},
+		"ClusteringCoefficient": {0x3fb0c60f5d8c0889},
+		"Triangles":             {0x4005bbbbbbbbbbbc},
+	}
+	for _, workers := range []int{1, 3} {
+		o := Options{Samples: 60, Seed: 5, Workers: workers}
+		for _, c := range estimators {
+			got := c.run(o, g)
+			bits := make([]uint64, len(got))
+			for i, x := range got {
+				bits[i] = math.Float64bits(x)
+			}
+			if !slices.Equal(bits, want[c.name]) {
+				t.Errorf("%s (workers %d) = %v, bits %#x; want bits %#x", c.name, workers, got, bits, want[c.name])
+			}
+		}
 	}
 }
 

@@ -30,10 +30,11 @@ const DefaultSamples = 1000
 // cannot run away.
 const DefaultMaxSamples = 16384
 
-// sampleChunk is the unit of work handed to a worker: 64 consecutive
-// sample indices, matching one bitset word so chunk boundaries align with
-// word boundaries in any transposed layout, and coarse enough that the
-// atomic claim is negligible against the per-world sampling cost.
+// sampleChunk is the estimators' unit of work handed to a worker: 64
+// consecutive sample indices, matching one bitset word so chunk
+// boundaries align with word boundaries in any transposed layout, and
+// coarse enough that the atomic claim is negligible against the
+// per-world sampling cost.
 const sampleChunk = 64
 
 // adaptiveMinSamples is the floor before the sequential stopping rule may
@@ -248,6 +249,14 @@ func drawCoupled(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
 	s.SampleIntoCoupled(&sc.world, seed, i)
 }
 
+// drawWorldStream draws world i from PCG(seed, i+1), the stream
+// ForEachWorld's callers have always sampled, leaving sc.pcg just past
+// the draw.
+func drawWorldStream(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
+	sc.pcg.Seed(seed, uint64(i)+1)
+	s.SampleInto(&sc.world, &sc.pcg)
+}
+
 // drawFn selects the world-drawing kernel for the configured mode as a
 // package-level function (no closure allocation).
 func (e Estimator) drawFn() drawFunc {
@@ -301,11 +310,10 @@ func stopRSE(w obs.Welford, target float64) bool {
 	return w.Count() >= adaptiveMinSamples && w.RelStdErr() <= target
 }
 
-// forEachSample is the package's one Monte Carlo scheduler. It runs
-// fn(sampleIndex, scratch) over sampled worlds of g and returns the
-// Welford accumulator of fn's per-world statistic (the value whose mean
-// the caller is estimating). When fn is called, sc.world holds world
-// sampleIndex of g; fn may use sc.components() and must not retain
+// forEachSample runs fn(sampleIndex, scratch) over sampled worlds of g and
+// returns the Welford accumulator of fn's per-world statistic (the value
+// whose mean the caller is estimating). When fn is called, sc.world holds
+// world sampleIndex of g; fn may use sc.components() and must not retain
 // references into the scratch past its return. fn must be safe for
 // concurrent invocation on distinct indices.
 //
@@ -318,24 +326,50 @@ func stopRSE(w obs.Welford, target float64) bool {
 // decorrelated seed (pairSeed), giving the classical independent
 // two-sample estimator. Each drawn pair counts as two worlds.
 //
-// Work is cut into chunks of sampleChunk consecutive indices. A round of
-// chunks is claimed off one atomic cursor by the workers, each drawing
-// into a pooled scratch (the steady state allocates nothing), and each
-// chunk's accumulator lands in its own slot. The slots are then merged IN
-// CHUNK-INDEX ORDER, so the returned accumulator is bit-identical for any
-// worker count. The fixed budget is a single round spanning all of it. In
-// adaptive mode (TargetRSE > 0) rounds are one chunk per worker, and the
-// stopping rule (stopRSE) is tested on the merged prefix after every
-// chunk: the stop point is a function of the chunk-order prefix alone, and
-// the accumulator's count is the effective N. Chunks a round drew past the
+// Worlds are scheduled by run in chunks of sampleChunk indices.
+// Fixed-budget estimates are never computed from the accumulator; callers
+// keep their own index-ordered reductions over per-world side arrays, and
+// the accumulator feeds the quality streams (see recordQuality).
+func (e Estimator) forEachSample(g, h uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
+	r := mcRun{fn: fn, draw: e.drawFn(), g: g.Sampler(), seed: e.Seed, limit: e.budget(), size: sampleChunk, worlds: 1}
+	if h != nil {
+		r.h, r.seedH, r.worlds = h.Sampler(), e.pairSeed(), 2
+	}
+	return e.run(&r)
+}
+
+// ForEachWorld calls fn on worlds 0..n-1 of g (n > 0), world i drawn from
+// PCG(seed, i+1), on workers goroutines (0 means GOMAXPROCS) of the same
+// scheduler as the estimators. When fn is called, w holds world i and pcg
+// is the stream just past the draw, so fn may go on drawing from it.
+// Worlds are claimed one at a time: callers compute a costly statistic on
+// each of few worlds, where 64-world chunks would leave workers idle. fn
+// must be safe for concurrent invocation on distinct indices and must not
+// retain w or pcg past its return.
+func ForEachWorld(g uncertain.View, seed uint64, n, workers int, fn func(i int, w *uncertain.World, pcg *rand.PCG)) {
+	r := mcRun{draw: drawWorldStream, g: g.Sampler(), seed: seed, limit: n, size: 1, worlds: 1,
+		fn: func(i int, sc *scratch) float64 {
+			fn(i, &sc.world, &sc.pcg)
+			return 0
+		}}
+	Estimator{Workers: workers}.run(&r)
+}
+
+// run is the package's one Monte Carlo scheduler. Work is cut into chunks
+// of r.size consecutive indices. A round of chunks is claimed off one
+// atomic cursor by the workers, each drawing into a pooled scratch (the
+// steady state allocates nothing), and each chunk's accumulator lands in
+// its own slot. The slots are then merged IN CHUNK-INDEX ORDER, so the
+// returned accumulator is bit-identical for any worker count. The fixed
+// budget is a single round spanning all of it. In adaptive mode
+// (TargetRSE > 0) rounds are one chunk per worker, and the stopping rule
+// (stopRSE) is tested on the merged prefix after every chunk: the stop
+// point is a function of the chunk-order prefix alone, and the
+// accumulator's count is the effective N. Chunks a round drew past the
 // stopping point are counted as drawn but not merged, so the counted
 // prefix is always contiguous — callers truncate their per-world side
 // arrays to it. One worker runs the same chunks in the same order inline,
 // merging each as it finishes, with no goroutine and no slot array.
-//
-// Fixed-budget estimates are never computed from the accumulator; callers
-// keep their own index-ordered reductions over per-world side arrays, and
-// the accumulator feeds the quality streams (see recordQuality).
 //
 // Cancellation (Estimator.Ctx) is cooperative at chunk boundaries: no
 // chunk is started once the context is done, and a started chunk runs to
@@ -345,13 +379,9 @@ func stopRSE(w obs.Welford, target float64) bool {
 // sum(mc.worker.*) == mc.worlds_sampled holds on interrupted runs too.
 // Metrics go through the nil-safe registry path: a nil Obs yields a nil
 // registry whose instruments drop updates.
-func (e Estimator) forEachSample(g, h uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
-	r := mcRun{fn: fn, draw: e.drawFn(), g: g.Sampler(), seed: e.Seed, limit: e.budget(), worlds: 1}
-	if h != nil {
-		r.h, r.seedH, r.worlds = h.Sampler(), e.pairSeed(), 2
-	}
+func (e Estimator) run(r *mcRun) obs.Welford {
 	reg := e.Obs.Registry()
-	chunks := (r.limit + sampleChunk - 1) / sampleChunk
+	chunks := (r.limit + r.size - 1) / r.size
 	workers := min(e.workers(), chunks)
 	var stat obs.Welford
 	var drawn int64
@@ -402,7 +432,7 @@ func (e Estimator) fold(stat *obs.Welford, part obs.Welford) bool {
 	return e.adaptive() && stopRSE(*stat, e.TargetRSE)
 }
 
-// mcRun holds one forEachSample call's inputs, read-only once the workers
+// mcRun holds one scheduled run's inputs, read-only once the workers
 // start.
 type mcRun struct {
 	fn          func(i int, sc *scratch) float64
@@ -410,6 +440,7 @@ type mcRun struct {
 	g, h        *uncertain.WorldSampler
 	seed, seedH uint64
 	limit       int   // sample budget: indices run over [0, limit)
+	size        int   // indices per chunk
 	worlds      int64 // worlds drawn per index: 2 when paired
 }
 
@@ -427,8 +458,8 @@ func (r *mcRun) scratch() *scratch {
 // and returns the chunk's accumulator.
 func (r *mcRun) chunk(sc *scratch, c int) obs.Welford {
 	var part obs.Welford
-	end := min((c+1)*sampleChunk, r.limit)
-	for i := c * sampleChunk; i < end; i++ {
+	end := min((c+1)*r.size, r.limit)
+	for i := c * r.size; i < end; i++ {
 		r.draw(r.seed, r.g, sc, i)
 		if r.h != nil {
 			r.draw(r.seedH, r.h, sc.pair, i)

@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
+	"chameleon/internal/reliability"
 	"chameleon/internal/uncertain"
 )
 
@@ -169,9 +168,6 @@ func (o Options) withDefaults(n int) Options {
 	if o.Sources > n {
 		o.Sources = n
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -203,40 +199,26 @@ func (wg *Graph) ExpectedTravel(o Options) TravelStats {
 		total int
 	}
 	results := make([]result, o.Samples)
-	var wgrp sync.WaitGroup
-	jobs := make(chan int, o.Workers)
-	for w := 0; w < o.Workers; w++ {
-		wgrp.Add(1)
-		go func() {
-			defer wgrp.Done()
-			for i := range jobs {
-				rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-				world := wg.g.SampleWorld(rng)
-				var r result
-				for s := 0; s < o.Sources; s++ {
-					src := uncertain.NodeID(rng.IntN(n))
-					dist := wg.Dijkstra(world, src)
-					for v, d := range dist {
-						if uncertain.NodeID(v) == src {
-							continue
-						}
-						r.total++
-						if !math.IsInf(d, 1) {
-							r.reach++
-							r.cost += d
-							r.pairs++
-						}
-					}
+	reliability.ForEachWorld(wg.g, o.Seed, o.Samples, o.Workers, func(i int, world *uncertain.World, pcg *rand.PCG) {
+		rng := rand.New(pcg)
+		var r result
+		for s := 0; s < o.Sources; s++ {
+			src := uncertain.NodeID(rng.IntN(n))
+			dist := wg.Dijkstra(world, src)
+			for v, d := range dist {
+				if uncertain.NodeID(v) == src {
+					continue
 				}
-				results[i] = r
+				r.total++
+				if !math.IsInf(d, 1) {
+					r.reach++
+					r.cost += d
+					r.pairs++
+				}
 			}
-		}()
-	}
-	for i := 0; i < o.Samples; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wgrp.Wait()
+		}
+		results[i] = r
+	})
 
 	var agg result
 	for _, r := range results {

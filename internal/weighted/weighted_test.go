@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chameleon/internal/core"
+	"chameleon/internal/gen"
 	"chameleon/internal/uncertain"
 )
 
@@ -153,6 +154,46 @@ func TestExpectedTravelTinyGraph(t *testing.T) {
 	stats := wg.ExpectedTravel(Options{Samples: 5})
 	if stats.MeanCost != 0 || stats.Reachability != 0 {
 		t.Fatalf("single-node stats = %+v", stats)
+	}
+}
+
+func travelGraph(t *testing.T) *Graph {
+	t.Helper()
+	g, err := gen.ErdosRenyi(40, 90, gen.UniformProbs(0.2, 0.9), randNew(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randNew(5)
+	weights := make([]float64, g.NumEdges())
+	for i := range weights {
+		weights[i] = 1 + rng.Float64()*9
+	}
+	wg, err := New(g, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wg
+}
+
+// TestExpectedTravelPinned pins the exact bits of ExpectedTravel on a
+// fixed graph and seed: the sampled worlds, the Dijkstra sources drawn
+// after each world, and the order of reduction are part of the
+// reproducibility contract.
+func TestExpectedTravelPinned(t *testing.T) {
+	wg := travelGraph(t)
+	got := wg.ExpectedTravel(Options{Samples: 30, Sources: 3, Seed: 8, Workers: 2})
+	want := [2]uint64{0x40342f47fa7e2c02, 0x3fe821d772cc821d}
+	if bits := [2]uint64{math.Float64bits(got.MeanCost), math.Float64bits(got.Reachability)}; bits != want {
+		t.Fatalf("ExpectedTravel = %+v, bits %#x; want bits %#x", got, bits, want)
+	}
+}
+
+func TestExpectedTravelParallelMatchesSerial(t *testing.T) {
+	wg := travelGraph(t)
+	serial := wg.ExpectedTravel(Options{Samples: 50, Sources: 4, Seed: 3, Workers: 1})
+	parallel := wg.ExpectedTravel(Options{Samples: 50, Sources: 4, Seed: 3, Workers: 8})
+	if serial != parallel {
+		t.Fatalf("ExpectedTravel differs across workers: %+v vs %+v", serial, parallel)
 	}
 }
 

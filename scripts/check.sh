@@ -59,8 +59,10 @@ echo "== go test -race -count=2 (telemetry, MC workers, CLI runner, job plane) =
 # admission gate and an HTTP surface all mutating one manager under
 # concurrent submits, cancels and daemon shutdowns. (cmd/chameleond's
 # subprocess tests race in the main pass above and smoke below; they are
-# too heavy to double.)
-go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/...
+# too heavy to double.) internal/metrics, internal/centrality and
+# internal/weighted sample their worlds on the same scheduler through
+# reliability.ForEachWorld, one world per claim.
+go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/... ./internal/metrics/... ./internal/centrality/... ./internal/weighted/...
 
 coverage_floor="${COVERAGE_FLOOR:-78.4}"
 echo "== coverage (floor ${coverage_floor}%) =="
