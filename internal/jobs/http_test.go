@@ -3,8 +3,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -306,4 +308,57 @@ func TestAPIUploadLimit(t *testing.T) {
 	if len(m.List()) != 0 {
 		t.Fatal("oversized upload was admitted")
 	}
+}
+
+// forgedV2Uploads hand-builds two v2 graph files whose frames declare
+// sizes their bytes do not back: META claims 2^40 edges over 2^24
+// vertices, then an EDGE frame either carries a valid CRC over a 2-byte
+// payload or declares a 2^40-byte payload and ends.
+func forgedV2Uploads() map[string][]byte {
+	le := binary.LittleEndian
+	frame := func(id uint32, length uint64, payload []byte) []byte {
+		b := le.AppendUint32(nil, id)
+		b = le.AppendUint64(b, length)
+		b = le.AppendUint32(b, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		return append(b, payload...)
+	}
+	const secMETA, secEDGE = 0x4154454D, 0x45474445
+	meta := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<24), 1<<40)
+	meta = append(meta, 0) // q16 probability column
+	head := le.AppendUint32(le.AppendUint32(nil, 0x55475247), 2)
+	head = append(head, frame(secMETA, uint64(len(meta)), meta)...)
+	return map[string][]byte{
+		"edge count":     append(bytes.Clone(head), frame(secEDGE, 2, []byte{0, 0})...),
+		"section length": append(append(bytes.Clone(head), frame(secEDGE, 1<<40, nil)...), 0, 0),
+	}
+}
+
+// TestAPIRefusesForgedV2Upload posts graph files that declare terabytes
+// in a few dozen bytes: each must come back 4xx without being admitted,
+// and the daemon must go on accepting a valid job afterwards.
+func TestAPIRefusesForgedV2Upload(t *testing.T) {
+	m, _, _ := startManager(t, Config{MaxConcurrent: 1, WorkersPerJob: 1})
+	srv := httptest.NewServer(NewAPI(m))
+	defer srv.Close()
+
+	for name, data := range forgedV2Uploads() {
+		ct, body := multipartBody(t, []byte(`{"k": 3, "eps": 0.1}`), data)
+		resp, err := http.Post(srv.URL+"/jobs", ct, body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("%s: forged upload = %d %s, want 4xx", name, resp.StatusCode, msg)
+		}
+	}
+	if len(m.List()) != 0 {
+		t.Fatal("a forged upload was admitted")
+	}
+	resp := postJob(t, srv.URL, `{"k": 3, "eps": 0.1, "samples": 20}`, testGraph(t, 40, 11))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid job after forged uploads = %d, want 202", resp.StatusCode)
+	}
+	decodeJob(t, resp)
 }

@@ -30,7 +30,7 @@ func DegreeDistribution(probs []float64) []float64 {
 
 // VertexDegreeDistributions returns the Poisson-binomial degree
 // distribution of every vertex of g. dists[v][j] = Pr[deg(v) = j].
-func VertexDegreeDistributions(g uncertain.View) [][]float64 {
+func VertexDegreeDistributions(g *uncertain.Graph) [][]float64 {
 	n := g.NumNodes()
 	dists := make([][]float64, n)
 	var buf []float64
@@ -56,7 +56,7 @@ func DegreeEntropy(dist []float64) float64 {
 
 // TotalDegreeEntropy returns sum over vertices of H(d_v) — the left-hand
 // driver of Lemma 5's anonymity objective.
-func TotalDegreeEntropy(g uncertain.View) float64 {
+func TotalDegreeEntropy(g *uncertain.Graph) float64 {
 	var total float64
 	var buf []float64
 	for v := 0; v < g.NumNodes(); v++ {

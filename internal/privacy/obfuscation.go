@@ -10,7 +10,7 @@ import (
 // DegreeProperty returns the adversary's assumed auxiliary knowledge about
 // every vertex: the vertex degree (the paper's property P). For an
 // uncertain original graph this is the rounded expected degree.
-func DegreeProperty(g uncertain.View) []int {
+func DegreeProperty(g *uncertain.Graph) []int {
 	degs := g.ExpectedDegrees()
 	out := make([]int, len(degs))
 	for v, d := range degs {
@@ -43,7 +43,7 @@ func (r ObfuscationReport) Obfuscates(eps float64) bool {
 // k-obfuscated iff H(Y_w) >= log2(k). Degree values with zero total mass in
 // the published graph are treated conservatively as NOT obfuscated (these
 // are exactly the "extreme unique nodes" the epsilon tolerance exists for).
-func CheckObfuscation(pub uncertain.View, property []int, k int) (ObfuscationReport, error) {
+func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationReport, error) {
 	n := pub.NumNodes()
 	if len(property) != n {
 		return ObfuscationReport{}, fmt.Errorf("privacy: property length %d != |V| %d", len(property), n)
@@ -116,7 +116,7 @@ func CheckObfuscation(pub uncertain.View, property []int, k int) (ObfuscationRep
 // t = 0 reduces to CheckObfuscation. Wider windows can only raise the
 // posterior entropy (more candidates blend in), so the report's
 // NonObfuscated count is non-increasing in t — property-tested.
-func CheckObfuscationWindow(pub uncertain.View, property []int, k, t int) (ObfuscationReport, error) {
+func CheckObfuscationWindow(pub *uncertain.Graph, property []int, k, t int) (ObfuscationReport, error) {
 	if t < 0 {
 		return ObfuscationReport{}, fmt.Errorf("privacy: window must be >= 0, got %d", t)
 	}

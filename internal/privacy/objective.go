@@ -16,7 +16,7 @@ import (
 // product-of-constraints anonymity of the published graph; the ME
 // perturbation's gradient-ascent step (Lemma 6) pushes it upward. Exposed
 // so tests and ablations can observe the optimization target directly.
-func AnonymityObjective(g uncertain.View) float64 {
+func AnonymityObjective(g *uncertain.Graph) float64 {
 	dists := VertexDegreeDistributions(g)
 	maxW := 0
 	for _, d := range dists {
@@ -55,7 +55,7 @@ func AnonymityObjective(g uncertain.View) float64 {
 // distribution s(w)/|V|. The decomposition explains the ME mechanism:
 // raising per-vertex degree entropy (the first term) raises global
 // anonymity.
-func DegreeUncertaintyDecomposition(g uncertain.View) (vertexEntropy, sizeTerm, omegaTerm float64) {
+func DegreeUncertaintyDecomposition(g *uncertain.Graph) (vertexEntropy, sizeTerm, omegaTerm float64) {
 	n := float64(g.NumNodes())
 	if n == 0 {
 		return 0, 0, 0

@@ -124,14 +124,14 @@ func invert(c []float64) []float64 {
 // the expected-degree property with the kernel bandwidth theta = sigma_G,
 // the standard deviation of the property over the graph (the paper's
 // uncertainty-aware choice in Section V-C).
-func VertexUniqueness(g uncertain.View) []float64 {
+func VertexUniqueness(g *uncertain.Graph) []float64 {
 	u, _ := VertexUniquenessDistinct(g)
 	return u
 }
 
 // VertexUniquenessDistinct is VertexUniqueness that also returns the
 // number of distinct expected degrees, which its cost is quadratic in.
-func VertexUniquenessDistinct(g uncertain.View) ([]float64, int) {
+func VertexUniquenessDistinct(g *uncertain.Graph) ([]float64, int) {
 	theta := g.DegreeStdDev()
 	if theta <= 0 {
 		theta = 1

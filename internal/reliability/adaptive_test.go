@@ -57,7 +57,7 @@ func TestAdaptiveWorkerIndependence(t *testing.T) {
 	type input struct {
 		name   string
 		mode   uncertain.SamplingMode
-		h      uncertain.View
+		h      *uncertain.Graph
 		target float64
 	}
 	inputs := []input{{name: "single", target: 0.04}}
@@ -193,7 +193,7 @@ func TestModeWorkerIndependence(t *testing.T) {
 	g := randomGraph(76, 50, 110)
 	h := perturbClone(g, 0.05)
 	for _, mode := range allModes {
-		for _, hv := range []uncertain.View{nil, h} {
+		for _, hv := range []*uncertain.Graph{nil, h} {
 			collect := func(workers int) ([]int64, obs.Welford) {
 				est := Estimator{Samples: 450, Seed: 5, Workers: workers, Mode: mode}
 				out := make([]int64, 2*est.samples())

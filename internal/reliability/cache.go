@@ -17,11 +17,9 @@ import (
 // stream). Workers does not participate: the worlds, labels and stopping
 // point are identical however sampling is scheduled.
 type labelKey struct {
-	// g is the view's identity. Both implementations (*uncertain.Graph,
-	// *uncertain.CSR) are pointers, so the interface value is comparable
-	// and hashes by identity, which is exactly the snapshot semantics the
-	// version field extends.
-	g          uncertain.View
+	// g is the graph's identity: the pointer hashes by identity, which is
+	// exactly the snapshot semantics the version field extends.
+	g          *uncertain.Graph
 	version    uint64
 	samples    int
 	seed       uint64
@@ -161,7 +159,7 @@ func (c *LabelCache) Len() int {
 	return len(c.entries)
 }
 
-func (e Estimator) labelKeyFor(g uncertain.View) labelKey {
+func (e Estimator) labelKeyFor(g *uncertain.Graph) labelKey {
 	k := labelKey{g: g, version: g.Version(), samples: e.samples(), seed: e.Seed, mode: e.Mode}
 	if e.adaptive() {
 		k.targetRSE = math.Float64bits(e.TargetRSE)
@@ -173,7 +171,7 @@ func (e Estimator) labelKeyFor(g uncertain.View) labelKey {
 // cachedLabels returns the memoized label set for g under this estimator
 // configuration, or nil when absent (or no cache is attached). It never
 // computes.
-func (e Estimator) cachedLabels(g uncertain.View) *labelSet {
+func (e Estimator) cachedLabels(g *uncertain.Graph) *labelSet {
 	if e.Cache == nil {
 		return nil
 	}
@@ -188,7 +186,7 @@ func (e Estimator) cachedLabels(g uncertain.View) *labelSet {
 // when possible, sampling (and, with a cache attached, storing) otherwise.
 // The label values are exactly those of SampleLabels for the same
 // configuration; only the layout differs.
-func (e Estimator) sampleLabelsT(g uncertain.View) *labelSet {
+func (e Estimator) sampleLabelsT(g *uncertain.Graph) *labelSet {
 	if ls := e.cachedLabels(g); ls != nil {
 		return ls
 	}
@@ -233,7 +231,7 @@ func (e Estimator) sampleLabelsT(g uncertain.View) *labelSet {
 // startup to keep the sampling cost off the first request's latency.
 // No-op without a Cache; a cancelled warm-up (Estimator.Ctx) leaves the
 // cache unpopulated.
-func (e Estimator) WarmCache(g uncertain.View) {
+func (e Estimator) WarmCache(g *uncertain.Graph) {
 	if e.Cache == nil {
 		return
 	}

@@ -89,7 +89,7 @@ func TestForEachSampleCancelMidway(t *testing.T) {
 			// Unreachable target: only the cancellation can stop the run.
 			est.TargetRSE, est.MaxSamples = 1e-12, n
 		}
-		var h uncertain.View
+		var h *uncertain.Graph
 		worldsPerCall := int64(1)
 		if tc.paired {
 			h, worldsPerCall = g, 2

@@ -63,7 +63,7 @@ func pairWorlds(lg, lh *labelSet) int {
 //
 // Cost is O(N * |V|^2) label comparisons; use SampledPairDiscrepancy for
 // large graphs.
-func (e Estimator) Discrepancy(g, h uncertain.View) (float64, error) {
+func (e Estimator) Discrepancy(g, h *uncertain.Graph) (float64, error) {
 	defer e.timeOp("Discrepancy", time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
@@ -106,7 +106,7 @@ type PairSample struct {
 // This is the estimator used by the figure benchmarks: the paper reports
 // the "average reliability discrepancy" (Figure 4) which is exactly this
 // per-pair mean.
-func (e Estimator) SampledPairDiscrepancy(g, h uncertain.View, ps PairSample) (float64, error) {
+func (e Estimator) SampledPairDiscrepancy(g, h *uncertain.Graph, ps PairSample) (float64, error) {
 	defer e.timeOp("SampledPairDiscrepancy", time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
@@ -165,7 +165,7 @@ func (e Estimator) SampledPairDiscrepancy(g, h uncertain.View, ps PairSample) (f
 // two-sample estimator needs. The achieved variance-reduction factor,
 // (Var cc(G) + Var cc(H)) / Var(cc(G)-cc(H)), is published as the
 // mc.adaptive.vr_factor gauge (≈1 for independent draws, ≫1 under CRN).
-func (e Estimator) DeltaExpectedConnectedPairs(g, h uncertain.View) (float64, error) {
+func (e Estimator) DeltaExpectedConnectedPairs(g, h *uncertain.Graph) (float64, error) {
 	defer e.timeOp("DeltaExpectedConnectedPairs", time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
@@ -207,7 +207,7 @@ func (e Estimator) DeltaExpectedConnectedPairs(g, h uncertain.View) (float64, er
 // absolute difference against the original" reported in the evaluation.
 // With a Cache attached, the normalization term reuses the worlds the
 // discrepancy pass just sampled for g.
-func (e Estimator) RelativeDiscrepancy(g, h uncertain.View, ps PairSample) (float64, error) {
+func (e Estimator) RelativeDiscrepancy(g, h *uncertain.Graph, ps PairSample) (float64, error) {
 	avg, err := e.SampledPairDiscrepancy(g, h, ps)
 	if err != nil {
 		return 0, err

@@ -330,7 +330,7 @@ func stopRSE(w obs.Welford, target float64) bool {
 // Fixed-budget estimates are never computed from the accumulator; callers
 // keep their own index-ordered reductions over per-world side arrays, and
 // the accumulator feeds the quality streams (see recordQuality).
-func (e Estimator) forEachSample(g, h uncertain.View, fn func(i int, sc *scratch) float64) obs.Welford {
+func (e Estimator) forEachSample(g, h *uncertain.Graph, fn func(i int, sc *scratch) float64) obs.Welford {
 	r := mcRun{fn: fn, draw: e.drawFn(), g: g.Sampler(), seed: e.Seed, limit: e.budget(), size: sampleChunk, worlds: 1}
 	if h != nil {
 		r.h, r.seedH, r.worlds = h.Sampler(), e.pairSeed(), 2
@@ -346,7 +346,7 @@ func (e Estimator) forEachSample(g, h uncertain.View, fn func(i int, sc *scratch
 // each of few worlds, where 64-world chunks would leave workers idle. fn
 // must be safe for concurrent invocation on distinct indices and must not
 // retain w or pcg past its return.
-func ForEachWorld(g uncertain.View, seed uint64, n, workers int, fn func(i int, w *uncertain.World, pcg *rand.PCG)) {
+func ForEachWorld(g *uncertain.Graph, seed uint64, n, workers int, fn func(i int, w *uncertain.World, pcg *rand.PCG)) {
 	r := mcRun{draw: drawWorldStream, g: g.Sampler(), seed: seed, limit: n, size: 1, worlds: 1,
 		fn: func(i int, sc *scratch) float64 {
 			fn(i, &sc.world, &sc.pcg)
@@ -623,7 +623,7 @@ func (e Estimator) recordStream(name, op string, w obs.Welford, convergence bool
 // adaptive mode the returned slice is truncated to the effective sample
 // count (the per-world statistic driving the stopping rule is the world's
 // connected-pair count).
-func (e Estimator) SampleLabels(g uncertain.View) [][]int32 {
+func (e Estimator) SampleLabels(g *uncertain.Graph) [][]int32 {
 	labels := make([][]int32, e.budget())
 	nv := g.NumNodes()
 	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
@@ -643,7 +643,7 @@ func (e Estimator) SampleLabels(g uncertain.View) [][]int32 {
 
 // ExpectedConnectedPairs estimates E[cc(G)]: the expected number of
 // connected unordered vertex pairs.
-func (e Estimator) ExpectedConnectedPairs(g uncertain.View) float64 {
+func (e Estimator) ExpectedConnectedPairs(g *uncertain.Graph) float64 {
 	defer e.timeOp("ExpectedConnectedPairs", time.Now())
 	if ls := e.cachedLabels(g); ls != nil {
 		var total float64
@@ -674,7 +674,7 @@ func (e Estimator) ExpectedConnectedPairs(g uncertain.View) float64 {
 // the memoized component labels — identical worlds, identical labels, so
 // the value matches the uncached fixed-budget path bit-for-bit, and a
 // warm cache answers in O(N) label comparisons without sampling.
-func (e Estimator) PairReliability(g uncertain.View, u, v uncertain.NodeID) float64 {
+func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) float64 {
 	defer e.timeOp("PairReliability", time.Now())
 	if e.Cache != nil {
 		ls := e.sampleLabelsT(g)
@@ -718,7 +718,7 @@ func (e Estimator) PairReliability(g uncertain.View, u, v uncertain.NodeID) floa
 // Cache attached the vector is computed from the memoized transposed
 // labels (same worlds, same values as the uncached path), so repeated
 // k-NN queries against one graph sample it exactly once.
-func (e Estimator) ReliabilityVector(g uncertain.View, src uncertain.NodeID) []float64 {
+func (e Estimator) ReliabilityVector(g *uncertain.Graph, src uncertain.NodeID) []float64 {
 	defer e.timeOp("ReliabilityVector", time.Now())
 	if e.Cache != nil {
 		ls := e.sampleLabelsT(g)

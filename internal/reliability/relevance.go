@@ -57,7 +57,7 @@ func (ar *relArena) grow(n, words int) {
 // Edges whose presence bit never varies across the samples (probability 0
 // or 1, or extreme probabilities at small N) fall back to explicit
 // conditional sampling for the missing side.
-func (e Estimator) EdgeRelevance(g uncertain.View) []float64 {
+func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	defer e.timeOp("EdgeRelevance", time.Now())
 	m := g.NumEdges()
 	words := (m + 63) / 64
@@ -170,7 +170,7 @@ func (e Estimator) EdgeRelevance(g uncertain.View) []float64 {
 // (offset past the main sample indices), i.e. common random numbers across
 // edges, so the conditional means differ only through the pinned edge and
 // compare without independent sampling noise.
-func (e Estimator) conditionalCC(g uncertain.View, edge int, present bool) float64 {
+func (e Estimator) conditionalCC(g *uncertain.Graph, edge int, present bool) float64 {
 	n := e.samples() / 4
 	if n < 32 {
 		n = 32
@@ -197,7 +197,7 @@ func (e Estimator) conditionalCC(g uncertain.View, edge int, present bool) float
 // edge forced present and forced absent. It exists for the cost-comparison
 // ablation bench; EdgeRelevance gives the same estimates at 1/|E| of the
 // cost.
-func (e Estimator) EdgeRelevanceNaive(g uncertain.View) []float64 {
+func (e Estimator) EdgeRelevanceNaive(g *uncertain.Graph) []float64 {
 	m := g.NumEdges()
 	n := e.samples()
 	out := make([]float64, m)
@@ -226,7 +226,7 @@ func (e Estimator) EdgeRelevanceNaive(g uncertain.View) []float64 {
 
 // VertexRelevance aggregates edge relevance to the vertex level:
 // VRR^u = sum over edges e incident to u of p(e) * ERR^e.
-func VertexRelevance(g uncertain.View, edgeRelevance []float64) []float64 {
+func VertexRelevance(g *uncertain.Graph, edgeRelevance []float64) []float64 {
 	out := make([]float64, g.NumNodes())
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(i)

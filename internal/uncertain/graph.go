@@ -31,57 +31,13 @@ type halfEdge struct {
 	Edge int32 // index into Graph.edges
 }
 
-// edgeCore is the storage shared by the two graph representations — the
-// mutable slice-backed *Graph and the read-only packed *CSR view: vertex
-// count, edge list and the packed endpoints the bitset union kernel
-// streams. Methods that need only this storage live here and promote to
-// both types.
-type edgeCore struct {
+// Graph is a simple undirected uncertain graph. The zero value is not
+// usable; construct with New or FromEdges.
+type Graph struct {
 	n     int
 	edges []Edge
 	uv    []uint64 // packed endpoints (u<<32|v) parallel to edges, one
 	// load per edge in the bitset union kernel
-}
-
-// NumNodes returns |V|.
-func (c *edgeCore) NumNodes() int { return c.n }
-
-// NumEdges returns |E|.
-func (c *edgeCore) NumEdges() int { return len(c.edges) }
-
-// Edge returns the i-th edge. Edges keep their insertion index for the
-// lifetime of the graph; SetProb mutates probabilities in place.
-func (c *edgeCore) Edge(i int) Edge { return c.edges[i] }
-
-// Edges returns a copy of the edge list.
-func (c *edgeCore) Edges() []Edge {
-	out := make([]Edge, len(c.edges))
-	copy(out, c.edges)
-	return out
-}
-
-// SortedEdges returns the edges ordered by (U, V); useful for deterministic
-// output.
-func (c *edgeCore) SortedEdges() []Edge {
-	out := c.Edges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
-// dataCore exposes the shared storage to package-internal kernels; it is
-// also the unexported method that seals the View interface to this
-// package.
-func (c *edgeCore) dataCore() *edgeCore { return c }
-
-// Graph is a simple undirected uncertain graph. The zero value is not
-// usable; construct with New.
-type Graph struct {
-	edgeCore
 	adj   [][]halfEdge
 	index map[[2]NodeID]int32 // canonical (u<v) pair -> edge index
 
@@ -92,6 +48,36 @@ type Graph struct {
 	// sampler only covers concurrent readers of an unchanging graph.
 	version uint64
 	sampler atomic.Pointer[WorldSampler]
+}
+
+// NumNodes returns |V|.
+func (g *Graph) NumNodes() int { return g.n }
+
+// NumEdges returns |E|.
+func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Edge returns the i-th edge. Edges keep their insertion index for the
+// lifetime of the graph; SetProb mutates probabilities in place.
+func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+
+// Edges returns a copy of the edge list.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, len(g.edges))
+	copy(out, g.edges)
+	return out
+}
+
+// SortedEdges returns the edges ordered by (U, V); useful for deterministic
+// output.
+func (g *Graph) SortedEdges() []Edge {
+	out := g.Edges()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].U != out[j].U {
+			return out[i].U < out[j].U
+		}
+		return out[i].V < out[j].V
+	})
+	return out
 }
 
 // Common construction and validation errors.
@@ -109,9 +95,9 @@ func New(n int) *Graph {
 		n = 0
 	}
 	return &Graph{
-		edgeCore: edgeCore{n: n},
-		adj:      make([][]halfEdge, n),
-		index:    make(map[[2]NodeID]int32),
+		n:     n,
+		adj:   make([][]halfEdge, n),
+		index: make(map[[2]NodeID]int32),
 	}
 }
 
@@ -123,12 +109,17 @@ func canonical(u, v NodeID) [2]NodeID {
 	return [2]NodeID{u, v}
 }
 
-func (g *Graph) checkPair(u, v NodeID) error {
+// checkEdge applies AddEdge's per-edge checks, in order: endpoint range,
+// self-loop, probability in [0,1]. Duplicates are the caller's check.
+func (g *Graph) checkEdge(u, v NodeID, p float64) error {
 	if u < 0 || int(u) >= g.n || v < 0 || int(v) >= g.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeOutOfRange, u, v, g.n)
 	}
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
+	}
+	if math.IsNaN(p) || p < 0 || p > 1 {
+		return fmt.Errorf("%w: %v on (%d,%d)", ErrBadProbability, p, u, v)
 	}
 	return nil
 }
@@ -137,11 +128,8 @@ func (g *Graph) checkPair(u, v NodeID) error {
 // It rejects self-loops, duplicate edges, out-of-range endpoints and
 // probabilities outside [0,1].
 func (g *Graph) AddEdge(u, v NodeID, p float64) error {
-	if err := g.checkPair(u, v); err != nil {
+	if err := g.checkEdge(u, v, p); err != nil {
 		return err
-	}
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return fmt.Errorf("%w: %v on (%d,%d)", ErrBadProbability, p, u, v)
 	}
 	key := canonical(u, v)
 	if _, dup := g.index[key]; dup {
@@ -271,13 +259,6 @@ func (g *Graph) Equal(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// forIncident calls fn for every incident half-edge of v.
-func (g *Graph) forIncident(v NodeID, fn func(to NodeID, edge int32)) {
-	for _, he := range g.adj[v] {
-		fn(he.To, he.Edge)
-	}
 }
 
 // String implements fmt.Stringer with a short summary.

@@ -28,7 +28,7 @@ const MaxFileNodes = 1 << 24
 //	...
 //
 // Edges are written in sorted order for deterministic output.
-func WriteTSV(w io.Writer, g View) error {
+func WriteTSV(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d\n", g.NumNodes()); err != nil {
 		return err
@@ -96,7 +96,7 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 }
 
 // SaveFile writes g to path in TSV format.
-func SaveFile(path string, g View) error {
+func SaveFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -111,8 +111,8 @@ func SaveFile(path string, g View) error {
 // LoadFile reads an uncertain graph from path, auto-detecting the format:
 // files starting with the binary magic load as a binary container (either
 // the v1 triple format or the sectioned v2 format, dispatched on the
-// version word), anything else parses as TSV. Use LoadCSR to decode
-// straight into the packed read-only view instead of a mutable *Graph.
+// version word), anything else parses as TSV. A v2 file builds its
+// graph in bulk through FromEdges, without a per-edge AddEdge.
 func LoadFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {

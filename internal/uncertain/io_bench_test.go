@@ -44,20 +44,19 @@ func fmtBenchData(tb testing.TB) (tsv, v1, v2 []byte) {
 	return fmtBench.tsv, fmtBench.v1, fmtBench.v2
 }
 
-// BenchmarkFormatDecode decodes the same graph from each format. The
-// tsv/v1/v2 cases land on the slice-backed *Graph; v2-csr decodes straight
-// into the packed read-only view.
+// BenchmarkFormatDecode decodes the same graph from each format into a
+// *Graph: tsv and v1 through the per-edge AddEdge loop, v2 through the
+// bulk FromEdges build.
 func BenchmarkFormatDecode(b *testing.B) {
 	tsv, v1, v2 := fmtBenchData(b)
 	cases := []struct {
 		name   string
 		data   []byte
-		decode func(r io.Reader) (View, error)
+		decode func(r io.Reader) (*Graph, error)
 	}{
-		{"tsv", tsv, func(r io.Reader) (View, error) { return ReadTSV(r) }},
-		{"v1", v1, func(r io.Reader) (View, error) { return ReadBinary(r) }},
-		{"v2", v2, func(r io.Reader) (View, error) { return ReadBinary(r) }},
-		{"v2-csr", v2, func(r io.Reader) (View, error) { return ReadCSR(r) }},
+		{"tsv", tsv, ReadTSV},
+		{"v1", v1, ReadBinary},
+		{"v2", v2, ReadBinary},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -77,33 +76,23 @@ func BenchmarkFormatDecode(b *testing.B) {
 }
 
 // BenchmarkFormatSampleWorld draws possible worlds from a freshly decoded
-// v2 graph through both representations: the slice-backed graph and the
-// CSR view. Equal numbers here are the perf half of the bit-identity
-// claim — the packed view costs nothing on the sampling hot path.
+// v2 graph: the sampling hot path on a graph built by FromEdges.
 func BenchmarkFormatSampleWorld(b *testing.B) {
 	_, _, v2 := fmtBenchData(b)
 	g, err := ReadBinary(bytes.NewReader(v2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := ReadCSR(bytes.NewReader(v2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, src := range []struct {
-		name string
-		s    *WorldSampler
-	}{{"graph", g.Sampler()}, {"csr", c.Sampler()}} {
-		b.Run(src.name, func(b *testing.B) {
-			var w World
-			var pcg rand.PCG
-			src.s.SampleInto(&w, &pcg) // warm the bitset
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pcg.Seed(0xBEEF, uint64(i))
-				src.s.SampleInto(&w, &pcg)
-			}
-		})
-	}
+	b.Run("graph", func(b *testing.B) {
+		s := g.Sampler()
+		var w World
+		var pcg rand.PCG
+		s.SampleInto(&w, &pcg) // warm the bitset
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pcg.Seed(0xBEEF, uint64(i))
+			s.SampleInto(&w, &pcg)
+		}
+	})
 }

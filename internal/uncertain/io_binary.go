@@ -21,8 +21,8 @@ import (
 //
 // Version 1 body (legacy, read-only): node count and edge count as uint32,
 // then (u uint32, v uint32, p float64bits) triples in sorted edge order.
-// Files written before v2 existed still load through ReadBinary, ReadCSR,
-// LoadFile and LoadCSR. The same byte layout survives as the input to
+// Files written before v2 existed still load through ReadBinary, ReadAuto
+// and LoadFile. The same byte layout survives as the input to
 // Fingerprint.
 const (
 	binaryMagic     uint32 = 0x55475247 // "UGRG"
@@ -41,7 +41,7 @@ var ErrTooLarge = errors.New("uncertain: graph too large for binary format")
 // difference in topology or probabilities, however small, changes it, and
 // the value equals the hash of the graph's legacy v1 file, so fingerprints
 // recorded before v1 became read-only still match.
-func Fingerprint(g View) uint64 {
+func Fingerprint(g *Graph) uint64 {
 	h := fnv.New64a()
 	var rec [16]byte
 	le := binary.LittleEndian

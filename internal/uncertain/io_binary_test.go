@@ -17,7 +17,7 @@ import (
 // package reads v1 but no longer writes it. It builds the corrupt-v1 cases
 // and the v1 decode benchmark corpus, and TestLegacyV1Fixture holds it to
 // the bytes the removed writer produced.
-func encodeV1(g View) []byte {
+func encodeV1(g *Graph) []byte {
 	le := binary.LittleEndian
 	out := le.AppendUint32(nil, binaryMagic)
 	out = le.AppendUint32(out, binaryVersion)
@@ -75,22 +75,8 @@ func TestLegacyV1Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	csr, err := ReadCSR(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("ReadCSR: %v", err)
-	}
-	fileCSR, err := LoadCSR(path)
-	if err != nil {
-		t.Fatalf("LoadCSR: %v", err)
-	}
-	for name, got := range map[string]View{
-		"ReadBinary": fromBinary, "LoadFile": fromFile, "ReadCSR": csr, "LoadCSR": fileCSR,
-	} {
-		g, err := FromEdges(got.NumNodes(), got.SortedEdges())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !want.Equal(g) {
+	for name, got := range map[string]*Graph{"ReadBinary": fromBinary, "LoadFile": fromFile} {
+		if !want.Equal(got) {
 			t.Errorf("%s decoded a different graph", name)
 		}
 	}
@@ -168,7 +154,7 @@ func TestBinaryRejectsImpossibleCounts(t *testing.T) {
 // guard only needs the counts, and New would allocate adjacency slices for
 // 16M+ vertices.
 func TestWriteBinaryRejectsOversizedGraph(t *testing.T) {
-	g := &Graph{edgeCore: edgeCore{n: MaxFileNodes + 1}}
+	g := &Graph{n: MaxFileNodes + 1}
 	if err := WriteBinaryV2(&bytes.Buffer{}, g); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("WriteBinaryV2 on %d nodes: want ErrTooLarge, got %v", MaxFileNodes+1, err)
 	}

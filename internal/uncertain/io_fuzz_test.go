@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
@@ -30,9 +31,10 @@ func fuzzSeedV2() ([]byte, [][]byte) {
 }
 
 // FuzzGraphRoundTrip hardens all three serialization formats from two
-// sides: arbitrary bytes fed to the binary readers (both the *Graph and
-// the CSR decoder) must fail cleanly with ErrBadFormat — never panic —
-// or yield an internally consistent graph, and any graph constructed from
+// sides: arbitrary bytes fed to ReadBinary must fail cleanly with
+// ErrBadFormat — never panic — or yield an internally consistent graph
+// equal in every index to one built edge by edge with AddEdge (the v2
+// branch builds in bulk through FromEdges), and any graph constructed from
 // the fuzzed bytes must survive TSV, v1 and v2 round trips unchanged,
 // including cross-format trips (TSV -> v1 -> v2), since LoadFile
 // auto-detects the format and all paths must agree on the graph. The v1
@@ -62,22 +64,23 @@ func FuzzGraphRoundTrip(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[8:12], secMETA)
 	binary.LittleEndian.PutUint64(huge[12:20], 1<<60)
 	f.Add(huge)
+	for _, forged := range forgedV2Files() {
+		f.Add(forged)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Side 1: the binary readers on raw fuzz input. Both decoders must
-		// agree on accept/reject, and accepted graphs must be consistent.
+		// Side 1: ReadBinary on raw fuzz input must accept and reject
+		// exactly what the AddEdge-built reference does, with the same
+		// error, and an accepted graph must be consistent and identical
+		// to the reference in every index.
 		g1, err1 := ReadBinary(bytes.NewReader(data))
-		c1, errCSR := ReadCSR(bytes.NewReader(data))
-		if (err1 == nil) != (errCSR == nil) {
-			t.Fatalf("ReadBinary err=%v but ReadCSR err=%v", err1, errCSR)
+		ref, errRef := readBinaryAddEdge(data)
+		if (err1 == nil) != (errRef == nil) || (err1 != nil && err1.Error() != errRef.Error()) {
+			t.Fatalf("ReadBinary err=%v but the AddEdge reference err=%v", err1, errRef)
 		}
 		if err1 == nil {
 			checkConsistent(t, g1)
-			back, err := c1.Materialize()
-			if err != nil {
-				t.Fatalf("Materialize after accepted decode: %v", err)
-			}
-			if !g1.Equal(back) {
-				t.Fatal("ReadBinary and ReadCSR disagree on the decoded graph")
+			if diff := sameGraph(ref, g1); diff != "" {
+				t.Fatalf("ReadBinary disagrees with the AddEdge reference: %s", diff)
 			}
 		}
 
@@ -138,18 +141,22 @@ func FuzzGraphRoundTrip(f *testing.F) {
 		if !g.Equal(fromV2) {
 			t.Fatal("v1->v2 round trip changed the graph")
 		}
-		fromV2CSR, err := ReadCSR(bytes.NewReader(v2bytes))
-		if err != nil {
-			t.Fatalf("ReadCSR(v2) after write: %v", err)
-		}
-		back, err := fromV2CSR.Materialize()
-		if err != nil {
-			t.Fatalf("Materialize: %v", err)
-		}
-		if !g.Equal(back) {
-			t.Fatal("v2 CSR decode changed the graph")
-		}
 	})
+}
+
+// readBinaryAddEdge is ReadBinary with the v2 graph built by the AddEdge
+// loop instead of FromEdges: the reference the bulk build must match.
+func readBinaryAddEdge(data []byte) (*Graph, error) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	version, err := readBinaryHeader(br)
+	if err != nil || version != binaryVersionV2 {
+		return ReadBinary(bytes.NewReader(data))
+	}
+	n, edges, err := readV2Body(br)
+	if err != nil {
+		return nil, err
+	}
+	return addEdgeLoop(n, edges)
 }
 
 // checkConsistent asserts the structural invariants every successfully

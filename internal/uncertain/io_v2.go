@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Version-2 sectioned binary format (see DESIGN.md §14).
@@ -213,7 +214,7 @@ func (vw *V2Writer) Close() error {
 // whose probabilities all survive 16-bit quantization exactly get the
 // compact probability column; everything else round-trips bit-exactly
 // through the float64 column.
-func WriteBinaryV2(w io.Writer, g View) error {
+func WriteBinaryV2(w io.Writer, g *Graph) error {
 	vw, err := NewV2Writer(w, g.NumNodes())
 	if err != nil {
 		return err
@@ -237,15 +238,29 @@ func readSectionHeader(br *bufio.Reader) (id uint32, length uint64, crc uint32, 
 		binary.LittleEndian.Uint32(hdr[12:16]), nil
 }
 
+// payloadChunk bounds how far a section read allocates ahead of the bytes
+// actually present: the declared length is only trusted one chunk at a
+// time.
+const payloadChunk = 1 << 20
+
 // readSectionPayload buffers and CRC-checks a known section's payload.
-// maxLen guards the allocation against corrupt length fields.
+// maxLen guards against corrupt length fields, and the buffer grows one
+// chunk at a time as bytes arrive, so a frame that declares more than the
+// stream holds fails as truncated without first allocating what it
+// declared.
 func readSectionPayload(br *bufio.Reader, length uint64, crc uint32, maxLen uint64, what string) ([]byte, error) {
 	if length > maxLen {
 		return nil, fmt.Errorf("%w: %s section length %d exceeds limit %d", ErrBadFormat, what, length, maxLen)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated %s section: %v", ErrBadFormat, what, err)
+	payload := make([]byte, 0, min(length, payloadChunk))
+	for uint64(len(payload)) < length {
+		k := int(min(length-uint64(len(payload)), payloadChunk))
+		payload = slices.Grow(payload, k)
+		got, err := io.ReadFull(br, payload[len(payload):len(payload)+k])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated %s section: %v", ErrBadFormat, what, err)
+		}
 	}
 	if got := crc32.Checksum(payload, crcTable); got != crc {
 		return nil, fmt.Errorf("%w: %s section checksum mismatch (got %#x want %#x)", ErrBadFormat, what, got, crc)
@@ -389,11 +404,18 @@ func parseMeta(payload []byte) (n, m int, probEnc byte, err error) {
 }
 
 // decodeEdges decodes the delta/varint edge stream; probabilities are
-// filled in by decodeProbs. The delta code makes the edges strictly
-// increasing in (U,V) by construction, so sortedness, canonical u < v and
-// absence of duplicates only need local checks.
+// filled in by decodeProbs. Every delta is bounded against the room left
+// below n before it is added, so the edges are strictly increasing in
+// (U,V), canonical (u < v) and in range by construction: sortedness and
+// the absence of duplicates need no further check.
 func decodeEdges(payload []byte, n, m int) ([]Edge, error) {
+	// Each edge takes at least two uvarint bytes; refusing a larger m here
+	// keeps a forged META count from sizing the allocation below.
+	if m > len(payload)/2 {
+		return nil, fmt.Errorf("%w: %d edges cannot fit a %d-byte EDGE section", ErrBadFormat, m, len(payload))
+	}
 	edges := make([]Edge, m)
+	last := uint64(n) - 1 // n >= 2 whenever m > 0 (parseMeta)
 	var prevU, prevV uint64
 	pos := 0
 	for i := 0; i < m; i++ {
@@ -407,16 +429,18 @@ func decodeEdges(payload []byte, n, m int) ([]Edge, error) {
 			return nil, fmt.Errorf("%w: bad varint in edge %d", ErrBadFormat, i)
 		}
 		pos += k
+		if du > last-prevU {
+			return nil, fmt.Errorf("%w: edge %d row delta %d past n=%d", ErrBadFormat, i, du, n)
+		}
 		u := prevU + du
-		var v uint64
+		base := prevV // v = base + 1 + dv
 		if du > 0 {
-			v = u + 1 + dv
-		} else {
-			v = prevV + 1 + dv
+			base = u
 		}
-		if u >= uint64(n) || v >= uint64(n) {
-			return nil, fmt.Errorf("%w: edge %d endpoints (%d,%d) out of range for n=%d", ErrBadFormat, i, u, v, n)
+		if dv >= last-base {
+			return nil, fmt.Errorf("%w: edge %d column delta %d past n=%d", ErrBadFormat, i, dv, n)
 		}
+		v := base + 1 + dv
 		edges[i] = Edge{U: NodeID(u), V: NodeID(v)}
 		prevU, prevV = u, v
 	}
@@ -446,16 +470,8 @@ func decodeProbs(payload []byte, probEnc byte, edges []Edge) error {
 	return nil
 }
 
-// ReadCSR parses a binary graph (either version) directly into the packed
-// CSR view, skipping the mutable graph's adjacency slices and edge map.
-// This is the fast path for the read-only engines: decode straight to the
-// layout they run on.
-func ReadCSR(r io.Reader) (*CSR, error) {
-	return readCSRFrom(bufio.NewReader(r))
-}
-
 // SaveBinaryV2File writes g to path in the sectioned version-2 format.
-func SaveBinaryV2File(path string, g View) error {
+func SaveBinaryV2File(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -465,51 +481,4 @@ func SaveBinaryV2File(path string, g View) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadCSR reads an uncertain graph from path straight into a CSR view,
-// auto-detecting the format like LoadFile: binary containers decode
-// directly (v2 without ever building a *Graph), TSV parses through the
-// mutable graph first.
-func LoadCSR(path string) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(4)
-	if err == nil && len(head) == 4 && binary.LittleEndian.Uint32(head) == binaryMagic {
-		return readCSRFrom(br)
-	}
-	g, err := ReadTSV(br)
-	if err != nil {
-		return nil, err
-	}
-	return NewCSR(g), nil
-}
-
-// readCSRFrom is ReadCSR over an existing bufio.Reader (no double
-// buffering when LoadCSR has already peeked the magic).
-func readCSRFrom(br *bufio.Reader) (*CSR, error) {
-	version, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case binaryVersion:
-		g, err := readV1Body(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewCSR(g), nil
-	case binaryVersionV2:
-		n, edges, err := readV2Body(br)
-		if err != nil {
-			return nil, err
-		}
-		return newCSRFromEdges(n, edges), nil
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
-	}
 }

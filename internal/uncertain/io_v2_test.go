@@ -89,32 +89,6 @@ func TestV2RoundTripEdgeCases(t *testing.T) {
 	}
 }
 
-func TestReadCSRMatchesReadBinary(t *testing.T) {
-	g := randomV2Graph(t, 9, 100, 300, true)
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { _, err := b.Write(encodeV1(g)); return err },
-		"v2": func(b *bytes.Buffer) error { return WriteBinaryV2(b, g) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			c, err := ReadCSR(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := c.Materialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !g.Equal(back) {
-				t.Fatal("CSR decode disagrees with the source graph")
-			}
-		})
-	}
-}
-
 func TestV2StreamingWriterMatchesWriteBinaryV2(t *testing.T) {
 	g := randomV2Graph(t, 10, 80, 200, true)
 	var whole, streamed bytes.Buffer
@@ -321,9 +295,6 @@ func TestV2RejectsCorruptFiles(t *testing.T) {
 			if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("want ErrBadFormat, got %v", err)
 			}
-			if _, err := ReadCSR(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("ReadCSR: want ErrBadFormat, got %v", err)
-			}
 		})
 	}
 }
@@ -345,7 +316,7 @@ func TestV2SmallerThanV1AndTSV(t *testing.T) {
 	}
 }
 
-func TestLoadFileAndLoadCSRAutoDetectV2(t *testing.T) {
+func TestLoadFileAutoDetectsFormat(t *testing.T) {
 	g := randomV2Graph(t, 13, 50, 120, true)
 	dir := t.TempDir()
 	paths := map[string]func(string) error{
@@ -366,16 +337,83 @@ func TestLoadFileAndLoadCSRAutoDetectV2(t *testing.T) {
 			if !g.Equal(fromFile) {
 				t.Fatal("LoadFile changed the graph")
 			}
-			c, err := LoadCSR(p)
-			if err != nil {
-				t.Fatal(err)
+		})
+	}
+}
+
+// forgedV2Files are v2 files whose frames declare sizes the bytes do not
+// back: META claims 2^40 edges over 2^24 vertices (a count parseMeta
+// admits), followed by an EDGE frame with a valid CRC over a 2-byte
+// payload — 53 bytes in all — or by an EDGE frame that declares a 2^40-byte
+// payload and ends. A reader that sizes its buffers from the declared
+// counts asks for terabytes before reading anything.
+func forgedV2Files() map[string][]byte {
+	meta := v2Section(secMETA, metaPayload(MaxFileNodes, 1<<40, probEncQ16))
+	hugeFrame := make([]byte, 16)
+	binary.LittleEndian.PutUint32(hugeFrame[0:4], secEDGE)
+	binary.LittleEndian.PutUint64(hugeFrame[4:12], 1<<40)
+	return map[string][]byte{
+		"edge count":     v2Container(meta, v2Section(secEDGE, []byte{0, 0})),
+		"section length": v2Container(meta, hugeFrame, []byte{0, 0}),
+	}
+}
+
+// TestV2RefusesForgedSizes holds the readers to the forged-size files:
+// both must fail as ErrBadFormat without allocating what they declare,
+// which would end the process with an out-of-memory fatal error.
+func TestV2RefusesForgedSizes(t *testing.T) {
+	files := forgedV2Files()
+	if len(files["edge count"]) != 53 {
+		t.Fatalf("edge-count file is %d bytes, want 53", len(files["edge count"]))
+	}
+	for name, data := range files {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("ReadBinary: want ErrBadFormat, got %v", err)
 			}
-			back, err := c.Materialize()
-			if err != nil {
-				t.Fatal(err)
+			if _, err := ReadAuto(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("ReadAuto: want ErrBadFormat, got %v", err)
 			}
-			if !g.Equal(back) {
-				t.Fatal("LoadCSR changed the graph")
+		})
+	}
+}
+
+// v2EdgeFile is a complete v2 file over n vertices whose EDGE section
+// holds the given raw (du, dv) delta pairs and whose PROB column is all
+// zero, so only the edge decoding can reject it.
+func v2EdgeFile(n uint64, deltas ...[2]uint64) []byte {
+	var stream []byte
+	for _, d := range deltas {
+		stream = binary.AppendUvarint(stream, d[0])
+		stream = binary.AppendUvarint(stream, d[1])
+	}
+	return v2Container(
+		v2Section(secMETA, metaPayload(n, uint64(len(deltas)), probEncQ16)),
+		v2Section(secEDGE, stream),
+		v2Section(secPROB, make([]byte, 2*len(deltas))),
+		v2Section(secEND, nil),
+	)
+}
+
+// TestV2RefusesOverflowingDeltas pins the delta bounds: deltas that wrap
+// around uint64 would decode to out-of-order or reversed edges, which
+// the format rules out, so both files must be refused.
+func TestV2RefusesOverflowingDeltas(t *testing.T) {
+	if g, err := ReadBinary(bytes.NewReader(v2EdgeFile(10, [2]uint64{5, 0}, [2]uint64{1, 1}))); err != nil || g.NumEdges() != 2 {
+		t.Fatalf("control file (5,6),(6,8): got %v, %v", g, err)
+	}
+	cases := map[string][]byte{
+		// (5,6), then du = 2-5 mod 2^64: the row goes backwards to (2,3).
+		"row delta wraps": v2EdgeFile(10, [2]uint64{5, 0}, [2]uint64{1<<64 - 3, 0}),
+		// (5, 5+1+(2^64-6)) wraps to (5,0).
+		"column delta wraps": v2EdgeFile(10, [2]uint64{5, 1<<64 - 6}),
+		// Same row: v = prevV+1+dv wraps below prevV.
+		"same-row delta wraps": v2EdgeFile(10, [2]uint64{1, 2}, [2]uint64{0, 1<<64 - 2}),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			if g, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("want ErrBadFormat, got graph %v, err %v", g, err)
 			}
 		})
 	}

@@ -27,17 +27,15 @@ const threshAlways = ^uint64(0)
 // safe for concurrent use by many workers, and it is invalidated (rebuilt
 // by Graph.Sampler) when the graph's edge set or probabilities change.
 type WorldSampler struct {
-	src     View
-	core    *edgeCore
+	g       *Graph
 	version uint64
 	thresh  []uint64 // per edge: 0 = never, threshAlways = certain, else draw
 }
 
-// newWorldSampler builds the sampler snapshot for the view's current state.
-func newWorldSampler(src View) *WorldSampler {
-	core := src.dataCore()
-	s := &WorldSampler{src: src, core: core, version: src.Version(), thresh: make([]uint64, len(core.edges))}
-	for i, e := range core.edges {
+// newWorldSampler builds the sampler snapshot for g's current state.
+func newWorldSampler(g *Graph) *WorldSampler {
+	s := &WorldSampler{g: g, version: g.version, thresh: make([]uint64, len(g.edges))}
+	for i, e := range g.edges {
 		switch {
 		case e.P >= 1:
 			s.thresh[i] = threshAlways
@@ -53,7 +51,7 @@ func newWorldSampler(src View) *WorldSampler {
 }
 
 // NumEdges returns the edge count the sampler was built for.
-func (s *WorldSampler) NumEdges() int { return len(s.core.edges) }
+func (s *WorldSampler) NumEdges() int { return len(s.thresh) }
 
 // Sampler returns the world sampler snapshot for g's current state,
 // building and caching it on first use and rebuilding it after any

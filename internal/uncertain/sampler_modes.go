@@ -126,7 +126,7 @@ func (s *WorldSampler) SampleInto(w *World, pcg *rand.PCG) {
 // per uncertain edge, XORed with flip (0 = plain, mask53 = antithetic
 // complement) before the threshold test.
 func (s *WorldSampler) sampleThreshold(w *World, pcg *rand.PCG, flip uint64) {
-	w.src, w.core = s.src, s.core
+	w.g = s.g
 	nE := len(s.thresh)
 	words := bitsetWords(nE)
 	if cap(w.bits) < words {
@@ -211,7 +211,7 @@ func (s *WorldSampler) SampleIntoCoupled(w *World, seed uint64, idx int) {
 // mixed again (coupled: pseudo-independent across indices) or used raw
 // (stratified: a lattice orbit across indices).
 func (s *WorldSampler) sampleHashed(w *World, seed uint64, idx int, mixIndex bool) {
-	w.src, w.core = s.src, s.core
+	w.g = s.g
 	nE := len(s.thresh)
 	words := bitsetWords(nE)
 	if cap(w.bits) < words {
@@ -220,7 +220,7 @@ func (s *WorldSampler) sampleHashed(w *World, seed uint64, idx int, mixIndex boo
 		w.bits = w.bits[:words]
 	}
 	thresh := s.thresh
-	uvs := s.core.uv
+	uvs := s.g.uv
 	i := uint64(idx)
 	m := 0
 	for wi := 0; wi < words; wi++ {

@@ -1,11 +1,24 @@
 package uncertain
 
+import "math"
+
 // MeanProb returns the average edge probability, or 0 for an edgeless
 // graph.
-func (g *Graph) MeanProb() float64 { return meanProb(g.edges) }
+func (g *Graph) MeanProb() float64 {
+	if len(g.edges) == 0 {
+		return 0
+	}
+	return g.ExpectedNumEdges() / float64(len(g.edges))
+}
 
 // ExpectedNumEdges returns E[|E(world)|] = sum of edge probabilities.
-func (g *Graph) ExpectedNumEdges() float64 { return expectedNumEdges(g.edges) }
+func (g *Graph) ExpectedNumEdges() float64 {
+	var s float64
+	for _, e := range g.edges {
+		s += e.P
+	}
+	return s
+}
 
 // ExpectedAvgDegree returns E[average degree] = 2*sum(p)/|V|.
 func (g *Graph) ExpectedAvgDegree() float64 {
@@ -28,7 +41,23 @@ func (g *Graph) ExpectedDegrees() []float64 {
 // DegreeStdDev returns the standard deviation of the expected-degree
 // property across vertices. Used as the kernel bandwidth theta = sigma_G of
 // the uniqueness score (Definition 4).
-func (g *Graph) DegreeStdDev() float64 { return degreeStdDev(g.n, g.ExpectedDegrees()) }
+func (g *Graph) DegreeStdDev() float64 {
+	if g.n == 0 {
+		return 0
+	}
+	degs := g.ExpectedDegrees()
+	var mean float64
+	for _, d := range degs {
+		mean += d
+	}
+	mean /= float64(g.n)
+	var ss float64
+	for _, d := range degs {
+		diff := d - mean
+		ss += diff * diff
+	}
+	return math.Sqrt(ss / float64(g.n))
+}
 
 // MaxStructuralDegree returns the maximum structural degree over vertices.
 func (g *Graph) MaxStructuralDegree() int {
@@ -43,7 +72,20 @@ func (g *Graph) MaxStructuralDegree() int {
 
 // ProbHistogram buckets the edge probabilities into `bins` equal-width bins
 // over [0,1] and returns the per-bin counts. p = 1 lands in the last bin.
-func (g *Graph) ProbHistogram(bins int) []int { return probHistogram(g.edges, bins) }
+func (g *Graph) ProbHistogram(bins int) []int {
+	if bins <= 0 {
+		bins = 10
+	}
+	h := make([]int, bins)
+	for _, e := range g.edges {
+		b := int(e.P * float64(bins))
+		if b >= bins {
+			b = bins - 1
+		}
+		h[b]++
+	}
+	return h
+}
 
 // StructuralDegreeHistogram returns counts[d] = number of vertices with
 // structural degree d.

@@ -2,15 +2,56 @@ package uncertain
 
 import "fmt"
 
-// FromEdges builds a graph over n vertices from an edge list; a
-// convenience constructor for literals and loaders.
+// FromEdges builds a graph over n vertices from an edge list. The result
+// equals the AddEdge loop over edges: the same checks in the same order
+// (so the same error for the same first bad edge), the same edge indices,
+// the same per-vertex adjacency order (edge-index order) and Version() ==
+// len(edges). It is the loaders' bulk path: degrees are counted into
+// offsets and every adjacency list is a capacity-capped window of one
+// shared half-edge array, so the build makes a handful of allocations
+// instead of one per vertex. edges is not retained.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e.U, e.V, e.P); err != nil {
+	if n < 0 {
+		n = 0
+	}
+	m := len(edges)
+	g := &Graph{
+		n:     n,
+		edges: make([]Edge, m),
+		uv:    make([]uint64, m),
+		adj:   make([][]halfEdge, n),
+		index: make(map[[2]NodeID]int32, m),
+	}
+	off := make([]int, n+1)
+	for i, e := range edges {
+		if err := g.checkEdge(e.U, e.V, e.P); err != nil {
 			return nil, err
 		}
+		key := canonical(e.U, e.V)
+		g.index[key] = int32(i)
+		if len(g.index) != i+1 {
+			return nil, fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, e.U, e.V)
+		}
+		g.edges[i] = Edge{U: key[0], V: key[1], P: e.P}
+		g.uv[i] = uint64(key[0])<<32 | uint64(key[1])
+		off[key[0]+1]++
+		off[key[1]+1]++
 	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// Each list starts empty with its capacity capped at its degree, so the
+	// appends below fill the shared array in place and a later AddEdge on
+	// the vertex reallocates instead of overwriting its neighbor's run.
+	back := make([]halfEdge, 2*m)
+	for v := range g.adj {
+		g.adj[v] = back[off[v]:off[v]:off[v+1]]
+	}
+	for i, e := range g.edges {
+		g.adj[e.U] = append(g.adj[e.U], halfEdge{To: e.V, Edge: int32(i)})
+		g.adj[e.V] = append(g.adj[e.V], halfEdge{To: e.U, Edge: int32(i)})
+	}
+	g.version = uint64(m)
 	return g, nil
 }
 
@@ -48,7 +89,7 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID, error) {
 // edges with probability >= tau. ThresholdWorld(0.5) is the most probable
 // world; ThresholdWorld(~0) approaches the support graph.
 func (g *Graph) ThresholdWorld(tau float64) *World {
-	w := &World{src: g, core: &g.edgeCore, bits: NewBitset(len(g.edges))}
+	w := &World{g: g, bits: NewBitset(len(g.edges))}
 	for i, e := range g.edges {
 		if e.P >= tau {
 			w.bits.Set(i)
@@ -62,7 +103,7 @@ func (g *Graph) ThresholdWorld(tau float64) *World {
 // (every edge with p > 0 counted as present), largest first. Useful for
 // understanding what reliability can ever connect.
 func (g *Graph) SupportComponents() [][]NodeID {
-	w := &World{src: g, core: &g.edgeCore, bits: NewBitset(len(g.edges))}
+	w := &World{g: g, bits: NewBitset(len(g.edges))}
 	for i, e := range g.edges {
 		if e.P > 0 {
 			w.bits.Set(i)

@@ -11,16 +11,13 @@ import (
 // is stored as a packed bitset (one bit per edge index), so per-world scans
 // iterate set bits word-parallel instead of one bool per edge.
 //
-// A World keeps a reference to the view it was sampled from (either a
-// *Graph or a *CSR) so that edge identities (indices) stay aligned between
-// the two, plus a direct handle on the packed storage so the component
-// kernels never pay interface dispatch.
+// A World keeps a reference to the graph it was sampled from so that edge
+// identities (indices) stay aligned between the two.
 //
 // The zero value is an empty world not bound to any graph; it becomes
 // usable once a WorldSampler samples into it.
 type World struct {
-	src  View
-	core *edgeCore
+	g    *Graph
 	bits Bitset // per edge index
 	m    int    // number of present edges
 }
@@ -30,21 +27,37 @@ type World struct {
 // One Float64 is consumed per edge with 0 < p < 1, in edge-index order;
 // WorldSampler.SampleInto draws the identical world from the same PCG
 // state without allocating.
-func (g *Graph) SampleWorld(rng *rand.Rand) *World { return sampleWorldOf(g, rng) }
+func (g *Graph) SampleWorld(rng *rand.Rand) *World {
+	w := &World{g: g, bits: NewBitset(len(g.edges))}
+	for i, e := range g.edges {
+		if e.P >= 1 || (e.P > 0 && rng.Float64() < e.P) {
+			w.bits.Set(i)
+			w.m++
+		}
+	}
+	return w
+}
 
 // MostProbableWorld returns the world that includes exactly the edges with
 // p >= 0.5, which maximizes the world probability under independence.
-func (g *Graph) MostProbableWorld() *World { return mostProbableWorldOf(g) }
+func (g *Graph) MostProbableWorld() *World { return g.ThresholdWorld(0.5) }
 
 // WorldFromMask builds a world from an explicit edge-presence mask.
 // The mask is copied (packed) rather than referenced.
-func (g *Graph) WorldFromMask(present []bool) *World { return worldFromMaskOf(g, present) }
+func (g *Graph) WorldFromMask(present []bool) *World {
+	if len(present) != len(g.edges) {
+		panic("uncertain: mask length mismatch")
+	}
+	w := &World{g: g, bits: BitsetFromMask(present)}
+	w.m = w.bits.Count()
+	return w
+}
 
-// Source returns the view this world was sampled from.
-func (w *World) Source() View { return w.src }
+// Source returns the graph this world was sampled from.
+func (w *World) Source() *Graph { return w.g }
 
 // NumNodes returns |V|.
-func (w *World) NumNodes() int { return w.core.n }
+func (w *World) NumNodes() int { return w.g.n }
 
 // NumEdges returns the number of edges present in this world.
 func (w *World) NumEdges() int { return w.m }
@@ -75,26 +88,26 @@ func (w *World) Bits() Bitset { return w.bits }
 
 // PresenceMask returns the presence mask unpacked into a fresh bool slice.
 // It allocates; hot paths should iterate Bits instead.
-func (w *World) PresenceMask() []bool { return w.bits.Mask(len(w.core.edges)) }
+func (w *World) PresenceMask() []bool { return w.bits.Mask(len(w.g.edges)) }
 
 // Degree returns the degree of v in this world.
 func (w *World) Degree(v NodeID) int {
 	d := 0
-	w.src.forIncident(v, func(_ NodeID, e int32) {
-		if w.bits.Get(int(e)) {
+	for _, he := range w.g.adj[v] {
+		if w.bits.Get(int(he.Edge)) {
 			d++
 		}
-	})
+	}
 	return d
 }
 
 // Neighbors appends v's neighbors in this world to buf and returns it.
 func (w *World) Neighbors(v NodeID, buf []NodeID) []NodeID {
-	w.src.forIncident(v, func(to NodeID, e int32) {
-		if w.bits.Get(int(e)) {
-			buf = append(buf, to)
+	for _, he := range w.g.adj[v] {
+		if w.bits.Get(int(he.Edge)) {
+			buf = append(buf, he.To)
 		}
-	})
+	}
 	return buf
 }
 
@@ -113,12 +126,12 @@ func (w *World) ComponentsInto(d *unionfind.DSU) *unionfind.DSU {
 // count falls out of the union loop and skips ConnectedPairs' O(|V|) root
 // scan. This is the per-world call of the Monte Carlo estimators.
 func (w *World) ComponentsPairsInto(d *unionfind.DSU) (*unionfind.DSU, int64) {
-	if d == nil || d.Len() != w.core.n {
-		d = unionfind.New(w.core.n)
+	if d == nil || d.Len() != w.g.n {
+		d = unionfind.New(w.g.n)
 	} else {
 		d.Reset()
 	}
-	pairs := d.UnionBitsetEdges(w.bits, w.core.uv)
+	pairs := d.UnionBitsetEdges(w.bits, w.g.uv)
 	return d, pairs
 }
 
@@ -131,8 +144,8 @@ func (w *World) Components() *unionfind.DSU {
 // component representative.
 func (w *World) ComponentLabels() []int32 {
 	d := w.Components()
-	labels := make([]int32, w.core.n)
-	for v := 0; v < w.core.n; v++ {
+	labels := make([]int32, w.g.n)
+	for v := 0; v < w.g.n; v++ {
 		labels[v] = int32(d.Find(v))
 	}
 	return labels
@@ -147,7 +160,7 @@ func (w *World) ConnectedPairs() int64 {
 // BFSDistances computes single-source shortest-path hop distances from src
 // in this world. Unreachable vertices get -1.
 func (w *World) BFSDistances(src NodeID) []int32 {
-	dist := make([]int32, w.core.n)
+	dist := make([]int32, w.g.n)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -157,15 +170,12 @@ func (w *World) BFSDistances(src NodeID) []int32 {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		w.src.forIncident(u, func(to NodeID, e int32) {
-			if !w.bits.Get(int(e)) {
-				return
+		for _, he := range w.g.adj[u] {
+			if w.bits.Get(int(he.Edge)) && dist[he.To] < 0 {
+				dist[he.To] = dist[u] + 1
+				queue = append(queue, he.To)
 			}
-			if dist[to] < 0 {
-				dist[to] = dist[u] + 1
-				queue = append(queue, to)
-			}
-		})
+		}
 	}
 	return dist
 }
@@ -174,18 +184,18 @@ func (w *World) BFSDistances(src NodeID) []int32 {
 // algorithms that iterate neighborhoods repeatedly (e.g. clustering
 // coefficient, ANF).
 func (w *World) AdjacencyLists() [][]NodeID {
-	deg := make([]int, w.core.n)
-	for i, e := range w.core.edges {
+	deg := make([]int, w.g.n)
+	for i, e := range w.g.edges {
 		if w.bits.Get(i) {
 			deg[e.U]++
 			deg[e.V]++
 		}
 	}
-	lists := make([][]NodeID, w.core.n)
+	lists := make([][]NodeID, w.g.n)
 	for v := range lists {
 		lists[v] = make([]NodeID, 0, deg[v])
 	}
-	for i, e := range w.core.edges {
+	for i, e := range w.g.edges {
 		if w.bits.Get(i) {
 			lists[e.U] = append(lists[e.U], e.V)
 			lists[e.V] = append(lists[e.V], e.U)

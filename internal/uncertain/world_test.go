@@ -171,8 +171,8 @@ func TestAdjacencyListsMatchNeighbors(t *testing.T) {
 func TestWorldGraphBackref(t *testing.T) {
 	g := pathGraph(t, 3, 0.5)
 	w := g.MostProbableWorld()
-	if w.Source() != View(g) {
-		t.Fatal("World.Source should return the source view")
+	if w.Source() != g {
+		t.Fatal("World.Source should return the source graph")
 	}
 	if w.NumNodes() != 3 {
 		t.Fatalf("NumNodes = %d", w.NumNodes())
