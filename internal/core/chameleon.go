@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"chameleon/internal/obs"
 	"chameleon/internal/privacy"
@@ -241,19 +242,32 @@ func (st *searchState) clearCheckpoint() {
 
 // searchState holds everything GenObf needs that is invariant across the
 // sigma search: the input graph, the privacy/utility scores, the exclusion
-// set and the vertex sampling distribution.
+// set and the vertex sampling distribution. It also owns the attempts'
+// working state, reused from one attempt to the next; the input graph is
+// only ever read.
 type searchState struct {
 	g        *uncertain.Graph
 	p        Params
-	prop     []int // adversary property (default: rounded expected degree)
-	excl     map[uncertain.NodeID]bool
+	prop     []int     // adversary property (default: rounded expected degree)
+	excl     []bool    // exclusion set H, by vertex
 	q        []float64 // per-vertex selection weight Q^v (0 for excluded)
-	cumQ     []float64 // cumulative weights for sampling
+	qs       qSampler  // draws vertices from Q
 	target   int       // |E_C| target = c*|E|
 	seq      uint64    // attempt counter for RNG derivation
 	phase    *obs.Span // current search-phase span; genObf nests under it
 	gHash    uint64    // cached input fingerprint for checkpoints
 	lastCkpt int       // GenObfCalls at the last periodic checkpoint
+
+	// Attempt working state.
+	pcg      *rand.PCG  // the attempt's stream, reseeded per attempt
+	rng      *rand.Rand // reads pcg
+	work     *uncertain.Graph
+	removed  []uint32 // by edge index: == epoch when removed from E_C
+	epoch    uint32
+	addedSet map[[2]uncertain.NodeID]struct{}
+	added    [][2]uncertain.NodeID
+	cands    []candidate
+	qe       []float64
 }
 
 // newSearchState records the uniqueness and (for RSME and RS) the
@@ -280,7 +294,7 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	// Exclusion: the ceil(eps/2 * |V|) vertices with the largest combined
 	// uniqueness-and-relevance score are exempted from obfuscation effort.
 	hSize := int(math.Ceil(p.Epsilon / 2 * float64(n)))
-	excl := make(map[uncertain.NodeID]bool, hSize)
+	excl := make([]bool, n)
 	if hSize > 0 {
 		combined := make([]float64, n)
 		for v := 0; v < n; v++ {
@@ -291,7 +305,7 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 			}
 		}
 		for _, v := range topK(combined, hSize) {
-			excl[uncertain.NodeID(v)] = true
+			excl[v] = true
 		}
 	}
 
@@ -300,13 +314,13 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	// non-excluded vertices per Algorithm 3 line 5.
 	maxVRR := 0.0
 	for v := 0; v < n; v++ {
-		if !excl[uncertain.NodeID(v)] && vrr[v] > maxVRR {
+		if !excl[v] && vrr[v] > maxVRR {
 			maxVRR = vrr[v]
 		}
 	}
 	q := make([]float64, n)
 	for v := 0; v < n; v++ {
-		if excl[uncertain.NodeID(v)] {
+		if excl[v] {
 			continue
 		}
 		w := uniq[v]
@@ -326,7 +340,7 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 		// Degenerate scores: fall back to uniform over non-excluded.
 		total = 0
 		for v := 0; v < n; v++ {
-			if !excl[uncertain.NodeID(v)] {
+			if !excl[v] {
 				q[v] = 1
 			}
 			total += q[v]
@@ -347,7 +361,13 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	if prop == nil {
 		prop = privacy.DegreeProperty(g)
 	}
-	return &searchState{g: g, p: p, prop: prop, excl: excl, q: q, cumQ: cum, target: target}, nil
+	pcg := rand.NewPCG(0, 0)
+	return &searchState{
+		g: g, p: p, prop: prop, excl: excl, q: q, qs: newQSampler(cum), target: target,
+		pcg: pcg, rng: rand.New(pcg),
+		removed:  make([]uint32, g.NumEdges()),
+		addedSet: make(map[[2]uncertain.NodeID]struct{}),
+	}, nil
 }
 
 // topK returns the indices of the k largest scores.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"chameleon/internal/gen"
@@ -181,6 +183,41 @@ func TestAnonymizeDoesNotMutateInput(t *testing.T) {
 	}
 	if !g.Equal(before) {
 		t.Fatal("Anonymize must not mutate its input")
+	}
+}
+
+// TestConcurrentAnonymizeSharedInput: two runs over one shared input
+// graph, at once, publish identical bytes. Each run rolls back its own
+// working clone, so the input is only read; under -race this also checks
+// that no reader of the shared graph writes to it.
+func TestConcurrentAnonymizeSharedInput(t *testing.T) {
+	g := testGraph(t, 6)
+	p := Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 3, Workers: 2}
+	var out [2][]byte
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := Anonymize(g, p)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var buf bytes.Buffer
+			errs[i] = uncertain.WriteBinaryV2(&buf, res.Graph)
+			out[i] = buf.Bytes()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Fatal("concurrent runs over one shared input published different bytes")
 	}
 }
 

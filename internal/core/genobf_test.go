@@ -4,9 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"chameleon/internal/gen"
 	"chameleon/internal/privacy"
 	"chameleon/internal/uncertain"
 )
@@ -57,7 +60,7 @@ func TestSelectCandidatesExcludedNeverSampled(t *testing.T) {
 	g := testGraph(t, 11)
 	p := Params{K: 5, Epsilon: 0.2, Samples: 50, Seed: 1}
 	st := newState(t, g, p)
-	if len(st.excl) == 0 {
+	if !slices.Contains(st.excl, true) {
 		t.Fatal("test needs a nonempty exclusion set")
 	}
 	rng := rand.New(rand.NewPCG(3, 4))
@@ -181,5 +184,171 @@ func TestInjectedEdgePruning(t *testing.T) {
 	pub := st.perturb(cands, 1e-9, rng)
 	if pub.NumEdges() > g.NumEdges() {
 		t.Fatalf("near-zero noise should not add edges: %d -> %d", g.NumEdges(), pub.NumEdges())
+	}
+}
+
+// brightkiteGraph is a brightkite-s shaped graph: BA topology, two edges
+// per new vertex, small probabilities with mean 0.29.
+func brightkiteGraph(t testing.TB, n int) *uncertain.Graph {
+	t.Helper()
+	g, err := gen.BarabasiAlbert(n, 2, gen.SmallProbs(0.29), rand.New(rand.NewPCG(7, 0xa12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// warmAttempt returns a search state over g whose working graph has run
+// one attempt at sigma already.
+func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *searchState {
+	t.Helper()
+	st, err := newSearchState(context.Background(), nil, g, Params{K: 40, Epsilon: 0.01, Seed: 7, Variant: ME}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.seq = 1
+	if _, _, err := st.attempt(sigma); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkGenObfAttempt times one warm GenObf attempt — candidate
+// selection, perturbation into the rolled-back working graph and the
+// obfuscation check — on the 3.6k-node brightkite-s graph of the
+// anon-search benchmark workload, a fresh RNG stream per iteration.
+func BenchmarkGenObfAttempt(b *testing.B) {
+	st := warmAttempt(b, brightkiteGraph(b, 3600), 0.001)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.seq++
+		if _, _, err := st.attempt(0.001); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAttemptAllocationsSizeIndependent: once the working graph and the
+// selection buffers have grown, repeating an attempt allocates the same
+// handful of objects whatever the graph size — nothing per vertex, per
+// edge or per candidate.
+func TestAttemptAllocationsSizeIndependent(t *testing.T) {
+	allocs := func(n int) float64 {
+		st := warmAttempt(t, brightkiteGraph(t, n), 0.3)
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := st.attempt(0.3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(400), allocs(3600)
+	if small != large {
+		t.Fatalf("a warm attempt allocates %v objects at 400 vertices but %v at 3600", small, large)
+	}
+	t.Logf("a warm attempt allocates %v objects", small)
+}
+
+// FuzzQSampler: the guide-table search returns sort.SearchFloat64s' index
+// over the cumulative weights, clamped to n-1, for every x — and so
+// sampleVertex draws the vertex the binary search drew from the same
+// rng.Float64(). Each weight byte below 64 is a zero weight (an excluded
+// vertex), the rest span twelve binary orders of magnitude; x runs over 0,
+// the total and just below it, every cumulative weight and bucket edge
+// and their float neighbors, and a fuzzed fraction of the total.
+func FuzzQSampler(f *testing.F) {
+	f.Add([]byte{200}, 0.5)
+	f.Add([]byte{0, 0, 0}, 0.25)
+	f.Add([]byte{0, 0, 130, 0, 0, 255, 64, 0}, 0.999)
+	f.Add([]byte{65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75}, 0.0)
+	f.Add([]byte{255, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 64}, 0.7)
+	f.Fuzz(func(t *testing.T, weights []byte, frac float64) {
+		if len(weights) == 0 || len(weights) > 4096 {
+			return
+		}
+		cum := make([]float64, len(weights))
+		var total float64
+		for i, b := range weights {
+			if b >= 64 {
+				total += math.Ldexp(float64(b&15+1), int(b>>4)-8)
+			}
+			cum[i] = total
+		}
+		s := newQSampler(cum)
+		check := func(x float64) {
+			want := sort.SearchFloat64s(cum, x)
+			if want >= len(cum) {
+				want = len(cum) - 1
+			}
+			if got := s.search(x); got != want {
+				t.Fatalf("search(%v) = %d, want %d (cum %v)", x, got, want, cum)
+			}
+		}
+		around := func(x float64) {
+			check(x)
+			check(math.Nextafter(x, math.Inf(-1)))
+			check(math.Nextafter(x, math.Inf(1)))
+		}
+		check(0)
+		around(total)
+		for _, c := range cum {
+			around(c)
+		}
+		if s.scale > 0 {
+			for b := 1; b < len(cum); b++ {
+				around(float64(b) / s.scale)
+			}
+		}
+		if frac = math.Abs(frac); frac < 1 {
+			check(frac * total)
+		}
+
+		st := &searchState{qs: s}
+		rng := rand.New(rand.NewPCG(uint64(len(weights)), 1))
+		ref := rand.New(rand.NewPCG(uint64(len(weights)), 1))
+		for i := 0; i < 64; i++ {
+			want := sort.SearchFloat64s(cum, ref.Float64()*total)
+			if want >= len(cum) {
+				want = len(cum) - 1
+			}
+			if got := st.sampleVertex(rng); int(got) != want {
+				t.Fatalf("draw %d: sampleVertex = %d, binary search drew %d", i, got, want)
+			}
+		}
+	})
+}
+
+// TestGenObfNeverWritesEscapedGraphs: the input, and every graph a GenObf
+// call has returned, keep their fingerprint through all later calls —
+// the working graph is rolled back in place, and a winner leaves the
+// search state for good.
+func TestGenObfNeverWritesEscapedGraphs(t *testing.T) {
+	g := testGraph(t, 5)
+	inputFP := uncertain.Fingerprint(g)
+	st := newState(t, g, Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: ME})
+	type escaped struct {
+		g  *uncertain.Graph
+		fp uint64
+	}
+	var out []escaped
+	res := &Result{}
+	for _, sigma := range []float64{0.001, 0.3, 0.05, 0.6, 0.2, 1, 0.4, 0.15} {
+		if o := st.genObf(context.Background(), sigma, res); o.ok() {
+			out = append(out, escaped{o.graph, uncertain.Fingerprint(o.graph)})
+		}
+	}
+	if len(out) < 2 {
+		t.Fatalf("only %d of the calls returned a graph; the test needs two", len(out))
+	}
+	if got := uncertain.Fingerprint(g); got != inputFP {
+		t.Fatalf("input fingerprint %#x, was %#x", got, inputFP)
+	}
+	for i, e := range out {
+		if e.g == st.work {
+			t.Fatalf("returned graph %d is the working graph", i)
+		}
+		if got := uncertain.Fingerprint(e.g); got != e.fp {
+			t.Fatalf("returned graph %d: fingerprint %#x, was %#x when returned", i, got, e.fp)
+		}
 	}
 }

@@ -97,6 +97,40 @@ func TestRepAnPinnedOutput(t *testing.T) {
 	}
 }
 
+// TestVariantPinnedOutput: fixed-seed RSME, RS and ME runs on testGraph(5)
+// publish the exact bytes, and walk the exact σ-search, that they did
+// while every GenObf attempt still deep-copied the input.
+func TestVariantPinnedOutput(t *testing.T) {
+	for _, pin := range []struct {
+		variant     Variant
+		sha256      string
+		epsilon     float64
+		sigma       float64
+		calls, atts int
+	}{
+		{RSME, "495e8e3d63e14460362826fbe6031977cc3dcaccc26026fcd55cbde9efeac01b", 0.04, 0.14875000000000002, 12, 60},
+		{RS, "b8a43243512b5ea4ffc33965aeb02c7716743ce14d19b5ee1025e9ff8c650257", 0.04, 0.9220000000000002, 15, 75},
+		{ME, "2a834c606636c0fd99d13553099e93b97c142d38f7c23e2b1c9ea8c7364fc8e8", 0.04, 0.184, 12, 60},
+	} {
+		t.Run(pin.variant.String(), func(t *testing.T) {
+			res, err := Anonymize(testGraph(t, 5), Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: pin.variant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(encodeGraph(t, res.Graph))
+			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
+				t.Errorf("output sha256 = %s, want %s", got, pin.sha256)
+			}
+			if res.EpsilonTilde != pin.epsilon || res.Sigma != pin.sigma ||
+				res.GenObfCalls != pin.calls || res.Attempts != pin.atts {
+				t.Errorf("(ε~=%v, σ=%v, %d calls, %d attempts), want (%v, %v, %d, %d)",
+					res.EpsilonTilde, res.Sigma, res.GenObfCalls, res.Attempts,
+					pin.epsilon, pin.sigma, pin.calls, pin.atts)
+			}
+		})
+	}
+}
+
 // TestResumeRepAnCheckpoint resumes testdata/repan-checkpoint.json, a
 // Rep-An search interrupted mid-bisection by the build in which Rep-An
 // still lived in package repan, and requires the result to be

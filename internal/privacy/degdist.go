@@ -15,8 +15,13 @@ import (
 // (the Poisson-binomial distribution) by dynamic programming:
 // out[j] = Pr[exactly j successes], j in 0..len(probs).
 func DegreeDistribution(probs []float64) []float64 {
-	dist := make([]float64, 1, len(probs)+1)
-	dist[0] = 1
+	return degreeDistributionInto(make([]float64, 0, len(probs)+1), probs)
+}
+
+// degreeDistributionInto is DegreeDistribution written over dist's
+// storage: it allocates nothing when cap(dist) > len(probs).
+func degreeDistributionInto(dist, probs []float64) []float64 {
+	dist = append(dist[:0], 1)
 	for _, p := range probs {
 		dist = append(dist, 0)
 		q := 1 - p

@@ -54,28 +54,33 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 	if k > n {
 		return ObfuscationReport{}, fmt.Errorf("privacy: k=%d exceeds |V|=%d; no graph can satisfy it", k, n)
 	}
-	maxW := pub.MaxStructuralDegree()
+	maxDeg := pub.MaxStructuralDegree()
+	maxW := maxDeg
 	for _, w := range property {
 		if w > maxW {
 			maxW = w
 		}
 	}
 
-	dists := VertexDegreeDistributions(pub)
-
-	// mass[w] = sum_u Pr[deg(u) = w]
+	// One pass over the vertices in ascending order: each vertex's
+	// distribution goes into one reused buffer and is folded straight into
+	//
+	//	mass[w]     = sum_u Pr[deg(u) = w]
+	//	sumPlogP[w] = sum_u p log2 p   over p = Pr[deg(u) = w] > 0
+	//
+	// Every per-degree sum adds the vertices in the same order as summing
+	// the stored distributions would, so the bits do not depend on the
+	// buffering. H(Y_w) = -sum_u y log2 y with y = Pr[deg(u)=w]/mass[w]
+	//                   = log2(mass[w]) - (1/mass[w]) * sumPlogP[w].
+	probs := make([]float64, 0, maxDeg)
+	dist := make([]float64, 0, maxDeg+1)
 	mass := make([]float64, maxW+1)
-	for _, d := range dists {
-		for w, p := range d {
-			mass[w] += p
-		}
-	}
-
-	// H(Y_w) = -sum_u y log2 y with y = Pr[deg(u)=w]/mass[w]
-	//        = log2(mass[w]) - (1/mass[w]) * sum_u p log2 p   (p > 0)
 	sumPlogP := make([]float64, maxW+1)
-	for _, d := range dists {
-		for w, p := range d {
+	for u := 0; u < n; u++ {
+		probs = pub.IncidentProbs(uncertain.NodeID(u), probs[:0])
+		dist = degreeDistributionInto(dist, probs)
+		for w, p := range dist {
+			mass[w] += p
 			if p > 0 {
 				sumPlogP[w] += p * math.Log2(p)
 			}

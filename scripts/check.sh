@@ -41,7 +41,7 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
-echo "== go test -race -count=2 (telemetry, MC workers, CLI runner, job plane) =="
+echo "== go test -race -count=2 (telemetry, MC workers, CLI runner, job plane, σ-search) =="
 # The expose differ, journal writer and quality streams are the
 # concurrency-heavy additions, and the reliability worker pools plus the
 # runner's signal/cancellation paths cross goroutines by design; a
@@ -60,8 +60,10 @@ echo "== go test -race -count=2 (telemetry, MC workers, CLI runner, job plane) =
 # subprocess tests race in the main pass above and smoke below; they are
 # too heavy to double.) internal/metrics, internal/centrality and
 # internal/weighted sample their worlds on the same scheduler through
-# reliability.ForEachWorld, one world per claim.
-go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/... ./internal/metrics/... ./internal/centrality/... ./internal/weighted/...
+# reliability.ForEachWorld, one world per claim. internal/core runs
+# concurrent anonymizations over one shared input graph, which each
+# search only reads while it rolls its own working clone back per attempt.
+go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/... ./internal/metrics/... ./internal/centrality/... ./internal/weighted/... ./internal/core/...
 
 coverage_floor="${COVERAGE_FLOOR:-78.4}"
 echo "== coverage (floor ${coverage_floor}%) =="
@@ -92,6 +94,7 @@ else
     go test -run '^$' -fuzz '^FuzzGraphRoundTrip$'     -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzDegreeDistribution$' -fuzztime "$fuzz_budget" ./internal/privacy/
     go test -run '^$' -fuzz '^FuzzCommonness$'         -fuzztime "$fuzz_budget" ./internal/testkit/
+    go test -run '^$' -fuzz '^FuzzQSampler$'           -fuzztime "$fuzz_budget" ./internal/core/
     go test -run '^$' -fuzz '^FuzzJobRequest$'         -fuzztime "$fuzz_budget" ./internal/jobs/
 fi
 
