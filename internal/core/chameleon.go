@@ -240,25 +240,37 @@ func (st *searchState) clearCheckpoint() {
 	}
 }
 
-// searchState holds everything GenObf needs that is invariant across the
-// sigma search: the input graph, the privacy/utility scores, the exclusion
-// set and the vertex sampling distribution. It also owns the attempts'
-// working state, reused from one attempt to the next; the input graph is
-// only ever read.
+// searchState is the σ-search's state: the read-only inputs every GenObf
+// attempt reads, the RNG stream position, and one attempt slot per worker.
 type searchState struct {
-	g        *uncertain.Graph
-	p        Params
-	prop     []int     // adversary property (default: rounded expected degree)
-	excl     []bool    // exclusion set H, by vertex
-	q        []float64 // per-vertex selection weight Q^v (0 for excluded)
-	qs       qSampler  // draws vertices from Q
-	target   int       // |E_C| target = c*|E|
+	searchInputs
 	seq      uint64    // attempt counter for RNG derivation
 	phase    *obs.Span // current search-phase span; genObf nests under it
 	gHash    uint64    // cached input fingerprint for checkpoints
 	lastCkpt int       // GenObfCalls at the last periodic checkpoint
 
-	// Attempt working state.
+	slots []*attemptSlot   // per-worker attempt state; slots[0] always exists
+	best  []uncertain.Edge // edge list of the current call's best attempt
+}
+
+// searchInputs holds everything GenObf needs that is invariant across the
+// sigma search: the input graph, the privacy/utility scores, the exclusion
+// set and the vertex sampling distribution. It is only ever read once the
+// search starts, so every attempt slot shares it.
+type searchInputs struct {
+	g      *uncertain.Graph
+	p      Params
+	prop   []int     // adversary property (default: rounded expected degree)
+	excl   []bool    // exclusion set H, by vertex
+	q      []float64 // per-vertex selection weight Q^v (0 for excluded)
+	qs     qSampler  // draws vertices from Q
+	target int       // |E_C| target = c*|E|
+}
+
+// attemptSlot is one worker's attempt state, reused from one attempt to
+// the next. The input graph is only ever read.
+type attemptSlot struct {
+	*searchInputs
 	pcg      *rand.PCG  // the attempt's stream, reseeded per attempt
 	rng      *rand.Rand // reads pcg
 	work     *uncertain.Graph
@@ -266,8 +278,15 @@ type searchState struct {
 	epoch    uint32
 	addedSet map[[2]uncertain.NodeID]struct{}
 	added    [][2]uncertain.NodeID
-	cands    []candidate
-	qe       []float64
+}
+
+func (in *searchInputs) newSlot() *attemptSlot {
+	pcg := rand.NewPCG(0, 0)
+	return &attemptSlot{
+		searchInputs: in, pcg: pcg, rng: rand.New(pcg),
+		removed:  make([]uint32, in.g.NumEdges()),
+		addedSet: make(map[[2]uncertain.NodeID]struct{}),
+	}
 }
 
 // newSearchState records the uniqueness and (for RSME and RS) the
@@ -276,7 +295,7 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	n := g.NumNodes()
 
 	span := pre.StartChild("uniqueness")
-	uniq, distinct := privacy.VertexUniquenessDistinct(g)
+	uniq, distinct := privacy.VertexUniquenessDistinct(g, p.Workers)
 	span.SetAttr("n", n)
 	span.SetAttr("distinct", distinct)
 	span.End()
@@ -361,13 +380,11 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	if prop == nil {
 		prop = privacy.DegreeProperty(g)
 	}
-	pcg := rand.NewPCG(0, 0)
-	return &searchState{
+	st := &searchState{searchInputs: searchInputs{
 		g: g, p: p, prop: prop, excl: excl, q: q, qs: newQSampler(cum), target: target,
-		pcg: pcg, rng: rand.New(pcg),
-		removed:  make([]uint32, g.NumEdges()),
-		addedSet: make(map[[2]uncertain.NodeID]struct{}),
-	}, nil
+	}}
+	st.slots = []*attemptSlot{st.newSlot()}
+	return st, nil
 }
 
 // topK returns the indices of the k largest scores.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -63,50 +64,73 @@ func encodeGraph(t *testing.T, g *uncertain.Graph) []byte {
 // range of interruption points — mid-exponential-search, mid-bisection,
 // deep into the search — resuming from the written checkpoint yields a
 // result bit-identical (graph bytes, sigma, epsilon, effort counters) to
-// the uninterrupted run.
+// the uninterrupted run, with the attempts on one worker or two. Every
+// cut falls inside a GenObf call after some of its attempts ran, and the
+// cut call is discarded whole: the checkpoint holds the stream position
+// and effort totals of the last completed call.
 func TestResumeBitIdentical(t *testing.T) {
 	g := testGraph(t, 5)
-	full, err := Anonymize(g, ckParams(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullBytes := encodeGraph(t, full.Graph)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			params := func(path string) Params {
+				p := ckParams(path)
+				p.Workers = workers
+				return p
+			}
+			full, err := Anonymize(g, params(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullBytes := encodeGraph(t, full.Graph)
+			attempts := params("").withDefaults().Attempts
 
-	for _, limit := range []int64{2, 8, 20, 45, 80} {
-		ckPath := filepath.Join(t.TempDir(), "search.ckpt")
-		p := ckParams(ckPath)
-		partial, err := AnonymizeContext(newStepCtx(limit), g, p)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("limit %d: interrupted run error = %v, want context.Canceled", limit, err)
-		}
-		if partial == nil {
-			t.Fatalf("limit %d: interrupted run must return a partial result", limit)
-		}
-		ck, err := LoadCheckpoint(ckPath)
-		if err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
+			// ctx is polled once after the precompute, then per call
+			// once per claimed attempt and once at wrap-up: poll
+			// limit+1, the first to fail, is attempt limit-6c of call
+			// c+1 for c = (limit-1)/6 — the second or third for every
+			// limit below.
+			for _, limit := range []int64{2, 8, 20, 45, 80} {
+				ckPath := filepath.Join(t.TempDir(), "search.ckpt")
+				p := params(ckPath)
+				partial, err := AnonymizeContext(newStepCtx(limit), g, p)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("limit %d: interrupted run error = %v, want context.Canceled", limit, err)
+				}
+				if partial == nil {
+					t.Fatalf("limit %d: interrupted run must return a partial result", limit)
+				}
+				ck, err := LoadCheckpoint(ckPath)
+				if err != nil {
+					t.Fatalf("limit %d: %v", limit, err)
+				}
+				calls := int(limit-1) / (attempts + 1)
+				if ck.GenObfCalls != calls || ck.AttemptCount != calls*attempts || ck.Seq != uint64(calls*attempts) {
+					t.Errorf("limit %d: checkpoint (%d calls, %d attempts, seq %d), want the %d completed calls' (%d, %d, %d)",
+						limit, ck.GenObfCalls, ck.AttemptCount, ck.Seq, calls, calls, calls*attempts, calls*attempts)
+				}
 
-		p.Resume = ck
-		resumed, err := AnonymizeContext(context.Background(), g, p)
-		if err != nil {
-			t.Fatalf("limit %d: resumed run: %v", limit, err)
-		}
-		if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde {
-			t.Errorf("limit %d: resumed (sigma=%v, eps~=%v) != full (sigma=%v, eps~=%v)",
-				limit, resumed.Sigma, resumed.EpsilonTilde, full.Sigma, full.EpsilonTilde)
-		}
-		if resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
-			t.Errorf("limit %d: resumed effort (%d calls, %d attempts) != full (%d, %d)",
-				limit, resumed.GenObfCalls, resumed.Attempts, full.GenObfCalls, full.Attempts)
-		}
-		if !bytes.Equal(encodeGraph(t, resumed.Graph), fullBytes) {
-			t.Errorf("limit %d: resumed graph bytes differ from uninterrupted run", limit)
-		}
-		// The completed resume must clean its checkpoint up.
-		if _, err := os.Stat(ckPath); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("limit %d: checkpoint survived a completed run (stat err %v)", limit, err)
-		}
+				p.Resume = ck
+				resumed, err := AnonymizeContext(context.Background(), g, p)
+				if err != nil {
+					t.Fatalf("limit %d: resumed run: %v", limit, err)
+				}
+				if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde {
+					t.Errorf("limit %d: resumed (sigma=%v, eps~=%v) != full (sigma=%v, eps~=%v)",
+						limit, resumed.Sigma, resumed.EpsilonTilde, full.Sigma, full.EpsilonTilde)
+				}
+				if resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+					t.Errorf("limit %d: resumed effort (%d calls, %d attempts) != full (%d, %d)",
+						limit, resumed.GenObfCalls, resumed.Attempts, full.GenObfCalls, full.Attempts)
+				}
+				if !bytes.Equal(encodeGraph(t, resumed.Graph), fullBytes) {
+					t.Errorf("limit %d: resumed graph bytes differ from uninterrupted run", limit)
+				}
+				// The completed resume must clean its checkpoint up.
+				if _, err := os.Stat(ckPath); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("limit %d: checkpoint survived a completed run (stat err %v)", limit, err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"sync"
+	"sync/atomic"
 
 	"chameleon/internal/privacy"
 	"chameleon/internal/truncnorm"
@@ -53,59 +55,105 @@ func (st *searchState) genObfCtx(ctx context.Context, sigma float64, res *Result
 // genObf implements Algorithm 3: t randomized trials of edge selection and
 // perturbation at noise level sigma, returning the trial with the smallest
 // achieved epsilon~ that meets the tolerance, or epsilon~ = 1 on failure.
-// Cancellation is honored between attempts; a partial call's outcome is
-// discarded by genObfCtx.
 //
-// Every attempt builds its graph in st.work. Only a new best escapes: it
-// swaps places with the call's previous best, which becomes the working
-// graph of the next attempt (nil until the first winner, so the next
-// attempt clones the input afresh). A graph genObf returns is never
-// touched again.
+// Trial i of the call runs seq st.seq+i on its own stream, so trials are
+// independent: min(Workers, t) attempt slots claim them off one atomic
+// counter, and the winner is the accepted trial with the smallest
+// (epsilon~, seq) — exactly the one the serial strict-< scan picks, for
+// any worker count. One worker runs the trials in order inline, with no
+// goroutine. Cancellation is honored between attempts (each claimed trial
+// polls ctx once, so an uncancelled call polls it exactly t times); a
+// partial call's outcome is discarded by genObfCtx.
+//
+// Every attempt builds its graph in its slot's working graph, which no
+// winner ever takes: a new best copies its edge list into the call's best
+// list instead. At the end of the call the winner is rebuilt from that
+// list in slot 0's working graph, which leaves the slot for good (the
+// slot's next attempt clones the input afresh), so a graph genObf returns
+// is never touched again.
 func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) genObfOutcome {
 	res.GenObfCalls++
 	reg := st.p.Obs.Registry()
 	reg.Counter("core.genobf_calls").Inc()
+	attemptCtr, acceptCtr := reg.Counter("core.genobf_attempts"), reg.Counter("core.genobf_accepted")
+	t := st.p.Attempts
+	workers := min(st.p.workers(), t)
 	sp := st.phase.StartChild("genobf")
 	sp.SetAttr("sigma", sigma)
 	sp.SetAttr("call", res.GenObfCalls)
+	sp.SetAttr("workers", workers)
+	for len(st.slots) < workers {
+		st.slots = append(st.slots, st.newSlot())
+	}
 
-	best := genObfOutcome{epsilon: 1}
-	for t := 0; t < st.p.Attempts; t++ {
-		if ctx.Err() != nil {
-			break
-		}
-		res.Attempts++
-		reg.Counter("core.genobf_attempts").Inc()
-		asp := sp.StartChild("attempt")
-		asp.SetAttr("sigma", sigma)
-		st.seq++
-		pub, rep, err := st.attempt(sigma)
-		// Injected candidates that survived perturbation: pub keeps every
-		// original edge, so the edge-count delta is exactly the re-injected
-		// non-edges.
-		asp.SetAttr("injected_edges", pub.NumEdges()-st.g.NumEdges())
-		if err != nil {
-			asp.SetAttr("ok", false)
-			asp.SetAttr("error", err.Error())
+	base := st.seq
+	var (
+		next, ran atomic.Uint64
+		mu        sync.Mutex // guards bestEps, bestSeq and st.best
+		bestEps   = 1.0
+		bestSeq   uint64
+	)
+	run := func(a *attemptSlot) {
+		for {
+			i := next.Add(1)
+			if i > uint64(t) || ctx.Err() != nil {
+				return
+			}
+			seq := base + i
+			ran.Add(1)
+			attemptCtr.Inc()
+			asp := sp.StartChild("attempt")
+			asp.SetAttr("sigma", sigma)
+			asp.SetAttr("seq", seq)
+			pub, rep, err := a.attempt(seq, sigma)
+			// Injected candidates that survived perturbation: pub keeps
+			// every original edge, so the edge-count delta is exactly the
+			// re-injected non-edges.
+			asp.SetAttr("injected_edges", pub.NumEdges()-st.g.NumEdges())
+			if err != nil {
+				asp.SetAttr("ok", false)
+				asp.SetAttr("error", err.Error())
+				asp.End()
+				continue
+			}
+			accepted := rep.EpsilonTilde <= st.p.Epsilon
+			asp.SetAttr("epsilon_tilde", rep.EpsilonTilde)
+			asp.SetAttr("ok", accepted)
 			asp.End()
-			continue
-		}
-		accepted := rep.EpsilonTilde <= st.p.Epsilon
-		asp.SetAttr("epsilon_tilde", rep.EpsilonTilde)
-		asp.SetAttr("ok", accepted)
-		asp.End()
-		if accepted {
-			reg.Counter("core.genobf_accepted").Inc()
-		}
-		if accepted && rep.EpsilonTilde < best.epsilon {
-			best.epsilon = rep.EpsilonTilde
-			best.graph, st.work = st.work, best.graph
+			if !accepted {
+				continue
+			}
+			acceptCtr.Inc()
+			mu.Lock()
+			if rep.EpsilonTilde < bestEps || rep.EpsilonTilde == bestEps && seq < bestSeq {
+				bestEps, bestSeq = rep.EpsilonTilde, seq
+				st.best = pub.AppendEdges(st.best[:0])
+			}
+			mu.Unlock()
 		}
 	}
-	sp.SetAttr("ok", best.ok())
+	if workers == 1 {
+		run(st.slots[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, a := range st.slots[:workers] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(a)
+			}()
+		}
+		wg.Wait()
+	}
+	st.seq = base + uint64(t)
+	res.Attempts += int(ran.Load())
+
+	best := genObfOutcome{epsilon: bestEps}
 	if best.ok() {
+		best.graph = st.slots[0].publish(st.best)
 		sp.SetAttr("epsilon_tilde", best.epsilon)
 	}
+	sp.SetAttr("ok", best.ok())
 	sp.End()
 	reg.Latency("core.genobf_seconds").Observe(sp.Duration())
 	st.p.Obs.Debug("core: genobf", "sigma", sigma, "ok", best.ok(),
@@ -113,14 +161,50 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 	return best
 }
 
-// attempt runs trial st.seq at noise level sigma: it selects E_C, perturbs
-// it into st.work and checks the result, which it returns as pub. The
+// attempt runs trial seq at noise level sigma: it selects E_C, perturbs
+// it into a.work and checks the result, which it returns as pub. The
 // trial's RNG stream is PCG(Seed^0xC0DEC0DE, seq), reseeded in place.
-func (st *searchState) attempt(sigma float64) (pub *uncertain.Graph, rep privacy.ObfuscationReport, err error) {
-	st.pcg.Seed(st.p.Seed^0xC0DEC0DE, st.seq)
-	pub = st.perturb(st.selectCandidates(st.rng), sigma, st.rng)
-	rep, err = privacy.CheckObfuscation(pub, st.prop, st.p.K)
+func (a *attemptSlot) attempt(seq uint64, sigma float64) (pub *uncertain.Graph, rep privacy.ObfuscationReport, err error) {
+	a.pcg.Seed(a.p.Seed^0xC0DEC0DE, seq)
+	a.selectCandidates(a.rng)
+	pub = a.perturb(sigma, a.rng)
+	rep, err = privacy.CheckObfuscation(pub, a.prop, a.p.K)
 	return pub, rep, err
+}
+
+// resetWork returns a.work rolled back to the input, or a fresh clone of
+// the input when the slot has none.
+func (a *attemptSlot) resetWork() *uncertain.Graph {
+	if a.work == nil {
+		a.work = a.g.Clone()
+	} else {
+		a.work.Rollback(a.g)
+	}
+	return a.work
+}
+
+// publish rebuilds the graph whose edge list is edges — an attempt's
+// working graph, copied by AppendEdges — in a's working graph, and hands
+// that graph over: the slot's next attempt clones the input afresh. The
+// first |E| edges are the input's, each with its perturbed probability;
+// the rest are the injected edges in insertion order, re-added in that
+// order, so the result equals the attempt's graph in edge, index and
+// adjacency order alike.
+func (a *attemptSlot) publish(edges []uncertain.Edge) *uncertain.Graph {
+	pub := a.resetWork()
+	a.work = nil
+	m := a.g.NumEdges()
+	for i, e := range edges[:m] {
+		if err := pub.SetProb(i, e.P); err != nil {
+			panic(err) // unreachable: the attempt set the same probability
+		}
+	}
+	for _, e := range edges[m:] {
+		if err := pub.AddEdge(e.U, e.V, e.P); err != nil {
+			panic(err) // unreachable: the attempt added the same edge
+		}
+	}
+	return pub
 }
 
 // qSampler draws vertices from the Q distribution through a guide table
@@ -168,8 +252,8 @@ func (s *qSampler) search(x float64) int {
 
 // sampleVertex draws a vertex from the Q distribution with one
 // rng.Float64().
-func (st *searchState) sampleVertex(rng *rand.Rand) uncertain.NodeID {
-	return uncertain.NodeID(st.qs.search(rng.Float64() * st.qs.cum[len(st.qs.cum)-1]))
+func (in *searchInputs) sampleVertex(rng *rand.Rand) uncertain.NodeID {
+	return uncertain.NodeID(in.qs.search(rng.Float64() * in.qs.cum[len(in.qs.cum)-1]))
 }
 
 // selectCandidates builds E_C (Algorithm 3 lines 9-16): it starts from the
@@ -179,22 +263,23 @@ func (st *searchState) sampleVertex(rng *rand.Rand) uncertain.NodeID {
 // injection candidate. The loop ends when |E_C| reaches c*|E| (or an
 // iteration cap, to stay robust on dense graphs).
 //
-// The returned slice is st.cands, valid until the next call. An edge ei
-// left E_C this attempt iff st.removed[ei] == st.epoch.
-func (st *searchState) selectCandidates(rng *rand.Rand) []candidate {
-	g := st.g
+// E_C is left in the slot, and a.eachCandidate walks it: an edge ei left E_C
+// this attempt iff a.removed[ei] == a.epoch, and a.added lists the
+// injected pairs.
+func (a *attemptSlot) selectCandidates(rng *rand.Rand) {
+	g := a.g
 	m := g.NumEdges()
-	if st.epoch++; st.epoch == 0 {
-		clear(st.removed)
-		st.epoch = 1
+	if a.epoch++; a.epoch == 0 {
+		clear(a.removed)
+		a.epoch = 1
 	}
-	clear(st.addedSet)
-	added := st.added[:0] // insertion order: keeps the trial deterministic per seed
+	clear(a.addedSet)
+	added := a.added[:0] // insertion order: keeps the trial deterministic per seed
 	size := m
-	maxIter := 64 * (st.target + 16)
-	for iter := 0; size != st.target && iter < maxIter; iter++ {
-		u := st.sampleVertex(rng)
-		v := st.sampleVertex(rng)
+	maxIter := 64 * (a.target + 16)
+	for iter := 0; size != a.target && iter < maxIter; iter++ {
+		u := a.sampleVertex(rng)
+		v := a.sampleVertex(rng)
 		if u == v {
 			continue
 		}
@@ -203,38 +288,47 @@ func (st *searchState) selectCandidates(rng *rand.Rand) []candidate {
 		}
 		pair := [2]uncertain.NodeID{u, v}
 		if ei := g.EdgeIndex(u, v); ei >= 0 {
-			if st.removed[ei] != st.epoch && size > 0 {
+			if a.removed[ei] != a.epoch && size > 0 {
 				e := g.Edge(ei)
 				if rng.Float64() < e.P {
-					st.removed[ei] = st.epoch
+					a.removed[ei] = a.epoch
 					size--
 				}
 			}
-		} else if size < st.target {
-			if _, dup := st.addedSet[pair]; !dup {
-				st.addedSet[pair] = struct{}{}
+		} else if size < a.target {
+			if _, dup := a.addedSet[pair]; !dup {
+				a.addedSet[pair] = struct{}{}
 				added = append(added, pair)
 				size++
 			}
 		}
 	}
-	cands := st.cands[:0]
-	for i := 0; i < m; i++ {
-		if st.removed[i] != st.epoch {
-			e := g.Edge(i)
-			cands = append(cands, candidate{u: e.U, v: e.V, p: e.P, orig: i})
+	a.added = added
+}
+
+// eachCandidate calls fn on E_C as selectCandidates left it, in
+// candidate order: the input's edges still in it by index, then the
+// injected pairs in insertion order. Nothing is stored per candidate.
+func (a *attemptSlot) eachCandidate(fn func(c candidate)) {
+	for i, r := range a.removed {
+		if r != a.epoch {
+			e := a.g.Edge(i)
+			fn(candidate{u: e.U, v: e.V, p: e.P, orig: i})
 		}
 	}
-	for _, pair := range added {
-		cands = append(cands, candidate{u: pair[0], v: pair[1], p: 0, orig: -1})
+	for _, pair := range a.added {
+		fn(candidate{u: pair[0], v: pair[1], p: 0, orig: -1})
 	}
-	st.added, st.cands = added, cands
-	return cands
+}
+
+// qe is candidate c's uncertainty level Q^e = (Q^u + Q^v)/2.
+func (a *attemptSlot) qe(c candidate) float64 {
+	return (a.q[c.u] + a.q[c.v]) / 2
 }
 
 // perturb applies the per-edge noise to the candidate set and materializes
-// the published graph in st.work: the input (st.work rolled back to it, or
-// cloned from it when st.work is nil) with each candidate's SetProb or
+// the published graph in a.work: the input (a.work rolled back to it, or
+// cloned from it when a.work is nil) with each candidate's SetProb or
 // AddEdge applied in candidate order, so the published edge order is the
 // input's edges in index order, then the injected edges in insertion
 // order. Noise budget sigma is redistributed across candidates
@@ -245,31 +339,24 @@ func (st *searchState) selectCandidates(rng *rand.Rand) []candidate {
 // Max-entropy variants move the probability toward 1/2 along the entropy
 // gradient: p~ = p + (1-2p) * r (Section V-F, Lemma 6). The unguided RS
 // variant applies the same magnitude with a random sign, clamped to [0,1].
-func (st *searchState) perturb(cands []candidate, sigma float64, rng *rand.Rand) *uncertain.Graph {
+func (a *attemptSlot) perturb(sigma float64, rng *rand.Rand) *uncertain.Graph {
 	var sumQ float64
-	qe := st.qe[:0]
-	for _, c := range cands {
-		q := (st.q[c.u] + st.q[c.v]) / 2
-		qe = append(qe, q)
-		sumQ += q
-	}
-	st.qe = qe
-	if st.work == nil {
-		st.work = st.g.Clone()
-	} else {
-		st.work.Rollback(st.g)
-	}
-	pub := st.work
-	useME := st.p.Variant.maxEntropy()
-	for i, c := range cands {
+	n := 0
+	a.eachCandidate(func(c candidate) {
+		sumQ += a.qe(c)
+		n++
+	})
+	pub := a.resetWork()
+	useME := a.p.Variant.maxEntropy()
+	a.eachCandidate(func(c candidate) {
 		var sigmaE float64
 		if sumQ > 0 {
-			sigmaE = sigma * float64(len(cands)) * qe[i] / sumQ
+			sigmaE = sigma * float64(n) * a.qe(c) / sumQ
 		} else {
 			sigmaE = sigma
 		}
 		var r float64
-		if rng.Float64() < st.p.whiteNoise() {
+		if rng.Float64() < a.p.whiteNoise() {
 			r = rng.Float64()
 		} else {
 			r = truncnorm.Sample(rng, sigmaE)
@@ -301,6 +388,6 @@ func (st *searchState) perturb(cands []candidate, sigma float64, rng *rand.Rand)
 				panic(err) // unreachable: pair validated at selection
 			}
 		}
-	}
+	})
 	return pub
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand/v2"
@@ -28,7 +29,10 @@ func TestSelectCandidatesReachesTarget(t *testing.T) {
 	p := Params{K: 5, Epsilon: 0.04, Samples: 50, Seed: 1, SizeMultiplier: 1.5}
 	st := newState(t, g, p)
 	rng := rand.New(rand.NewPCG(1, 2))
-	cands := st.selectCandidates(rng)
+	a := st.slots[0]
+	a.selectCandidates(rng)
+	var cands []candidate
+	a.eachCandidate(func(c candidate) { cands = append(cands, c) })
 	if got, want := len(cands), st.target; got != want {
 		t.Fatalf("candidate set size %d, want %d", got, want)
 	}
@@ -77,8 +81,8 @@ func TestPerturbKeepsProbabilitiesValid(t *testing.T) {
 		p := Params{K: 5, Epsilon: 0.04, Samples: 50, Seed: 2, Variant: variant}
 		st := newState(t, g, p)
 		rng := rand.New(rand.NewPCG(5, 6))
-		cands := st.selectCandidates(rng)
-		pub := st.perturb(cands, 0.8, rng)
+		st.slots[0].selectCandidates(rng)
+		pub := st.slots[0].perturb(0.8, rng)
 		for i := 0; i < pub.NumEdges(); i++ {
 			pr := pub.Edge(i).P
 			if pr < 0 || pr > 1 || math.IsNaN(pr) {
@@ -180,8 +184,8 @@ func TestInjectedEdgePruning(t *testing.T) {
 	p := Params{K: 5, Epsilon: 0.04, Samples: 50, Seed: 3, WhiteNoise: -1}
 	st := newState(t, g, p.withDefaults())
 	rng := rand.New(rand.NewPCG(7, 8))
-	cands := st.selectCandidates(rng)
-	pub := st.perturb(cands, 1e-9, rng)
+	st.slots[0].selectCandidates(rng)
+	pub := st.slots[0].perturb(1e-9, rng)
 	if pub.NumEdges() > g.NumEdges() {
 		t.Fatalf("near-zero noise should not add edges: %d -> %d", g.NumEdges(), pub.NumEdges())
 	}
@@ -198,19 +202,19 @@ func brightkiteGraph(t testing.TB, n int) *uncertain.Graph {
 	return g
 }
 
-// warmAttempt returns a search state over g whose working graph has run
-// one attempt at sigma already.
-func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *searchState {
+// warmAttempt returns the attempt slot of a search state over g, its
+// working graph having run attempt 1 at sigma already.
+func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *attemptSlot {
 	t.Helper()
 	st, err := newSearchState(context.Background(), nil, g, Params{K: 40, Epsilon: 0.01, Seed: 7, Variant: ME}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.seq = 1
-	if _, _, err := st.attempt(sigma); err != nil {
+	a := st.slots[0]
+	if _, _, err := a.attempt(1, sigma); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return a
 }
 
 // BenchmarkGenObfAttempt times one warm GenObf attempt — candidate
@@ -218,12 +222,11 @@ func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *searchState {
 // obfuscation check — on the 3.6k-node brightkite-s graph of the
 // anon-search benchmark workload, a fresh RNG stream per iteration.
 func BenchmarkGenObfAttempt(b *testing.B) {
-	st := warmAttempt(b, brightkiteGraph(b, 3600), 0.001)
+	a := warmAttempt(b, brightkiteGraph(b, 3600), 0.001)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.seq++
-		if _, _, err := st.attempt(0.001); err != nil {
+		if _, _, err := a.attempt(uint64(i)+2, 0.001); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,9 +238,9 @@ func BenchmarkGenObfAttempt(b *testing.B) {
 // edge or per candidate.
 func TestAttemptAllocationsSizeIndependent(t *testing.T) {
 	allocs := func(n int) float64 {
-		st := warmAttempt(t, brightkiteGraph(t, n), 0.3)
+		a := warmAttempt(t, brightkiteGraph(t, n), 0.3)
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := st.attempt(0.3); err != nil {
+			if _, _, err := a.attempt(1, 0.3); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -303,7 +306,7 @@ func FuzzQSampler(f *testing.F) {
 			check(frac * total)
 		}
 
-		st := &searchState{qs: s}
+		st := &searchInputs{qs: s}
 		rng := rand.New(rand.NewPCG(uint64(len(weights)), 1))
 		ref := rand.New(rand.NewPCG(uint64(len(weights)), 1))
 		for i := 0; i < 64; i++ {
@@ -344,11 +347,52 @@ func TestGenObfNeverWritesEscapedGraphs(t *testing.T) {
 		t.Fatalf("input fingerprint %#x, was %#x", got, inputFP)
 	}
 	for i, e := range out {
-		if e.g == st.work {
-			t.Fatalf("returned graph %d is the working graph", i)
+		for _, a := range st.slots {
+			if e.g == a.work {
+				t.Fatalf("returned graph %d is a working graph", i)
+			}
 		}
 		if got := uncertain.Fingerprint(e.g); got != e.fp {
 			t.Fatalf("returned graph %d: fingerprint %#x, was %#x when returned", i, got, e.fp)
+		}
+	}
+}
+
+// TestGenObfTieGoesToLowestSeq: at k=3, σ=0.2 every attempt on
+// testGraph(5) reaches the same ε~, so each call's winner is decided by
+// the tie rule alone. On any number of workers it must be the call's
+// first attempt, the one the serial strict-< scan keeps: three calls of
+// 16 attempts publish the serial run's bytes, and the serial run's first
+// call publishes what attempt seq 1 builds.
+func TestGenObfTieGoesToLowestSeq(t *testing.T) {
+	g := testGraph(t, 5)
+	const sigma = 0.2
+	params := func(workers int) Params {
+		return Params{K: 3, Epsilon: 0.5, Seed: 11, Variant: ME, Attempts: 16, Workers: workers}
+	}
+	first, rep, err := newState(t, g, params(1)).slots[0].attempt(1, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := newState(t, g, params(1))
+	var want [][]byte
+	for call := 0; call < 3; call++ {
+		out := serial.genObf(context.Background(), sigma, &Result{})
+		if out.epsilon != rep.EpsilonTilde {
+			t.Fatalf("serial call %d: ε~ %v, want the tie value %v", call, out.epsilon, rep.EpsilonTilde)
+		}
+		want = append(want, encodeGraph(t, out.graph))
+	}
+	if !bytes.Equal(want[0], encodeGraph(t, first)) {
+		t.Fatal("the serial first call did not publish its first attempt's graph")
+	}
+	for _, workers := range []int{2, 3, 8} {
+		st := newState(t, g, params(workers))
+		for call := range want {
+			out := st.genObf(context.Background(), sigma, &Result{})
+			if out.epsilon != rep.EpsilonTilde || !bytes.Equal(encodeGraph(t, out.graph), want[call]) {
+				t.Fatalf("%d workers, call %d: published another attempt than the serial scan", workers, call)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"chameleon/internal/obs"
@@ -111,7 +112,9 @@ type Params struct {
 	// MaxSamples caps adaptive sampling; 0 = reliability.DefaultMaxSamples.
 	// Ignored without TargetRSE.
 	MaxSamples int
-	// Workers caps sampling parallelism; 0 = GOMAXPROCS.
+	// Workers caps the run's parallelism — Monte Carlo sampling, the
+	// θ-uniqueness rows and the GenObf attempts — at this many
+	// goroutines; 0 = GOMAXPROCS. No output depends on it.
 	Workers int
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -193,6 +196,14 @@ func (p Params) withDefaults() Params {
 		p.MaxDoublings = 8
 	}
 	return p
+}
+
+// workers resolves Workers: 0 means GOMAXPROCS.
+func (p Params) workers() int {
+	if p.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p.Workers
 }
 
 // whiteNoise resolves the q parameter: 0 means the 0.01 default, negative

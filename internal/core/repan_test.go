@@ -97,9 +97,12 @@ func TestRepAnPinnedOutput(t *testing.T) {
 	}
 }
 
-// TestVariantPinnedOutput: fixed-seed RSME, RS and ME runs on testGraph(5)
-// publish the exact bytes, and walk the exact σ-search, that they did
-// while every GenObf attempt still deep-copied the input.
+// TestVariantPinnedOutput: fixed-seed RSME, RS, ME and Rep-An runs on
+// testGraph(5) publish the exact bytes, and walk the exact σ-search, that
+// they did before any attempt ran in parallel — the RSME, RS and ME values
+// were captured while every GenObf attempt still deep-copied the input —
+// on every worker count: one (the inline serial path), fewer than the
+// five attempts of a call, more, and GOMAXPROCS.
 func TestVariantPinnedOutput(t *testing.T) {
 	for _, pin := range []struct {
 		variant     Variant
@@ -111,21 +114,24 @@ func TestVariantPinnedOutput(t *testing.T) {
 		{RSME, "495e8e3d63e14460362826fbe6031977cc3dcaccc26026fcd55cbde9efeac01b", 0.04, 0.14875000000000002, 12, 60},
 		{RS, "b8a43243512b5ea4ffc33965aeb02c7716743ce14d19b5ee1025e9ff8c650257", 0.04, 0.9220000000000002, 15, 75},
 		{ME, "2a834c606636c0fd99d13553099e93b97c142d38f7c23e2b1c9ea8c7364fc8e8", 0.04, 0.184, 12, 60},
+		{RepAn, "6ed65a0279edefd2acf13a2f0cfaf0bc7b2adec21607021521be29745943c30f", 0.04, 0.50875, 15, 75},
 	} {
 		t.Run(pin.variant.String(), func(t *testing.T) {
-			res, err := Anonymize(testGraph(t, 5), Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: pin.variant})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(encodeGraph(t, res.Graph))
-			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
-				t.Errorf("output sha256 = %s, want %s", got, pin.sha256)
-			}
-			if res.EpsilonTilde != pin.epsilon || res.Sigma != pin.sigma ||
-				res.GenObfCalls != pin.calls || res.Attempts != pin.atts {
-				t.Errorf("(ε~=%v, σ=%v, %d calls, %d attempts), want (%v, %v, %d, %d)",
-					res.EpsilonTilde, res.Sigma, res.GenObfCalls, res.Attempts,
-					pin.epsilon, pin.sigma, pin.calls, pin.atts)
+			for _, workers := range []int{0, 1, 2, 3, 8} {
+				res, err := Anonymize(testGraph(t, 5), Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: pin.variant, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(encodeGraph(t, res.Graph))
+				if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
+					t.Errorf("%d workers: output sha256 = %s, want %s", workers, got, pin.sha256)
+				}
+				if res.EpsilonTilde != pin.epsilon || res.Sigma != pin.sigma ||
+					res.GenObfCalls != pin.calls || res.Attempts != pin.atts {
+					t.Errorf("%d workers: (ε~=%v, σ=%v, %d calls, %d attempts), want (%v, %v, %d, %d)",
+						workers, res.EpsilonTilde, res.Sigma, res.GenObfCalls, res.Attempts,
+						pin.epsilon, pin.sigma, pin.calls, pin.atts)
+				}
 			}
 		})
 	}
@@ -200,6 +206,9 @@ func spanShape(root *obs.Span) string {
 // TestTraceShapePerVariant pins each method's phase tree. The precompute's
 // children are its layers: Rep-An's representative extraction, then
 // uniqueness, then edge relevance for the reliability-sensitive methods.
+// With the attempts on two workers their spans end out of order, so each
+// carries its seq: the seqs are exactly 1..Result.Attempts, each once,
+// and every genobf span records its worker count.
 func TestTraceShapePerVariant(t *testing.T) {
 	g := testGraph(t, 3)
 	want := map[Variant]string{
@@ -209,9 +218,27 @@ func TestTraceShapePerVariant(t *testing.T) {
 		RepAn: "anonymize: precompute[representative,uniqueness] exponential-search bisection",
 	}
 	for v, shape := range want {
-		res, err := Anonymize(g, Params{K: 6, Epsilon: 0.05, Samples: 40, Seed: 2, Variant: v})
+		res, err := Anonymize(g, Params{K: 6, Epsilon: 0.05, Samples: 40, Seed: 2, Variant: v, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
+		}
+		attempts := res.Trace.FindAll("attempt")
+		if len(attempts) != res.Attempts {
+			t.Errorf("%v: %d attempt spans, Result.Attempts = %d", v, len(attempts), res.Attempts)
+		}
+		seen := make(map[uint64]bool)
+		for _, a := range attempts {
+			attr, _ := a.Attr("seq")
+			seq, ok := attr.(uint64)
+			if !ok || seq < 1 || seq > uint64(res.Attempts) || seen[seq] {
+				t.Fatalf("%v: attempt span seq %v (%T), want each of 1..%d once", v, attr, attr, res.Attempts)
+			}
+			seen[seq] = true
+		}
+		for _, c := range res.Trace.FindAll("genobf") {
+			if w, _ := c.Attr("workers"); w != 2 {
+				t.Errorf("%v: genobf span workers = %v, want 2", v, w)
+			}
 		}
 		if got := spanShape(res.Trace); got != shape {
 			t.Errorf("%v trace = %q, want %q", v, got, shape)

@@ -2,6 +2,9 @@ package privacy
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"chameleon/internal/uncertain"
 )
@@ -17,13 +20,21 @@ import (
 // all-pairs loop that rounds each product before adding it (a NaN result,
 // from a NaN or infinite value, may differ in sign and payload).
 func Commonness(values []float64, theta float64) []float64 {
-	c, _ := commonness(values, theta)
+	return CommonnessWorkers(values, theta, 1)
+}
+
+// CommonnessWorkers is Commonness with its kernel rows shared out over
+// workers goroutines (0 means GOMAXPROCS). Each row is still summed by
+// one goroutine in input order, so the result is bit-identical to
+// Commonness for every worker count.
+func CommonnessWorkers(values []float64, theta float64, workers int) []float64 {
+	c, _ := commonness(values, theta, workers)
 	return c
 }
 
-// commonness is Commonness that also returns D, the number of distinct
-// values.
-func commonness(values []float64, theta float64) ([]float64, int) {
+// commonness is CommonnessWorkers that also returns D, the number of
+// distinct values.
+func commonness(values []float64, theta float64, workers int) ([]float64, int) {
 	n := len(values)
 	out := make([]float64, n)
 	if n == 0 {
@@ -47,35 +58,59 @@ func commonness(values []float64, theta float64) ([]float64, int) {
 	}
 	norm := 1 / (theta * math.Sqrt(2*math.Pi))
 	inv2t2 := 1 / (2 * theta * theta)
-	// tab interleaves the kernel rows of four distinct values: each x
-	// fills one cache line with four independent exps, and one pass over
-	// idx gathers the four sums from it into four accumulators. The last
-	// group repeats the last value; its surplus sums are never read.
+	// Each group of four distinct values is one task. Its goroutine's tab
+	// interleaves their kernel rows: each x fills one cache line with four
+	// independent exps, and one pass over idx gathers the four sums from
+	// it into four accumulators. The last group repeats the last value;
+	// its surplus sums are never read. Groups write disjoint sums slots.
 	const rows = 4
-	tab := make([]float64, rows*nd)
 	sums := make([]float64, nd+rows)
-	var ws [rows]float64
-	for s0 := 0; s0 < nd; s0 += rows {
-		for r := range ws {
-			ws[r] = distinct[min(s0+r, nd-1)]
+	var next atomic.Int64
+	groups := func() {
+		tab := make([]float64, rows*nd)
+		var ws [rows]float64
+		for {
+			s0 := rows * int(next.Add(1)-1)
+			if s0 >= nd {
+				return
+			}
+			for r := range ws {
+				ws[r] = distinct[min(s0+r, nd-1)]
+			}
+			for j, x := range distinct {
+				t := (*[rows]float64)(tab[rows*j:])
+				d0, d1, d2, d3 := ws[0]-x, ws[1]-x, ws[2]-x, ws[3]-x
+				t[0] = norm * math.Exp(-d0*d0*inv2t2)
+				t[1] = norm * math.Exp(-d1*d1*inv2t2)
+				t[2] = norm * math.Exp(-d2*d2*inv2t2)
+				t[3] = norm * math.Exp(-d3*d3*inv2t2)
+			}
+			var c0, c1, c2, c3 float64
+			for _, s := range idx {
+				t := (*[rows]float64)(tab[rows*int(s):])
+				c0 += t[0]
+				c1 += t[1]
+				c2 += t[2]
+				c3 += t[3]
+			}
+			sums[s0], sums[s0+1], sums[s0+2], sums[s0+3] = c0, c1, c2, c3
 		}
-		for j, x := range distinct {
-			t := (*[rows]float64)(tab[rows*j:])
-			d0, d1, d2, d3 := ws[0]-x, ws[1]-x, ws[2]-x, ws[3]-x
-			t[0] = norm * math.Exp(-d0*d0*inv2t2)
-			t[1] = norm * math.Exp(-d1*d1*inv2t2)
-			t[2] = norm * math.Exp(-d2*d2*inv2t2)
-			t[3] = norm * math.Exp(-d3*d3*inv2t2)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, (nd+rows-1)/rows); workers <= 1 {
+		groups()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				groups()
+			}()
 		}
-		var c0, c1, c2, c3 float64
-		for _, s := range idx {
-			t := (*[rows]float64)(tab[rows*int(s):])
-			c0 += t[0]
-			c1 += t[1]
-			c2 += t[2]
-			c3 += t[3]
-		}
-		sums[s0], sums[s0+1], sums[s0+2], sums[s0+3] = c0, c1, c2, c3
+		wg.Wait()
 	}
 	for i, s := range idx {
 		out[i] = sums[s]
@@ -123,19 +158,21 @@ func invert(c []float64) []float64 {
 // VertexUniqueness computes the uniqueness score of every vertex of g over
 // the expected-degree property with the kernel bandwidth theta = sigma_G,
 // the standard deviation of the property over the graph (the paper's
-// uncertainty-aware choice in Section V-C).
+// uncertainty-aware choice in Section V-C), on GOMAXPROCS goroutines.
 func VertexUniqueness(g *uncertain.Graph) []float64 {
-	u, _ := VertexUniquenessDistinct(g)
+	u, _ := VertexUniquenessDistinct(g, 0)
 	return u
 }
 
-// VertexUniquenessDistinct is VertexUniqueness that also returns the
-// number of distinct expected degrees, which its cost is quadratic in.
-func VertexUniquenessDistinct(g *uncertain.Graph) ([]float64, int) {
+// VertexUniquenessDistinct is VertexUniqueness on workers goroutines (0
+// means GOMAXPROCS) that also returns the number of distinct expected
+// degrees, which its cost is quadratic in. The scores are bit-identical
+// for every worker count.
+func VertexUniquenessDistinct(g *uncertain.Graph, workers int) ([]float64, int) {
 	theta := g.DegreeStdDev()
 	if theta <= 0 {
 		theta = 1
 	}
-	c, d := commonness(g.ExpectedDegrees(), theta)
+	c, d := commonness(g.ExpectedDegrees(), theta, workers)
 	return invert(c), d
 }

@@ -102,7 +102,7 @@ func TestVertexUniquenessDistinct(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		g.MustAddEdge(0, uncertain.NodeID(i), 0.5)
 	}
-	if _, d := VertexUniquenessDistinct(g); d != 2 {
+	if _, d := VertexUniquenessDistinct(g, 1); d != 2 {
 		t.Fatalf("distinct expected degrees = %d, want 2", d)
 	}
 }
@@ -134,7 +134,7 @@ func BenchmarkCommonness(b *testing.B) {
 			var d int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, d = commonness(values, theta)
+				_, d = commonness(values, theta, 1)
 			}
 			b.ReportMetric(float64(d), "distinct")
 		})

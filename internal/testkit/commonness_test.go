@@ -10,25 +10,25 @@ import (
 	"chameleon/internal/testkit"
 )
 
-// requireSameBits fails unless privacy.Commonness and the all-pairs
-// reference agree bit for bit on every value. A NaN (from a NaN or
-// infinite input) matches any NaN: which operand's sign and payload a NaN
-// result carries depends on the operand order the compiler picks, not on
-// the algorithm.
-func requireSameBits(t *testing.T, values []float64, theta float64) {
+// requireSameBits fails unless privacy.CommonnessWorkers on workers
+// goroutines (1 is privacy.Commonness) and the all-pairs reference agree
+// bit for bit on every value. A NaN (from a NaN or infinite input)
+// matches any NaN: which operand's sign and payload a NaN result carries
+// depends on the operand order the compiler picks, not on the algorithm.
+func requireSameBits(t *testing.T, values []float64, theta float64, workers int) {
 	t.Helper()
-	got := privacy.Commonness(values, theta)
+	got := privacy.CommonnessWorkers(values, theta, workers)
 	want := testkit.NaiveCommonness(values, theta)
 	if len(got) != len(want) {
-		t.Fatalf("θ=%v: %d outputs, want %d", theta, len(got), len(want))
+		t.Fatalf("θ=%v, %d workers: %d outputs, want %d", theta, workers, len(got), len(want))
 	}
 	for i := range want {
 		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 			continue
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("θ=%v: commonness[%d] (value %v) = %v (%#x), reference %v (%#x)",
-				theta, i, values[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("θ=%v, %d workers: commonness[%d] (value %v) = %v (%#x), reference %v (%#x)",
+				theta, workers, i, values[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -61,14 +61,14 @@ func TestCommonnessMatchesNaive(t *testing.T) {
 		if d := distinctCount(values); d*2 > len(values) {
 			t.Fatalf("%d distinct of %d values: not duplicate-heavy", d, len(values))
 		}
-		requireSameBits(t, values, dblp.DegreeStdDev())
+		requireSameBits(t, values, dblp.DegreeStdDev(), 1)
 	})
 	t.Run("brightkite-1.8k", func(t *testing.T) {
 		values := brightkite.ExpectedDegrees()
 		if d := distinctCount(values); d != len(values) {
 			t.Fatalf("%d distinct of %d values: not all distinct", d, len(values))
 		}
-		requireSameBits(t, values, brightkite.DegreeStdDev())
+		requireSameBits(t, values, brightkite.DegreeStdDev(), 1)
 	})
 
 	negZero := math.Copysign(0, -1)
@@ -89,23 +89,65 @@ func TestCommonnessMatchesNaive(t *testing.T) {
 	for name, values := range cases {
 		t.Run(name, func(t *testing.T) {
 			for _, theta := range []float64{1, 0.5, 1e-3, 1e3, 0, negZero, -1, math.NaN(), math.Inf(1)} {
-				requireSameBits(t, values, theta)
+				requireSameBits(t, values, theta, 1)
 			}
 		})
 	}
-	t.Run("empty", func(t *testing.T) { requireSameBits(t, nil, 1) })
+	t.Run("empty", func(t *testing.T) { requireSameBits(t, nil, 1, 1) })
+}
+
+// TestCommonnessWorkers: sharing the four-row kernel groups out over any
+// number of goroutines — fewer than, as many as and more than there are
+// groups, and 0 for GOMAXPROCS — leaves every sum bit-identical to the
+// all-pairs loop, for D = 1, 3, 4, 5 and n distinct values, NaN and
+// signed zeros included.
+func TestCommonnessWorkers(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewPCG(3, 0xc0))
+	spread := make([]float64, 41)
+	for i := range spread {
+		spread[i] = 3 * rng.NormFloat64()
+	}
+	cases := []struct {
+		name   string
+		d      int
+		values []float64
+	}{
+		{"D=1", 1, []float64{2, 2, 2, 2, 2}},
+		{"D=3", 3, []float64{1, 2, 3, 1, 2, 3, 3}},
+		{"D=4", 4, []float64{0.5, 1.5, 2.5, 3.5, 0.5}},
+		{"D=5", 5, []float64{0, 1, 2, 3, 4, 4, 0}},
+		{"D=n", len(spread), spread},
+		// +0 and -0 share a slot; each NaN is its own.
+		{"nan-signed-zeros", 6, []float64{0, negZero, math.NaN(), 1, negZero, math.NaN(), 0, 2.5, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A map keeps every NaN key apart and merges ±0, as
+			// commonness's slots do.
+			if d := distinctCount(c.values); d != c.d {
+				t.Fatalf("%d distinct values, want %d", d, c.d)
+			}
+			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
+				for _, theta := range []float64{1, 0.5, 1e-3, 0, math.NaN()} {
+					requireSameBits(t, c.values, theta, workers)
+				}
+			}
+		})
+	}
 }
 
 // FuzzCommonness requires bit equality with the all-pairs loop on value
 // sets built as small integers over a fuzzed quantum, so that duplicates
-// (and, for a zero quantum, infinities and NaN) are common.
+// (and, for a zero quantum, infinities and NaN) are common, with the rows
+// shared out over a fuzzed 0..16 goroutines.
 func FuzzCommonness(f *testing.F) {
-	f.Add([]byte{1, 2, 2, 3, 1, 1, 250}, 1.0, 1.0)
-	f.Add([]byte{0, 0, 0, 0, 0}, 3.0, 0.0)
-	f.Add([]byte{5, 6, 5, 128, 127}, 0.0, 2.0)
-	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, 0.25, math.NaN())
-	f.Add([]byte{0, 1}, -4.0, 1e-9)
-	f.Fuzz(func(t *testing.T, raw []byte, quantum, theta float64) {
+	f.Add([]byte{1, 2, 2, 3, 1, 1, 250}, 1.0, 1.0, uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0}, 3.0, 0.0, uint8(2))
+	f.Add([]byte{5, 6, 5, 128, 127}, 0.0, 2.0, uint8(3))
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, 0.25, math.NaN(), uint8(0))
+	f.Add([]byte{0, 1}, -4.0, 1e-9, uint8(16))
+	f.Fuzz(func(t *testing.T, raw []byte, quantum, theta float64, workers uint8) {
 		if len(raw) > 64 {
 			raw = raw[:64]
 		}
@@ -113,6 +155,6 @@ func FuzzCommonness(f *testing.F) {
 		for i, b := range raw {
 			values[i] = float64(int8(b)) / quantum
 		}
-		requireSameBits(t, values, theta)
+		requireSameBits(t, values, theta, int(workers%17))
 	})
 }

@@ -62,9 +62,13 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
 // Edges returns a copy of the edge list.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	return out
+	return g.AppendEdges(make([]Edge, 0, len(g.edges)))
+}
+
+// AppendEdges appends the edge list, in index order, to dst and returns
+// the extended slice.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
+	return append(dst, g.edges...)
 }
 
 // SortedEdges returns the edges ordered by (U, V); useful for deterministic
@@ -232,10 +236,13 @@ func (g *Graph) Version() uint64 { return g.version }
 // Clone returns a deep copy of g. The clone starts with a fresh derived
 // state (no cached sampler) and its own version counter.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.edges = make([]Edge, len(g.edges))
-	copy(c.edges, g.edges)
-	c.uv = append([]uint64(nil), g.uv...)
+	c := &Graph{
+		n:     g.n,
+		edges: g.Edges(),
+		uv:    append([]uint64(nil), g.uv...),
+		adj:   make([][]halfEdge, g.n),
+		index: make(map[[2]NodeID]int32, len(g.index)),
+	}
 	for v := range g.adj {
 		c.adj[v] = append([]halfEdge(nil), g.adj[v]...)
 	}
