@@ -265,7 +265,7 @@ func TestCLIPipeline(t *testing.T) {
 // TestCLIServeJournal drives the live-telemetry path end to end: an
 // experiments sweep with -serve keeps /metrics curl-able for its whole
 // duration and must expose the estimator-quality gauges; -journal appends
-// a JSONL journal that replays, and journalreplay reads it back. Skipped
+// a JSONL journal that replays, and tracestat reads it back. Skipped
 // in -short mode.
 func TestCLIServeJournal(t *testing.T) {
 	if testing.Short() {
@@ -276,7 +276,7 @@ func TestCLIServeJournal(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, tool := range []string{"experiments", "journalreplay"} {
+	for _, tool := range []string{"experiments", "tracestat"} {
 		bin := filepath.Join(dir, tool)
 		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -376,14 +376,14 @@ func TestCLIServeJournal(t *testing.T) {
 		t.Error("journal holds no periodic snapshots (final Poll should add one)")
 	}
 
-	// journalreplay summarizes and compares.
-	out, err := exec.Command(bins["journalreplay"], "-metric", "mc.worlds_sampled", journalPath).CombinedOutput()
+	// tracestat summarizes and compares.
+	out, err := exec.Command(bins["tracestat"], "-metric", "mc.worlds_sampled", journalPath).CombinedOutput()
 	if err != nil {
-		t.Fatalf("journalreplay: %v\n%s", err, out)
+		t.Fatalf("tracestat: %v\n%s", err, out)
 	}
 	for _, want := range []string{"experiments", "done", "mc.worlds_sampled"} {
 		if !strings.Contains(string(out), want) {
-			t.Errorf("journalreplay output missing %q:\n%s", want, out)
+			t.Errorf("tracestat output missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -402,7 +402,7 @@ func TestCLIInterrupt(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, tool := range []string{"genug", "chameleon", "experiments"} {
+	for _, tool := range []string{"genug", "chameleon", "experiments", "tracestat"} {
 		bin := filepath.Join(dir, tool)
 		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -438,6 +438,24 @@ func TestCLIInterrupt(t *testing.T) {
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != code {
 			t.Fatalf("exit = %v, want code %d\nstderr:\n%s", err, code, stderr)
+		}
+	}
+	// wantTimeline requires the interrupted run to have journaled its span
+	// timeline, the first root named root, and tracestat to print a phase
+	// table and a critical path for it.
+	wantTimeline := func(t *testing.T, run *journal.Run, journalPath, root string) {
+		t.Helper()
+		if len(run.Spans) == 0 || run.Spans[0].Name != root {
+			t.Fatalf("interrupted run journaled %d span records, want the first rooted at %q", len(run.Spans), root)
+		}
+		out, err := exec.Command(bins["tracestat"], journalPath).CombinedOutput()
+		if err != nil {
+			t.Fatalf("tracestat: %v\n%s", err, out)
+		}
+		for _, want := range []string{"PHASE", "\n" + root + " ", "critical path (" + root} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("tracestat output missing %q:\n%s", want, out)
+			}
 		}
 	}
 
@@ -497,6 +515,7 @@ func TestCLIInterrupt(t *testing.T) {
 		if runs[0].Truncated() || runs[0].Error == "" {
 			t.Fatalf("interrupted run: truncated=%v error=%q, want end record with cause", runs[0].Truncated(), runs[0].Error)
 		}
+		wantTimeline(t, runs[0], journalPath, "sweep.cell")
 
 		// Rerunning with the same flags resumes the sweep and reproduces
 		// the uninterrupted output exactly (only the timing line differs).
@@ -548,8 +567,9 @@ func TestCLIInterrupt(t *testing.T) {
 			t.Fatalf("uninterrupted run: %v\n%s", err, out)
 		}
 
+		journalPath := filepath.Join(dir, "sigma.jsonl")
 		cmd := exec.Command(bins["chameleon"], append(anonArgs,
-			"-out", filepath.Join(dir, "never.tsv"),
+			"-out", filepath.Join(dir, "never.tsv"), "-journal", journalPath,
 			"-checkpoint", ckptPath, "-checkpoint-every", "1")...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
@@ -578,6 +598,16 @@ func TestCLIInterrupt(t *testing.T) {
 		if ck.Version != core.CheckpointVersion || ck.Phase == "" || ck.GenObfCalls < 1 {
 			t.Fatalf("checkpoint = %+v, want version %d with search progress", ck, core.CheckpointVersion)
 		}
+
+		// The journal keeps the interrupted search's timeline.
+		runs, err := journal.ReadFile(journalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 1 || runs[0].Status != "interrupted" {
+			t.Fatalf("journal after interrupt = %d runs; want 1 interrupted", len(runs))
+		}
+		wantTimeline(t, runs[0], journalPath, "anonymize")
 
 		if out, err := exec.Command(bins["chameleon"], append(anonArgs,
 			"-out", resumedPath, "-resume", ckptPath)...).CombinedOutput(); err != nil {

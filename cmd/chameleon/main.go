@@ -19,10 +19,10 @@
 // (-stats - writes the aligned-text form to stderr); -serve ADDR keeps a
 // live telemetry endpoint (/metrics, /healthz, /runs, /trace,
 // /debug/pprof) up for the duration of the run; -journal FILE appends a
-// replayable JSONL run journal; -traceout FILE exports the σ-search span
-// timeline as a Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing; -cpuprofile, -memprofile and -trace enable the
-// runtime profilers.
+// replayable JSONL run journal whose span records keep the σ-search
+// timeline on every exit path, interrupts and deadlines included (read
+// it with tracestat, which also converts it for Perfetto); -cpuprofile,
+// -memprofile and -trace enable the runtime profilers.
 package main
 
 import (
@@ -59,7 +59,6 @@ func main() {
 		trace     = flag.String("trace", "", "write a runtime execution trace to this file")
 		serveAt   = flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof) on this address for the duration of the run")
 		jrnPath   = flag.String("journal", "", "append a JSONL run journal (begin, periodic snapshots, phase spans, final CI report) to this file")
-		traceOut  = flag.String("traceout", "", "export the span timeline as Chrome trace-event JSON to this file on exit (open in Perfetto)")
 		deadline  = flag.Duration("deadline", 0, "bound the run's wall clock; on expiry the best-so-far graph is written (exit 0) or, with nothing found yet, the run fails (exit 124)")
 		ckptPath  = flag.String("checkpoint", "", "save the σ-search state to this file on interrupt (atomic write; enables -resume)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "additionally checkpoint every N genobf calls (requires -checkpoint)")
@@ -98,13 +97,6 @@ func main() {
 		})
 		if pErr := stopProfiles(); err == nil {
 			err = pErr
-		}
-		if *traceOut != "" {
-			// Exported on every exit path: an interrupted or failed search
-			// still leaves a timeline (running spans carry live durations).
-			if tErr := chameleon.ExportTrace(*traceOut, obs); err == nil {
-				err = tErr
-			}
 		}
 		return err
 	}))
@@ -176,7 +168,6 @@ func run(env *runner.Env, obs *chameleon.Observer, f runFlags) error {
 			fmt.Fprintf(os.Stderr,
 				"chameleon: deadline reached; wrote best-so-far graph (eps~=%.4f sigma=%.4f, search incomplete)\n",
 				res.EpsilonTilde, res.Sigma)
-			env.Journal.WriteSpan(time.Now(), res.Trace())
 			return runner.DegradedError{Cause: err}
 		}
 		return err
@@ -192,9 +183,6 @@ func run(env *runner.Env, obs *chameleon.Observer, f runFlags) error {
 			g.NumNodes(), g.NumEdges(), res.Graph.NumEdges(), res.Method,
 			f.k, res.EpsilonTilde, res.Sigma, elapsed.Round(time.Millisecond))
 		writePhaseBreakdown(res)
-	}
-	if err := env.Journal.WriteSpan(time.Now(), res.Trace()); err != nil {
-		return err
 	}
 	return writeStats(f.stats, obs)
 }

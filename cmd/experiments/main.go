@@ -33,7 +33,6 @@ import (
 	"chameleon/cmd/internal/runner"
 	"chameleon/internal/exp"
 	"chameleon/internal/obs"
-	"chameleon/internal/obs/traceout"
 	"chameleon/internal/uncertain"
 )
 
@@ -55,14 +54,13 @@ func main() {
 		trcPath  = flag.String("trace", "", "write a runtime execution trace to this file")
 		serveAt  = flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof) on this address for the duration of the sweep")
 		jrnPath  = flag.String("journal", "", "append a JSONL run journal (begin, periodic snapshots, phase spans, final CI report) to this file")
-		traceOut = flag.String("traceout", "", "export the sweep's span timeline as Chrome trace-event JSON to this file on exit (open in Perfetto)")
 		deadline = flag.Duration("deadline", 0, "bound the run's wall clock; the sweep stops at the next cell boundary (exit 124)")
 		ckptPath = flag.String("checkpoint", "", "save completed sweep cells to this file (atomic writes); rerunning with the same flags resumes, recomputing only unfinished cells")
 	)
 	flag.Parse()
 
 	var observer *obs.Observer
-	if *stats != "" || *verbose || *serveAt != "" || *jrnPath != "" || *traceOut != "" {
+	if *stats != "" || *verbose || *serveAt != "" || *jrnPath != "" {
 		observer = obs.NewObserver()
 		if *verbose {
 			observer.Logger = obs.NewLogger(os.Stderr)
@@ -102,22 +100,15 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: resuming sweep, %d cells restored from %s\n", n, *ckptPath)
 			}
 		}
-		err = run(env, cfg, *runSel, *csvPath, *stats, observer)
+		err = run(cfg, *runSel, *csvPath, *stats, observer)
 		if pErr := stopProfiles(); err == nil {
 			err = pErr
-		}
-		if *traceOut != "" {
-			// Exported on every exit path: an interrupted sweep still
-			// leaves a timeline of the cells that ran.
-			if tErr := traceout.ExportObserver(*traceOut, observer); err == nil {
-				err = tErr
-			}
 		}
 		return err
 	}))
 }
 
-func run(env *runner.Env, cfg exp.Config, runSel, csvPath, stats string, observer *obs.Observer) error {
+func run(cfg exp.Config, runSel, csvPath, stats string, observer *obs.Observer) error {
 	want := map[string]bool{}
 	for _, r := range strings.Split(runSel, ",") {
 		want[strings.TrimSpace(r)] = true
@@ -222,13 +213,6 @@ func run(env *runner.Env, cfg exp.Config, runSel, csvPath, stats string, observe
 	}
 	fmt.Fprintf(out, "total: %v\n", time.Since(start).Round(time.Millisecond))
 
-	if observer != nil {
-		for _, span := range observer.Spans() {
-			if err := env.Journal.WriteSpan(time.Now(), span); err != nil {
-				return err
-			}
-		}
-	}
 	if err := writeStats(stats, observer); err != nil {
 		return err
 	}

@@ -4,9 +4,10 @@
 // messily: signal handling (first SIGINT/SIGTERM cancels the run's
 // context and lets the pipeline drain; a second forces immediate exit),
 // an optional wall-clock deadline, the journal begin/end bracket
-// (including an end record on panic, so a crash is distinguishable from
-// a kill -9), the telemetry server's startup and graceful shutdown, and
-// the mapping from the run's outcome to a conventional exit code:
+// (including the run's span timeline and an end record on panic, so a
+// crash is distinguishable from a kill -9), the telemetry server's
+// startup and graceful shutdown, and the mapping from the run's outcome
+// to a conventional exit code:
 //
 //	0   success (including deadline-degraded runs that wrote a result)
 //	1   error
@@ -95,7 +96,7 @@ type Env struct {
 	// Obs echoes Options.Observer (possibly nil).
 	Obs *obs.Observer
 	// Journal is the open journal writer — nil-safe, so the body can
-	// call WriteSpan etc. unconditionally.
+	// call WriteSnapshot etc. unconditionally.
 	Journal *journal.Writer
 	// Server is the running telemetry server (nil-safe).
 	Server *expose.Server
@@ -110,9 +111,11 @@ type Env struct {
 
 // Main runs body inside the full lifecycle harness and returns the
 // process exit code; callers end with os.Exit(runner.Main(...)). The
-// journal end record is written on every path out — normal return,
-// error, interrupt, deadline, even panic (the panic is re-raised after
-// the record is flushed, so the crash still reaches the crash handler).
+// journal's span records (one per Observer root, running spans with
+// their elapsed time) and its end record are written on every path out —
+// normal return, error, interrupt, deadline, even panic (the panic is
+// re-raised after the records are flushed, so the crash still reaches
+// the crash handler).
 func Main(opts Options, body func(*Env) error) int {
 	stderr := opts.Stderr
 	if stderr == nil {
@@ -140,8 +143,9 @@ func Main(opts Options, body func(*Env) error) int {
 	}
 
 	// finish closes the run everywhere it is recorded: the /runs entry,
-	// the telemetry server, and the journal (end record + close). It is
-	// the single epilogue for success, failure, interrupt and panic.
+	// the telemetry server, and the journal (span timeline, end record,
+	// close). It is the single epilogue for success, failure, interrupt
+	// and panic.
 	var srv *expose.Server
 	finished := false
 	finish := func(status, errMsg string) {
@@ -154,11 +158,19 @@ func Main(opts Options, body func(*Env) error) int {
 		if err := srv.Close(); err != nil {
 			report(err)
 		}
+		at := time.Now()
+		if jw != nil {
+			for _, s := range opts.Observer.Spans() {
+				if err := jw.WriteSpan(at, s.SnapshotTree()); err != nil {
+					report(err)
+				}
+			}
+		}
 		var final obs.Snapshot
 		if opts.Observer != nil {
 			final = opts.Observer.Registry().Snapshot()
 		}
-		if err := jw.EndWithError(time.Now(), status, errMsg, final); err != nil {
+		if err := jw.EndWithError(at, status, errMsg, final); err != nil {
 			report(err)
 		}
 		if err := jw.Close(); err != nil {

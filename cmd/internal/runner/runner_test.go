@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -26,6 +27,34 @@ func readOneRun(t *testing.T, path string) *journal.Run {
 		t.Fatalf("journal holds %d runs, want 1", len(runs))
 	}
 	return runs[0]
+}
+
+// spansBeforeEnd reads the journal at path line by line and requires its
+// span records — at least one, naming root — to all precede the end
+// record, the last line.
+func spansBeforeEnd(t *testing.T, path, root string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var spans []string
+	for i, line := range lines {
+		var rec journal.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if (rec.Type == "end") != (i == len(lines)-1) {
+			t.Fatalf("line %d of %d is a %q record, want the end record last and only there", i+1, len(lines), rec.Type)
+		}
+		if rec.Type == "span" {
+			spans = append(spans, rec.Span.Name)
+		}
+	}
+	if len(spans) == 0 || spans[0] != root {
+		t.Fatalf("span records before the end record = %v, want the %s root", spans, root)
+	}
 }
 
 func TestMainSuccess(t *testing.T) {
@@ -58,7 +87,9 @@ func TestMainError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	var sb strings.Builder
 	boom := errors.New("boom")
-	code := Main(Options{Command: "t", JournalPath: path, Stderr: &sb}, func(*Env) error {
+	o := obs.NewObserver()
+	code := Main(Options{Command: "t", JournalPath: path, Observer: o, Stderr: &sb}, func(*Env) error {
+		o.StartSpan("load").End()
 		return boom
 	})
 	if code != 1 {
@@ -71,6 +102,7 @@ func TestMainError(t *testing.T) {
 	if !strings.Contains(sb.String(), "t: boom") {
 		t.Errorf("stderr missing the error: %q", sb.String())
 	}
+	spansBeforeEnd(t, path, "load")
 }
 
 func TestMainUsageError(t *testing.T) {
@@ -168,7 +200,9 @@ func TestDeadlineWithoutResult(t *testing.T) {
 
 func TestDegradedRunExitsZero(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	code := Main(Options{Command: "t", JournalPath: path, Deadline: 20 * time.Millisecond, Stderr: &strings.Builder{}}, func(env *Env) error {
+	o := obs.NewObserver()
+	code := Main(Options{Command: "t", JournalPath: path, Observer: o, Deadline: 20 * time.Millisecond, Stderr: &strings.Builder{}}, func(env *Env) error {
+		o.StartSpan("anonymize").StartChild("genobf") // still open at the deadline
 		<-env.Ctx.Done()
 		// Pretend a best-so-far artifact was written before returning.
 		return DegradedError{Cause: fmt.Errorf("deadline reached, wrote best-so-far result: %w", env.Ctx.Err())}
@@ -183,6 +217,10 @@ func TestDegradedRunExitsZero(t *testing.T) {
 	if !strings.Contains(run.Error, "best-so-far") {
 		t.Errorf("journal error = %q, want the degradation cause", run.Error)
 	}
+	spansBeforeEnd(t, path, "anonymize")
+	if s := run.Spans[0]; !s.Running || s.DurationNS <= 0 || len(s.Children) != 1 || !s.Children[0].Running {
+		t.Errorf("open spans journaled as %+v, want running with their elapsed time", s)
+	}
 }
 
 func TestPanicStillWritesEndRecord(t *testing.T) {
@@ -193,7 +231,9 @@ func TestPanicStillWritesEndRecord(t *testing.T) {
 				t.Fatal("panic was swallowed instead of re-raised")
 			}
 		}()
-		Main(Options{Command: "t", JournalPath: path, Stderr: &strings.Builder{}}, func(*Env) error {
+		o := obs.NewObserver()
+		Main(Options{Command: "t", JournalPath: path, Observer: o, Stderr: &strings.Builder{}}, func(*Env) error {
+			o.StartSpan("anonymize")
 			panic("kaboom")
 		})
 	}()
@@ -207,6 +247,7 @@ func TestPanicStillWritesEndRecord(t *testing.T) {
 	if run.Truncated() {
 		t.Error("panicking run left a truncated journal (no end record)")
 	}
+	spansBeforeEnd(t, path, "anonymize")
 }
 
 func TestCancelledWithoutSignalIsFailure(t *testing.T) {

@@ -1,15 +1,25 @@
-// Command tracestat summarizes a run's span timeline: per-phase time
-// aggregation (count, total, self, min/max/mean) and the critical path
-// through each root span. It reads either a Chrome trace-event JSON file
-// written by the -traceout flag of chameleon/experiments, or a JSONL run
-// journal written by -journal (using its span records); the format is
-// auto-detected.
+// Command tracestat reads JSONL run journals written by the -journal
+// flag of chameleon, experiments, chameleond and ugload. It prints one
+// row per run (command, status, wall clock, snapshot and span counts),
+// then summarizes the runs' span timelines: per-phase time aggregation
+// (count, total, self, min/max/mean) and the critical path through each
+// root span. The journal keeps the timeline on every exit path, so an
+// interrupted or deadline-cut run is summarized too (its still-running
+// spans with the time they had when the run stopped).
 //
 // Usage:
 //
-//	tracestat trace.json          # from -traceout
-//	tracestat runs.jsonl          # from -journal (span records)
-//	tracestat -top 5 trace.json   # only the 5 largest phases
+//	tracestat runs.jsonl                    # run table + phase report
+//	tracestat -top 5 runs.jsonl             # only the 5 largest phases
+//	tracestat -metric mc.worlds_sampled a.jsonl b.jsonl
+//	                                        # + final value per run, delta vs first
+//	tracestat -full runs.jsonl              # + each run's final snapshot
+//	tracestat -json runs.jsonl              # dump the replayed runs as JSON
+//	tracestat -chrome trace.json runs.jsonl # + Chrome trace-event file for Perfetto
+//
+// -metric resolves against the final snapshot: counters and gauges by
+// name, quality streams by their mean (with the 95% CI alongside), and
+// latency instruments by a stat suffix (query.latency.all.p99).
 //
 // Self time is a span's duration minus the sum of its children's
 // durations, clamped at zero for spans whose children overlap (parallel
@@ -19,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,178 +52,119 @@ func main() {
 	}
 }
 
-// node is one reconstructed span, format-independent: both input formats
-// reduce to (name, absolute start, duration) trees in microseconds, the
-// trace-event time unit.
-type node struct {
-	name     string
-	startUS  float64
-	durUS    float64
-	children []*node
-}
-
 // run is the whole tool behind a writer so the golden-file test can
 // capture its exact output without a subprocess.
 func run(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
-	top := fs.Int("top", 0, "print only the N phases with the largest total time (0 = all)")
+	var (
+		top     = fs.Int("top", 0, "print only the N phases with the largest total time (0 = all)")
+		jsonOut = fs.Bool("json", false, "dump the replayed runs as JSON instead of the report")
+		metric  = fs.String("metric", "", "compare this metric's final value across runs")
+		full    = fs.Bool("full", false, "print each run's final metrics snapshot")
+		chrome  = fs.String("chrome", "", "also write the span timelines as Chrome trace-event JSON to this file (open in Perfetto)")
+	)
 	if err := fs.Parse(args); err != nil {
 		return runner.Usagef("%v", err)
 	}
 	if fs.NArg() == 0 {
-		return runner.Usagef("at least one trace or journal file is required")
+		return runner.Usagef("at least one journal file is required")
 	}
 
-	var roots []*node
+	var runs []*journal.Run
 	for _, path := range fs.Args() {
 		rs, err := load(path)
 		if err != nil {
 			return err
 		}
-		roots = append(roots, rs...)
+		runs = append(runs, rs...)
 	}
-	if len(roots) == 0 {
-		fmt.Fprintln(out, "no spans found")
-		return nil
+	var spans []*obs.SpanSnapshot
+	for _, r := range runs {
+		spans = append(spans, r.Spans...)
+	}
+	if *chrome != "" {
+		if err := writeChrome(*chrome, spans); err != nil {
+			return err
+		}
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(runs)
 	}
 
-	if err := writePhases(out, roots, *top); err != nil {
+	if err := writeRunTable(out, runs); err != nil {
+		return err
+	}
+	if *metric != "" {
+		if err := writeMetric(out, runs, *metric); err != nil {
+			return err
+		}
+	}
+	if *full {
+		if err := writeFinal(out, runs); err != nil {
+			return err
+		}
+	}
+	if len(spans) == 0 {
+		return nil
+	}
+	fmt.Fprintln(out)
+	if err := writePhases(out, spans, *top); err != nil {
 		return err
 	}
 	fmt.Fprintln(out)
-	return writeCriticalPaths(out, roots)
+	return writeCriticalPaths(out, spans)
 }
 
-// load reads one input file, auto-detecting its format: a single JSON
-// object with a traceEvents array is a Chrome trace; anything else is
-// tried as a JSONL journal.
-func load(path string) ([]*node, error) {
-	data, err := os.ReadFile(path)
+// load replays one journal file; a malformed one fails naming the file.
+func load(path string) ([]*journal.Run, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var tf traceFile
-	if err := json.Unmarshal(data, &tf); err == nil && tf.TraceEvents != nil {
-		return fromTrace(tf.TraceEvents), nil
+	defer f.Close()
+	runs, err := journal.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	runs, jErr := journal.Read(bytes.NewReader(data))
-	if jErr != nil {
-		return nil, fmt.Errorf("%s: neither a Chrome trace (no traceEvents object) nor a journal: %w", path, jErr)
-	}
-	var roots []*node
-	for _, r := range runs {
-		for _, s := range r.Spans {
-			roots = append(roots, fromSpan(s, 0))
-		}
-	}
-	return roots, nil
-}
-
-// traceEvent is the subset of the Chrome trace-event fields tracestat
-// consumes; metadata ("M") events are skipped by ph.
-type traceEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-}
-
-type traceFile struct {
-	TraceEvents []traceEvent `json:"traceEvents"`
-}
-
-// fromTrace rebuilds span trees from flattened "X" complete events by
-// time containment: within each (pid, tid) lane, events sorted by start
-// (longest first on ties, so parents precede their children) nest under
-// the nearest still-open enclosing event.
-func fromTrace(events []traceEvent) []*node {
-	byLane := map[[2]int][]traceEvent{}
-	var laneOrder [][2]int
-	for _, ev := range events {
-		if ev.Ph != "X" {
-			continue
-		}
-		key := [2]int{ev.PID, ev.TID}
-		if _, ok := byLane[key]; !ok {
-			laneOrder = append(laneOrder, key)
-		}
-		byLane[key] = append(byLane[key], ev)
-	}
-
-	var roots []*node
-	for _, key := range laneOrder {
-		evs := byLane[key]
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].TS != evs[j].TS {
-				return evs[i].TS < evs[j].TS
-			}
-			return evs[i].Dur > evs[j].Dur
-		})
-		var stack []*node
-		for _, ev := range evs {
-			n := &node{name: ev.Name, startUS: ev.TS, durUS: ev.Dur}
-			for len(stack) > 0 {
-				open := stack[len(stack)-1]
-				if n.startUS < open.startUS+open.durUS {
-					break
-				}
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) == 0 {
-				roots = append(roots, n)
-			} else {
-				p := stack[len(stack)-1]
-				p.children = append(p.children, n)
-			}
-			stack = append(stack, n)
-		}
-	}
-	return roots
-}
-
-// fromSpan converts a rehydrated journal span (parent-relative StartNS,
-// nanosecond durations) into a node tree with absolute microsecond
-// starts.
-func fromSpan(s *obs.Span, parentStartUS float64) *node {
-	n := &node{
-		name:    s.Name,
-		startUS: parentStartUS + float64(s.StartNS)/1e3,
-		durUS:   float64(s.DurationNS) / 1e3,
-	}
-	for _, c := range s.Children {
-		n.children = append(n.children, fromSpan(c, n.startUS))
-	}
-	return n
+	return runs, nil
 }
 
 type phaseStat struct {
 	name        string
 	count       int
-	total, self float64
-	min, max    float64
+	total, self time.Duration
+	min, max    time.Duration
 }
 
-func collect(n *node, stats map[string]*phaseStat) {
-	st := stats[n.name]
+func collect(s *obs.SpanSnapshot, stats map[string]*phaseStat) {
+	dur := time.Duration(s.DurationNS)
+	st := stats[s.Name]
 	if st == nil {
-		st = &phaseStat{name: n.name, min: math.Inf(1)}
-		stats[n.name] = st
+		st = &phaseStat{name: s.Name, min: dur}
+		stats[s.Name] = st
 	}
 	st.count++
-	st.total += n.durUS
-	st.min = math.Min(st.min, n.durUS)
-	st.max = math.Max(st.max, n.durUS)
-	var childUS float64
-	for _, c := range n.children {
-		childUS += c.durUS
+	st.total += dur
+	st.min = min(st.min, dur)
+	st.max = max(st.max, dur)
+	st.self += selfTime(s)
+	for _, c := range s.Children {
 		collect(c, stats)
 	}
-	st.self += math.Max(0, n.durUS-childUS)
 }
 
-func writePhases(out io.Writer, roots []*node, top int) error {
+// selfTime is s's duration minus its children's, clamped at zero.
+func selfTime(s *obs.SpanSnapshot) time.Duration {
+	self := s.DurationNS
+	for _, c := range s.Children {
+		self -= c.DurationNS
+	}
+	return time.Duration(max(0, self))
+}
+
+func writePhases(out io.Writer, roots []*obs.SpanSnapshot, top int) error {
 	stats := map[string]*phaseStat{}
 	for _, r := range roots {
 		collect(r, stats)
@@ -236,46 +186,39 @@ func writePhases(out io.Writer, roots []*node, top int) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PHASE\tCOUNT\tTOTAL\tSELF\tMIN\tMAX\tMEAN")
 	for _, st := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\n",
-			st.name, st.count, fmtDur(st.total), fmtDur(st.self),
-			fmtDur(st.min), fmtDur(st.max), fmtDur(st.total/float64(st.count)))
+		mean := time.Duration(math.Round(float64(st.total) / float64(st.count)))
+		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%v\t%v\t%v\n",
+			st.name, st.count, st.total, st.self, st.min, st.max, mean)
 	}
 	return tw.Flush()
 }
 
-func writeCriticalPaths(out io.Writer, roots []*node) error {
+func writeCriticalPaths(out io.Writer, roots []*obs.SpanSnapshot) error {
 	for i, root := range roots {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
-		fmt.Fprintf(out, "critical path (%s, %s):\n", root.name, fmtDur(root.durUS))
+		fmt.Fprintf(out, "critical path (%s, %v):\n", root.Name, time.Duration(root.DurationNS))
 		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		for n, depth := root, 0; n != nil; depth++ {
-			var childUS float64
-			var next *node
-			for _, c := range n.children {
-				childUS += c.durUS
-				if next == nil || c.durUS > next.durUS {
+		for s, depth := root, 0; s != nil; depth++ {
+			var next *obs.SpanSnapshot
+			for _, c := range s.Children {
+				if next == nil || c.DurationNS > next.DurationNS {
 					next = c
 				}
 			}
 			pct := 0.0
-			if root.durUS > 0 {
-				pct = 100 * n.durUS / root.durUS
+			if root.DurationNS > 0 {
+				pct = 100 * float64(s.DurationNS) / float64(root.DurationNS)
 			}
-			fmt.Fprintf(tw, "%s%s\t%s\tself %s\t%.1f%%\n",
-				strings.Repeat("  ", depth), n.name,
-				fmtDur(n.durUS), fmtDur(math.Max(0, n.durUS-childUS)), pct)
-			n = next
+			fmt.Fprintf(tw, "%s%s\t%v\tself %v\t%.1f%%\n",
+				strings.Repeat("  ", depth), s.Name,
+				time.Duration(s.DurationNS), selfTime(s), pct)
+			s = next
 		}
 		if err := tw.Flush(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// fmtDur renders a microsecond quantity with Go duration units.
-func fmtDur(us float64) string {
-	return time.Duration(math.Round(us * 1e3)).String()
 }

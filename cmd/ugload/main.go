@@ -332,7 +332,7 @@ func load(env *runner.Env, eng *query.Engine, cfg config) error {
 			vs = closedLoop(env.Ctx, do, eng, cfg)
 		}
 		views = append(views, vs...)
-		// One journal snapshot per completed mode, so journalreplay can
+		// One journal snapshot per completed mode, so tracestat can
 		// attribute the counter/latency deltas to the loop discipline.
 		if env.Obs != nil {
 			env.Journal.WriteSnapshot(time.Now(), env.Obs.Registry().Snapshot(), nil)

@@ -81,8 +81,9 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	if err := ctx.Err(); err != nil {
 		// Cancelled during the precompute: the relevance scores are
 		// truncated garbage and nothing search-shaped exists to checkpoint
-		// (a resume redoes the deterministic precompute anyway).
-		return nil, interruptErr(err, 0)
+		// (a resume redoes the deterministic precompute anyway). The
+		// result carries only the trace, so the run's timeline survives.
+		return &Result{Variant: p.Variant, Trace: root}, interruptErr(err, 0)
 	}
 	p.Obs.Debug("core: precompute done",
 		"variant", p.Variant.String(), "dur", pre.Duration())

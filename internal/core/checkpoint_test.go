@@ -164,8 +164,12 @@ func TestAnonymizeContextPreCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: error = %v, want context.Canceled", variant, err)
 		}
-		if res != nil && res.Graph != nil {
-			t.Fatalf("%v: pre-cancelled run produced a graph", variant)
+		if res == nil || res.Graph != nil {
+			t.Fatalf("%v: pre-cancelled run result = %+v, want a result without a graph", variant, res)
+		}
+		// The trace survives so the run's timeline can still be journaled.
+		if res.Trace == nil || res.Trace.Find("precompute") == nil {
+			t.Fatalf("%v: pre-cancelled run lost its trace", variant)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // journal: one self-describing record per line, in write order. A run is
 // bracketed by "begin" and "end" records; between them the writer appends
 // periodic "snapshot" records (typically from the expose differ's
-// OnSnapshot hook) and "span" records carrying finished phase traces. The
+// OnSnapshot hook) and "span" records carrying the run's phase traces. The
 // Reader reloads a journal into per-run structures whose snapshots are
 // the identical obs.Snapshot values that were written, so cross-run
 // comparison works on the same structs the live registry produces.
@@ -43,7 +43,7 @@ type Record struct {
 	Error    string             `json:"error,omitempty"`
 	Snapshot *obs.Snapshot      `json:"snapshot,omitempty"`
 	Rates    map[string]float64 `json:"rates,omitempty"`
-	Span     *obs.Span          `json:"span,omitempty"`
+	Span     *obs.SpanSnapshot  `json:"span,omitempty"`
 }
 
 var runSeq atomic.Int64
@@ -135,8 +135,11 @@ func (w *Writer) WriteSnapshot(at time.Time, s obs.Snapshot, rates map[string]fl
 	return w.append(Record{Type: "snapshot", At: at, Snapshot: &s, Rates: rates})
 }
 
-// WriteSpan appends a finished phase trace.
-func (w *Writer) WriteSpan(at time.Time, s *obs.Span) error {
+// WriteSpan appends a phase trace. A snapshot rather than the live span is
+// stored, so a span still running when it is journaled (an interrupted or
+// deadline-cut run) keeps its absolute start, its elapsed time and its
+// running flag instead of a zero duration.
+func (w *Writer) WriteSpan(at time.Time, s *obs.SpanSnapshot) error {
 	if w == nil || s == nil {
 		return nil
 	}
@@ -200,7 +203,7 @@ type Run struct {
 	Status    string
 	Error     string // what stopped a "failed"/"interrupted" run, if recorded
 	Snapshots []SnapshotPoint
-	Spans     []*obs.Span
+	Spans     []*obs.SpanSnapshot
 	Final     *obs.Snapshot
 }
 
@@ -252,6 +255,12 @@ func Read(r io.Reader) ([]*Run, error) {
 		case "span":
 			if rec.Span == nil {
 				return nil, fmt.Errorf("journal: line %d: span record without span", line)
+			}
+			if rec.Span.Start.IsZero() {
+				// Span records written before snapshots carry no absolute
+				// start; they were journaled as the span ended, so the
+				// record's time less the duration places it on the clock.
+				rec.Span.Start = rec.At.Add(-time.Duration(rec.Span.DurationNS))
 			}
 			run.Spans = append(run.Spans, rec.Span)
 		case "end":

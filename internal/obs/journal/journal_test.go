@@ -61,7 +61,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.WriteSnapshot(t0.Add(10*time.Second), snap2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSpan(t0.Add(11*time.Second), span); err != nil {
+	if err := w.WriteSpan(t0.Add(11*time.Second), span.SnapshotTree()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.End(t0.Add(12*time.Second), "done", snap2); err != nil {
@@ -107,10 +107,70 @@ func TestRoundTrip(t *testing.T) {
 	if len(run.Spans) != 1 {
 		t.Fatalf("replayed %d spans, want 1", len(run.Spans))
 	}
-	wantSpan, _ := json.Marshal(span)
+	wantSpan, _ := json.Marshal(span.SnapshotTree())
 	gotSpan, _ := json.Marshal(run.Spans[0])
 	if !bytes.Equal(wantSpan, gotSpan) {
 		t.Errorf("span round-trip:\ngot  %s\nwant %s", gotSpan, wantSpan)
+	}
+}
+
+// TestRunningSpan: a span still open when it is journaled (the deadline
+// and interrupt paths) replays as running, with the time it had run so
+// far and its absolute start, not the zero duration of an unended span.
+func TestRunningSpan(t *testing.T) {
+	root := obs.NewSpan("anonymize")
+	genobf := root.StartChild("genobf")
+	time.Sleep(time.Millisecond)
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if _, err := w.Begin("chameleon", nil, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteSpan(time.Now(), root.SnapshotTree()); err != nil {
+		t.Fatal(err)
+	}
+	genobf.End()
+	runs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || len(runs[0].Spans) != 1 {
+		t.Fatalf("replayed %d runs, want 1 with 1 span", len(runs))
+	}
+	got := runs[0].Spans[0]
+	if !got.Running || got.DurationNS <= 0 {
+		t.Errorf("journaled open root = running %v, duration %d ns; want running with a duration above 0", got.Running, got.DurationNS)
+	}
+	if len(got.Children) != 1 || !got.Children[0].Running || got.Children[0].DurationNS <= 0 {
+		t.Errorf("journaled open child = %+v, want running with a duration above 0", got.Children)
+	}
+	if got.Start.IsZero() {
+		t.Error("journaled span lost its absolute start")
+	}
+}
+
+// TestOldSpanRecord: span records written before they carried an
+// absolute start or a running flag still decode, placed on the clock so
+// they end at the record's time.
+func TestOldSpanRecord(t *testing.T) {
+	line := `{"type":"span","run_id":"r","at":"2026-01-01T00:00:02Z","span":{"name":"anonymize","start_ns":0,"duration_ns":120000000,"attrs":{"k":20},"children":[{"name":"precompute","start_ns":0,"duration_ns":30000000}]}}` + "\n"
+	runs, err := Read(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || len(runs[0].Spans) != 1 {
+		t.Fatalf("replayed %d runs, want 1 with 1 span", len(runs))
+	}
+	got := runs[0].Spans[0]
+	if got.Name != "anonymize" || got.DurationNS != 120000000 || got.Running || got.Attrs["k"] != 20.0 {
+		t.Errorf("old span = %+v", got)
+	}
+	if want := time.Date(2026, 1, 1, 0, 0, 1, 880000000, time.UTC); !got.Start.Equal(want) {
+		t.Errorf("old span start = %v, want %v (record time less duration)", got.Start, want)
+	}
+	if len(got.Children) != 1 || got.Children[0].Name != "precompute" || got.Children[0].DurationNS != 30000000 {
+		t.Errorf("old span children = %+v", got.Children)
 	}
 }
 
@@ -242,7 +302,7 @@ func TestTruncatedAndMalformed(t *testing.T) {
 
 	// Payload-less snapshot and span records are malformed, not nil
 	// entries: a nil in Run.Snapshots/Run.Spans would surface as "null" in
-	// journalreplay -json and panic any consumer that dereferences it.
+	// tracestat -json and panic any consumer that dereferences it.
 	if _, err := Read(strings.NewReader(`{"type":"snapshot","run_id":"x"}` + "\n")); err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("snapshot-without-snapshot error = %v, want line-numbered error", err)
 	}
@@ -302,7 +362,7 @@ func TestNilWriterSafety(t *testing.T) {
 	if err := w.WriteSnapshot(time.Now(), obs.Snapshot{}, nil); err != nil {
 		t.Errorf("nil WriteSnapshot: %v", err)
 	}
-	if err := w.WriteSpan(time.Now(), obs.NewSpan("s")); err != nil {
+	if err := w.WriteSpan(time.Now(), obs.NewSpan("s").SnapshotTree()); err != nil {
 		t.Errorf("nil WriteSpan: %v", err)
 	}
 	if err := w.End(time.Now(), "done", obs.Snapshot{}); err != nil {

@@ -6,7 +6,6 @@ import (
 	"chameleon/internal/obs"
 	"chameleon/internal/obs/expose"
 	"chameleon/internal/obs/journal"
-	"chameleon/internal/obs/traceout"
 )
 
 // MetricsSnapshot is the frozen state of an observer's metrics registry:
@@ -35,8 +34,9 @@ func NewTelemetryServer(o *Observer, opts TelemetryOptions) *TelemetryServer {
 }
 
 // Journal appends a run's telemetry — begin/end brackets, periodic metric
-// snapshots, finished phase traces — to an append-only JSONL journal. A
-// nil *Journal is a usable no-op.
+// snapshots, phase traces — to an append-only JSONL journal, the one
+// on-disk record of a run's span timeline (cmd/tracestat reads it and
+// converts it for Perfetto). A nil *Journal is a usable no-op.
 type Journal = journal.Writer
 
 // JournalRun is one replayed run from a journal file.
@@ -51,12 +51,3 @@ func ReadJournal(path string) ([]*JournalRun, error) { return journal.ReadFile(p
 
 // NewRunID returns a fresh journal run identifier.
 func NewRunID(now time.Time) string { return journal.NewRunID(now) }
-
-// ExportTrace writes every span tree the observer has collected to path in
-// the Chrome trace-event JSON format, loadable in chrome://tracing and
-// Perfetto. Running spans are exported with their live duration and a
-// running:true arg, so exporting after an interrupt still yields a
-// truthful timeline. A nil observer writes a valid empty trace.
-func ExportTrace(path string, o *Observer) error {
-	return traceout.ExportObserver(path, o)
-}
