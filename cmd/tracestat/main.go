@@ -193,12 +193,40 @@ func writePhases(out io.Writer, roots []*obs.SpanSnapshot, top int) error {
 	return tw.Flush()
 }
 
+// writeCriticalPaths prints one critical path per distinct root name, in
+// order of first appearance: the path of the slowest root of that name
+// (the first on a tie), with the number of such roots in the header when
+// there is more than one — a sweep journal's many sweep.cell roots make
+// one block, not one each.
 func writeCriticalPaths(out io.Writer, roots []*obs.SpanSnapshot) error {
-	for i, root := range roots {
+	type group struct {
+		slowest *obs.SpanSnapshot
+		n       int
+	}
+	var groups []*group
+	byName := map[string]*group{}
+	for _, r := range roots {
+		g := byName[r.Name]
+		if g == nil {
+			g = &group{slowest: r}
+			byName[r.Name] = g
+			groups = append(groups, g)
+		}
+		g.n++
+		if r.DurationNS > g.slowest.DurationNS {
+			g.slowest = r
+		}
+	}
+	for i, g := range groups {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
-		fmt.Fprintf(out, "critical path (%s, %v):\n", root.Name, time.Duration(root.DurationNS))
+		root := g.slowest
+		if g.n > 1 {
+			fmt.Fprintf(out, "critical path (%s, slowest of %d, %v):\n", root.Name, g.n, time.Duration(root.DurationNS))
+		} else {
+			fmt.Fprintf(out, "critical path (%s, %v):\n", root.Name, time.Duration(root.DurationNS))
+		}
 		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		for s, depth := root, 0; s != nil; depth++ {
 			var next *obs.SpanSnapshot

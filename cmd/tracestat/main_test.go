@@ -131,6 +131,35 @@ func TestTopGolden(t *testing.T) {
 	pinTail(t, report(t, "-top", "2", filepath.Join("testdata", "search.jsonl")), "top.golden")
 }
 
+// TestCriticalPathPerRootName: a sweep journal's many roots of one name
+// make one critical-path block, the slowest root's, with their count in
+// the header; a root with a name of its own keeps the plain header.
+func TestCriticalPathPerRootName(t *testing.T) {
+	start := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	var roots []*obs.SpanSnapshot
+	for i := 0; i < 60; i++ {
+		d := int64((i*37)%60+1) * int64(time.Millisecond)
+		roots = append(roots, &obs.SpanSnapshot{
+			Name: "sweep.cell", Start: start, DurationNS: d,
+			Children: []*obs.SpanSnapshot{{Name: "anonymize", Start: start, DurationNS: d / 2}},
+		})
+	}
+	roots = append(roots, &obs.SpanSnapshot{Name: "fig8", Start: start, DurationNS: int64(2 * time.Second)})
+	got := report(t, writeSnapshots(t, roots...))
+	if n := strings.Count(got, "critical path ("); n != 2 {
+		t.Errorf("%d critical-path blocks, want 2 (one per root name):\n%s", n, got)
+	}
+	// The slowest cell (i == 47, (47*37)%60 == 59) runs 60ms, its child 30ms.
+	for _, want := range []string{
+		"critical path (sweep.cell, slowest of 60, 60ms):\nsweep.cell   60ms  self 30ms  100.0%\n  anonymize  30ms  self 30ms  50.0%\n",
+		"critical path (fig8, 2s):\nfig8  2s  self 2s  100.0%\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report lacks %q:\n%s", want, got)
+		}
+	}
+}
+
 // TestRoundTripFromObserver closes the loop from live spans to both
 // outputs: an observer's span tree is journaled the way the runner does
 // it, and tracestat summarizes it and converts it for Perfetto.
@@ -255,6 +284,17 @@ func TestMalformedInputFails(t *testing.T) {
 // runner does at the end of a run, and returns the file's path.
 func writeJournal(t *testing.T, roots ...*obs.Span) string {
 	t.Helper()
+	snaps := make([]*obs.SpanSnapshot, len(roots))
+	for i, r := range roots {
+		snaps[i] = r.SnapshotTree()
+	}
+	return writeSnapshots(t, snaps...)
+}
+
+// writeSnapshots is writeJournal for span trees given as snapshots, so a
+// test can fix their timings.
+func writeSnapshots(t *testing.T, roots ...*obs.SpanSnapshot) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	w, err := journal.Open(path)
 	if err != nil {
@@ -264,7 +304,7 @@ func writeJournal(t *testing.T, roots ...*obs.Span) string {
 		t.Fatal(err)
 	}
 	for _, r := range roots {
-		if err := w.WriteSpan(time.Now(), r.SnapshotTree()); err != nil {
+		if err := w.WriteSpan(time.Now(), r); err != nil {
 			t.Fatal(err)
 		}
 	}

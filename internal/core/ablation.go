@@ -25,7 +25,8 @@ func PerturbAll(g *uncertain.Graph, guided bool, sigma, whiteNoise float64, seed
 		}
 		var pNew float64
 		if guided {
-			pNew = p + (1-2*p)*r
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			pNew = p + float64((1-2*p)*r)
 		} else {
 			if rng.Float64() < 0.5 {
 				r = -r

@@ -272,21 +272,20 @@ type searchInputs struct {
 // the next. The input graph is only ever read.
 type attemptSlot struct {
 	*searchInputs
-	pcg      *rand.PCG  // the attempt's stream, reseeded per attempt
-	rng      *rand.Rand // reads pcg
-	work     *uncertain.Graph
-	removed  []uint32 // by edge index: == epoch when removed from E_C
-	epoch    uint32
-	addedSet map[[2]uncertain.NodeID]struct{}
-	added    [][2]uncertain.NodeID
+	pcg     *rand.PCG  // the attempt's stream, reseeded per attempt
+	rng     *rand.Rand // reads pcg
+	work    *uncertain.Graph
+	removed []uint32 // by edge index: == epoch when removed from E_C
+	epoch   uint32
+	added   pairSet // injected pairs, in insertion order
 }
 
 func (in *searchInputs) newSlot() *attemptSlot {
 	pcg := rand.NewPCG(0, 0)
 	return &attemptSlot{
 		searchInputs: in, pcg: pcg, rng: rand.New(pcg),
-		removed:  make([]uint32, in.g.NumEdges()),
-		addedSet: make(map[[2]uncertain.NodeID]struct{}),
+		removed: make([]uint32, in.g.NumEdges()),
+		added:   newPairSet(in.target - in.g.NumEdges()),
 	}
 }
 
@@ -346,7 +345,8 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 		w := uniq[v]
 		if p.Variant.reliabilitySensitive() && maxVRR > 0 {
 			// Keep a small floor so zero-weight vertices stay reachable.
-			w *= 1 - 0.95*(vrr[v]/maxVRR)
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			w *= 1 - float64(0.95*(vrr[v]/maxVRR))
 		}
 		q[v] = w
 	}

@@ -264,7 +264,7 @@ func (in *searchInputs) sampleVertex(rng *rand.Rand) uncertain.NodeID {
 // iteration cap, to stay robust on dense graphs).
 //
 // E_C is left in the slot, and a.eachCandidate walks it: an edge ei left E_C
-// this attempt iff a.removed[ei] == a.epoch, and a.added lists the
+// this attempt iff a.removed[ei] == a.epoch, and a.added holds the
 // injected pairs.
 func (a *attemptSlot) selectCandidates(rng *rand.Rand) {
 	g := a.g
@@ -273,8 +273,7 @@ func (a *attemptSlot) selectCandidates(rng *rand.Rand) {
 		clear(a.removed)
 		a.epoch = 1
 	}
-	clear(a.addedSet)
-	added := a.added[:0] // insertion order: keeps the trial deterministic per seed
+	a.added.reset()
 	size := m
 	maxIter := 64 * (a.target + 16)
 	for iter := 0; size != a.target && iter < maxIter; iter++ {
@@ -286,7 +285,6 @@ func (a *attemptSlot) selectCandidates(rng *rand.Rand) {
 		if u > v {
 			u, v = v, u
 		}
-		pair := [2]uncertain.NodeID{u, v}
 		if ei := g.EdgeIndex(u, v); ei >= 0 {
 			if a.removed[ei] != a.epoch && size > 0 {
 				e := g.Edge(ei)
@@ -295,15 +293,10 @@ func (a *attemptSlot) selectCandidates(rng *rand.Rand) {
 					size--
 				}
 			}
-		} else if size < a.target {
-			if _, dup := a.addedSet[pair]; !dup {
-				a.addedSet[pair] = struct{}{}
-				added = append(added, pair)
-				size++
-			}
+		} else if size < a.target && a.added.add(u, v) {
+			size++
 		}
 	}
-	a.added = added
 }
 
 // eachCandidate calls fn on E_C as selectCandidates left it, in
@@ -316,14 +309,16 @@ func (a *attemptSlot) eachCandidate(fn func(c candidate)) {
 			fn(candidate{u: e.U, v: e.V, p: e.P, orig: i})
 		}
 	}
-	for _, pair := range a.added {
+	for _, pair := range a.added.pairs {
 		fn(candidate{u: pair[0], v: pair[1], p: 0, orig: -1})
 	}
 }
 
 // qe is candidate c's uncertainty level Q^e = (Q^u + Q^v)/2.
 func (a *attemptSlot) qe(c candidate) float64 {
-	return (a.q[c.u] + a.q[c.v]) / 2
+	// The halving compiles to a multiply by 0.5; float64() rounds it, so
+	// a caller's sum does not fuse it into a multiply-add on any GOARCH.
+	return float64((a.q[c.u] + a.q[c.v]) / 2)
 }
 
 // perturb applies the per-edge noise to the candidate set and materializes
@@ -363,7 +358,8 @@ func (a *attemptSlot) perturb(sigma float64, rng *rand.Rand) *uncertain.Graph {
 		}
 		var pNew float64
 		if useME {
-			pNew = c.p + (1-2*c.p)*r
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			pNew = c.p + float64((1-2*c.p)*r)
 		} else {
 			if rng.Float64() < 0.5 {
 				r = -r

@@ -34,7 +34,8 @@ func (st *searchState) publishProgress(cur *searchCursor, res *Result) {
 	done := float64(res.GenObfCalls)
 	frac := done / (done + float64(remaining))
 	base, span, owned := st.progressWindow()
-	reg.Gauge(obs.ProgressGauge).Set(base + frac*span)
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	reg.Gauge(obs.ProgressGauge).Set(base + float64(frac*span))
 
 	if owned {
 		meanNS := reg.Latency("core.genobf_seconds").Snapshot().Mean()

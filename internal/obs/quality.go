@@ -21,7 +21,8 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Merge folds another accumulator's state into w.
@@ -76,7 +77,8 @@ func (w Welford) StdErr() float64 {
 // estimators run at (the CLT regime); degenerate (lo==hi==mean) when the
 // accumulator has fewer than two observations.
 func (w Welford) CI95() (lo, hi float64) {
-	half := 1.96 * w.StdErr()
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	half := float64(1.96 * w.StdErr())
 	return w.mean - half, w.mean + half
 }
 

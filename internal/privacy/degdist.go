@@ -26,7 +26,8 @@ func degreeDistributionInto(dist, probs []float64) []float64 {
 		dist = append(dist, 0)
 		q := 1 - p
 		for j := len(dist) - 1; j >= 1; j-- {
-			dist[j] = dist[j]*q + dist[j-1]*p
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			dist[j] = float64(dist[j]*q) + float64(dist[j-1]*p)
 		}
 		dist[0] *= q
 	}
@@ -53,7 +54,8 @@ func DegreeEntropy(dist []float64) float64 {
 	var h float64
 	for _, p := range dist {
 		if p > 0 {
-			h -= p * math.Log2(p)
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			h -= float64(p * math.Log2(p))
 		}
 	}
 	return h

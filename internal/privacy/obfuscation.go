@@ -82,7 +82,8 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 		for w, p := range dist {
 			mass[w] += p
 			if p > 0 {
-				sumPlogP[w] += p * math.Log2(p)
+				// float64() rounds the product: no fused multiply-add on any GOARCH.
+				sumPlogP[w] += float64(p * math.Log2(p))
 			}
 		}
 	}
@@ -182,7 +183,8 @@ func CheckObfuscationWindow(pub *uncertain.Graph, property []int, k, t int) (Obf
 				p := window(u, w)
 				if p > 0 {
 					mass += p
-					plogp += p * math.Log2(p)
+					// float64() rounds the product: no fused multiply-add on any GOARCH.
+					plogp += float64(p * math.Log2(p))
 				}
 			}
 			if mass > 0 {

@@ -30,7 +30,8 @@ func AnonymityObjective(g *uncertain.Graph) float64 {
 		for w, p := range d {
 			if p > 0 {
 				mass[w] += p
-				sumPlogP[w] += p * math.Log2(p)
+				// float64() rounds the product: no fused multiply-add on any GOARCH.
+				sumPlogP[w] += float64(p * math.Log2(p))
 			}
 		}
 	}
@@ -40,7 +41,8 @@ func AnonymityObjective(g *uncertain.Graph) float64 {
 			continue
 		}
 		h := math.Log2(mass[w]) - sumPlogP[w]/mass[w]
-		objective += mass[w] * h
+		// float64() rounds the product: no fused multiply-add on any GOARCH.
+		objective += float64(mass[w] * h)
 	}
 	return objective
 }
@@ -80,7 +82,8 @@ func DegreeUncertaintyDecomposition(g *uncertain.Graph) (vertexEntropy, sizeTerm
 	for _, m := range mass {
 		if m > 0 {
 			q := m / n
-			hOmega -= q * math.Log2(q)
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			hOmega -= float64(q * math.Log2(q))
 		}
 	}
 	omegaTerm = n * hOmega

@@ -230,7 +230,8 @@ func VertexRelevance(g *uncertain.Graph, edgeRelevance []float64) []float64 {
 	out := make([]float64, g.NumNodes())
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(i)
-		w := e.P * edgeRelevance[i]
+		// float64() rounds the product: no fused multiply-add on any GOARCH.
+		w := float64(e.P * edgeRelevance[i])
 		out[e.U] += w
 		out[e.V] += w
 	}

@@ -39,7 +39,7 @@ type Graph struct {
 	uv    []uint64 // packed endpoints (u<<32|v) parallel to edges, one
 	// load per edge in the bitset union kernel
 	adj   [][]halfEdge
-	index map[[2]NodeID]int32 // canonical (u<v) pair -> edge index
+	index []int32 // open-addressed table over uv (index.go): edge index + 1, 0 if empty
 
 	// version counts structural mutations (AddEdge, SetProb). It
 	// invalidates derived snapshots: the cached WorldSampler below and any
@@ -101,16 +101,8 @@ func New(n int) *Graph {
 	return &Graph{
 		n:     n,
 		adj:   make([][]halfEdge, n),
-		index: make(map[[2]NodeID]int32),
+		index: make([]int32, indexSize(0)),
 	}
-}
-
-// canonical orders an endpoint pair so that u < v.
-func canonical(u, v NodeID) [2]NodeID {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]NodeID{u, v}
 }
 
 // checkEdge applies AddEdge's per-edge checks, in order: endpoint range,
@@ -135,16 +127,18 @@ func (g *Graph) AddEdge(u, v NodeID, p float64) error {
 	if err := g.checkEdge(u, v, p); err != nil {
 		return err
 	}
-	key := canonical(u, v)
-	if _, dup := g.index[key]; dup {
+	a, b := min(u, v), max(u, v)
+	key := pack(a, b)
+	slot, dup := g.lookup(key)
+	if dup >= 0 {
 		return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
 	}
 	idx := int32(len(g.edges))
-	g.edges = append(g.edges, Edge{U: key[0], V: key[1], P: p})
-	g.uv = append(g.uv, uint64(key[0])<<32|uint64(key[1]))
-	g.adj[key[0]] = append(g.adj[key[0]], halfEdge{To: key[1], Edge: idx})
-	g.adj[key[1]] = append(g.adj[key[1]], halfEdge{To: key[0], Edge: idx})
-	g.index[key] = idx
+	g.edges = append(g.edges, Edge{U: a, V: b, P: p})
+	g.uv = append(g.uv, key)
+	g.adj[a] = append(g.adj[a], halfEdge{To: b, Edge: idx})
+	g.adj[b] = append(g.adj[b], halfEdge{To: a, Edge: idx})
+	g.indexLast(slot)
 	g.version++
 	return nil
 }
@@ -159,10 +153,8 @@ func (g *Graph) MustAddEdge(u, v NodeID, p float64) {
 
 // EdgeIndex returns the index of edge {u,v}, or -1 if absent.
 func (g *Graph) EdgeIndex(u, v NodeID) int {
-	if i, ok := g.index[canonical(u, v)]; ok {
-		return int(i)
-	}
-	return -1
+	_, i := g.lookup(pack(min(u, v), max(u, v)))
+	return int(i)
 }
 
 // HasEdge reports whether {u,v} is an edge of the graph.
@@ -241,13 +233,10 @@ func (g *Graph) Clone() *Graph {
 		edges: g.Edges(),
 		uv:    append([]uint64(nil), g.uv...),
 		adj:   make([][]halfEdge, g.n),
-		index: make(map[[2]NodeID]int32, len(g.index)),
+		index: append([]int32(nil), g.index...),
 	}
 	for v := range g.adj {
 		c.adj[v] = append([]halfEdge(nil), g.adj[v]...)
-	}
-	for k, i := range g.index {
-		c.index[k] = i
 	}
 	c.version = g.version
 	return c
@@ -255,8 +244,8 @@ func (g *Graph) Clone() *Graph {
 
 // Rollback returns g to base, the inverse of the SetProb and AddEdge
 // calls made on g since it was cloned from base: the edges past index
-// base.NumEdges() are dropped, newest first — their index keys deleted and
-// their half-edges trimmed off the adjacency tails — and the first
+// base.NumEdges() are dropped, newest first — their index slots emptied
+// and their half-edges trimmed off the adjacency tails — and the first
 // base.NumEdges() edges get base's probabilities back. g then matches
 // base.Clone() in every index and adjacency order, while keeping its
 // slices' and index's capacity for the next round of mutations. base is
@@ -269,7 +258,8 @@ func (g *Graph) Rollback(base *Graph) {
 	m := len(base.edges)
 	for i := len(g.edges) - 1; i >= m; i-- {
 		e := g.edges[i]
-		delete(g.index, [2]NodeID{e.U, e.V})
+		slot, _ := g.lookup(g.uv[i])
+		g.index[slot] = 0 // an exact undo, newest first (index.go)
 		g.adj[e.U] = g.adj[e.U][:len(g.adj[e.U])-1]
 		g.adj[e.V] = g.adj[e.V][:len(g.adj[e.V])-1]
 	}

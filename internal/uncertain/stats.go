@@ -54,7 +54,8 @@ func (g *Graph) DegreeStdDev() float64 {
 	var ss float64
 	for _, d := range degs {
 		diff := d - mean
-		ss += diff * diff
+		// float64() rounds the product: no fused multiply-add on any GOARCH.
+		ss += float64(diff * diff)
 	}
 	return math.Sqrt(ss / float64(g.n))
 }

@@ -20,22 +20,24 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		edges: make([]Edge, m),
 		uv:    make([]uint64, m),
 		adj:   make([][]halfEdge, n),
-		index: make(map[[2]NodeID]int32, m),
+		index: make([]int32, indexSize(m)),
 	}
 	off := make([]int, n+1)
 	for i, e := range edges {
 		if err := g.checkEdge(e.U, e.V, e.P); err != nil {
 			return nil, err
 		}
-		key := canonical(e.U, e.V)
-		g.index[key] = int32(i)
-		if len(g.index) != i+1 {
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		key := pack(u, v)
+		slot, dup := g.lookup(key)
+		if dup >= 0 {
 			return nil, fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, e.U, e.V)
 		}
-		g.edges[i] = Edge{U: key[0], V: key[1], P: e.P}
-		g.uv[i] = uint64(key[0])<<32 | uint64(key[1])
-		off[key[0]+1]++
-		off[key[1]+1]++
+		g.edges[i] = Edge{U: u, V: v, P: e.P}
+		g.uv[i] = key
+		g.index[slot] = int32(i + 1)
+		off[u+1]++
+		off[v+1]++
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]

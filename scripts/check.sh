@@ -38,6 +38,28 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== no fused multiply-add (arm64 cross-build) =="
+# Go may fuse x*y + z into one FMA instruction, which rounds once where
+# the source rounds twice: arm64 builds do, amd64 at the default
+# GOAMD64=v1 never does, so the same seed would publish different bits on
+# the two. The numeric packages wrap each such product in an explicit
+# float64(), which the spec says must round and so forbids the fusion.
+# This step cross-builds them for arm64 with the local toolchain and fails
+# on any fused instruction left. math.Exp's own FMA path is not covered.
+fmadir=$(mktemp -d)
+for pkg in core privacy uncertain reliability truncnorm obs; do
+    GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
+    go tool objdump "$fmadir/$pkg.a" |
+        awk '/^TEXT/ { fn = $2 } $4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1, $4 }' >>"$fmadir/fused"
+done
+fused=$(cat "$fmadir/fused")
+rm -rf "$fmadir"
+if [ -n "$fused" ]; then
+    echo "fused multiply-add in the arm64 build; wrap the product in float64():" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -96,6 +118,7 @@ else
     go test -run '^$' -fuzz '^FuzzBitsetMask$'         -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzReadTSV$'            -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzGraphRoundTrip$'     -fuzztime "$fuzz_budget" ./internal/uncertain/
+    go test -run '^$' -fuzz '^FuzzGraphIndex$'         -fuzztime "$fuzz_budget" ./internal/uncertain/
     go test -run '^$' -fuzz '^FuzzDegreeDistribution$' -fuzztime "$fuzz_budget" ./internal/privacy/
     go test -run '^$' -fuzz '^FuzzCommonness$'         -fuzztime "$fuzz_budget" ./internal/testkit/
     go test -run '^$' -fuzz '^FuzzQSampler$'           -fuzztime "$fuzz_budget" ./internal/core/
