@@ -132,9 +132,8 @@ type Options struct {
 	Samples int
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Workers caps the parallelism of Monte Carlo sampling, the
-	// θ-uniqueness rows and the GenObf attempts (0 = all cores). No
-	// output depends on it.
+	// Workers caps the parallelism of Monte Carlo sampling and the GenObf
+	// attempts (0 = all cores). No output depends on it.
 	Workers int
 	// SamplingMode selects the Monte Carlo world-drawing strategy:
 	// "independent" (default), "antithetic", "stratified" or "coupled".

@@ -49,7 +49,7 @@ func main() {
 		targetRSE = flag.Float64("target-rse", 0, "adaptive stopping: sample until the relative standard error falls below this target (0 = fixed -samples budget)")
 		maxSmp    = flag.Int("max-samples", 0, "cap on adaptive sampling (0 = package default; requires -target-rse)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallelism of Monte Carlo sampling, θ-uniqueness rows and GenObf attempts (0 = all cores)")
+		workers   = flag.Int("workers", 0, "parallelism of Monte Carlo sampling and GenObf attempts (0 = all cores)")
 		binaryF   = flag.Bool("binary", false, "write the sectioned v2 binary format instead of TSV")
 		quiet     = flag.Bool("q", false, "suppress the summary on stderr")
 		verbose   = flag.Bool("v", false, "log structured progress to stderr")

@@ -53,7 +53,7 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 2, "jobs anonymizing concurrently")
 		queueLen  = flag.Int("queue", 16, "admission queue depth; submissions beyond it get 429")
 		maxPend   = flag.Float64("max-pending-seconds", 0, "reject submissions while estimated pending worker-seconds exceed this budget (0 = queue-depth gate only)")
-		wPerJob   = flag.Int("workers-per-job", 0, "parallelism per job of Monte Carlo sampling, θ-uniqueness rows and GenObf attempts (0 = GOMAXPROCS / max-jobs)")
+		wPerJob   = flag.Int("workers-per-job", 0, "parallelism per job of Monte Carlo sampling and GenObf attempts (0 = GOMAXPROCS / max-jobs)")
 		ckptEvery = flag.Int("checkpoint-every", 1, "σ-search checkpoint cadence in genobf calls (crash-recovery granularity; -1 = interrupt-only)")
 		maxUpload = flag.Int64("max-upload", 0, "submission body size limit in bytes (0 = 256 MiB)")
 		queryPath = flag.String("query", "", "also serve /query over this graph file")

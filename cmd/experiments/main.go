@@ -46,7 +46,7 @@ func main() {
 		maxSmp   = flag.Int("max-samples", 0, "cap on adaptive sampling (0 = package default; requires -target-rse)")
 		seed     = flag.Uint64("seed", 7, "random seed")
 		csvPath  = flag.String("csv", "", "write the raw sweep grid as CSV")
-		workers  = flag.Int("workers", 0, "parallelism of Monte Carlo sampling, θ-uniqueness rows and GenObf attempts (0 = all cores)")
+		workers  = flag.Int("workers", 0, "parallelism of Monte Carlo sampling and GenObf attempts (0 = all cores)")
 		verbose  = flag.Bool("v", false, "log structured per-cell progress to stderr")
 		stats    = flag.String("stats", "", "dump the final metrics snapshot: a path writes JSON, '-' writes text to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -295,9 +295,11 @@ func newSearchState(ctx context.Context, pre *obs.Span, g *uncertain.Graph, p Pa
 	n := g.NumNodes()
 
 	span := pre.StartChild("uniqueness")
-	uniq, distinct := privacy.VertexUniquenessDistinct(g, p.Workers)
+	uniq, kernel := privacy.VertexUniquenessDistinct(g)
 	span.SetAttr("n", n)
-	span.SetAttr("distinct", distinct)
+	span.SetAttr("distinct", kernel.Distinct)
+	span.SetAttr("boxes", kernel.Boxes)
+	span.SetAttr("kernel_evals", kernel.KernelEvals)
 	span.End()
 
 	var vrr []float64

@@ -23,7 +23,12 @@ import (
 //	    Carlo estimate of the search, so resuming under a different tuple
 //	    would silently change the trajectory. v1 files predate the tuple
 //	    and are rejected rather than guessed at.
-const CheckpointVersion = 2
+//	3 — same fields; the selection weights changed under them. θ-uniqueness
+//	    became a fast Gauss transform and every exp and log2 on the path
+//	    to published bytes became host-independent, so a v2 search
+//	    resumed now would continue a trajectory no build of this version
+//	    starts.
+const CheckpointVersion = 3
 
 // Search phase names as persisted in checkpoints.
 const (

@@ -303,9 +303,11 @@ func binaryVersion(t *testing.T, data []byte) uint32 {
 }
 
 // TestResumeLegacyCheckpoint resumes testdata/legacy-checkpoint.json, a
-// checkpoint an earlier build wrote mid-bisection with its best graph in
-// the v1 format, and requires the result to be bit-identical to the
-// uninterrupted run. Checkpoints written now embed v2.
+// checkpoint written mid-bisection whose best graph is in the legacy v1
+// format, and requires the result to be bit-identical to the
+// uninterrupted run. Checkpoints written now embed v2. The fixture was
+// regenerated for CheckpointVersion 3 from this build's interrupted run,
+// with its best graph re-encoded in v1.
 func TestResumeLegacyCheckpoint(t *testing.T) {
 	g := testGraph(t, 5)
 	full, err := Anonymize(g, ckParams(""))

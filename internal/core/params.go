@@ -112,8 +112,8 @@ type Params struct {
 	// MaxSamples caps adaptive sampling; 0 = reliability.DefaultMaxSamples.
 	// Ignored without TargetRSE.
 	MaxSamples int
-	// Workers caps the run's parallelism — Monte Carlo sampling, the
-	// θ-uniqueness rows and the GenObf attempts — at this many
+	// Workers caps the run's parallelism — Monte Carlo sampling and the
+	// GenObf attempts — at this many
 	// goroutines; 0 = GOMAXPROCS. No output depends on it.
 	Workers int
 	// Seed makes the run reproducible.
@@ -278,12 +278,12 @@ type Result struct {
 	// Variant echoes the heuristic combination used.
 	Variant Variant
 	// Trace is the phase-level search trace: a "precompute" span for the
-	// score precomputation, with "uniqueness" (attributes n and distinct)
-	// and, for RSME and RS, "edge-relevance" children, then one span per
-	// search phase ("exponential-search", "bisection") whose "genobf"
-	// children carry the sigma tried, and whose "attempt" grandchildren
-	// carry the per-trial outcome (epsilon_tilde, ok, injected_edges) and
-	// wall time. Always recorded; query it with Find/FindAll.
+	// score precomputation, with "uniqueness" (attributes n, distinct,
+	// boxes and kernel_evals) and, for RSME and RS, "edge-relevance"
+	// children, then one span per search phase ("exponential-search",
+	// "bisection") whose "genobf" children carry the sigma tried, and
+	// whose "attempt" grandchildren carry the per-trial outcome
+	// (epsilon_tilde, ok, injected_edges) and wall time. Always recorded; query it with Find/FindAll.
 	Trace *obs.Span
 }
 

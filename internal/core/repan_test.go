@@ -74,15 +74,18 @@ func TestRepAnScalesCandidateBudget(t *testing.T) {
 }
 
 // repAnPinnedSHA256 is the SHA-256 of the v2 bytes a seeded Rep-An run on
-// testGraph(5) published when Rep-An still lived in package repan.
-const repAnPinnedSHA256 = "6b75c38598cfaa8b985f13e8bed893af70f61c13fb12c40572883a11139474b8"
+// testGraph(5) publishes. It was captured when Rep-An still lived in
+// package repan, and re-captured once, with CheckpointVersion 3, when
+// θ-uniqueness became a fast Gauss transform on host-independent exp and
+// log2; it must now hold on every GOARCH and CPU.
+const repAnPinnedSHA256 = "7f230c37793d8229ece4745b1fb50d05ce09c5ac8efe9996b5a7949a343c1556"
 
 func repAnPinnedParams(ckPath string) Params {
 	return Params{K: 40, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: RepAn, CheckpointPath: ckPath}
 }
 
-// TestRepAnPinnedOutput: a fixed-seed Rep-An run still publishes the
-// exact bytes it did before the method moved into core.
+// TestRepAnPinnedOutput: a fixed-seed Rep-An run publishes the pinned
+// bytes.
 func TestRepAnPinnedOutput(t *testing.T) {
 	res, err := Anonymize(testGraph(t, 5), repAnPinnedParams(""))
 	if err != nil {
@@ -98,11 +101,13 @@ func TestRepAnPinnedOutput(t *testing.T) {
 }
 
 // TestVariantPinnedOutput: fixed-seed RSME, RS, ME and Rep-An runs on
-// testGraph(5) publish the exact bytes, and walk the exact σ-search, that
-// they did before any attempt ran in parallel — the RSME, RS and ME values
-// were captured while every GenObf attempt still deep-copied the input —
-// on every worker count: one (the inline serial path), fewer than the
-// five attempts of a call, more, and GOMAXPROCS.
+// testGraph(5) publish the exact bytes, and walk the exact σ-search, on
+// every worker count: one (the inline serial path), fewer than the five
+// attempts of a call, more, and GOMAXPROCS. The hashes were re-captured
+// once, with CheckpointVersion 3, when θ-uniqueness became a fast Gauss
+// transform on host-independent exp and log2 (the σ-search walk did not
+// change); they must hold on every GOARCH and CPU, and check.sh runs this
+// test under GODEBUG=cpu.fma=off too.
 func TestVariantPinnedOutput(t *testing.T) {
 	for _, pin := range []struct {
 		variant     Variant
@@ -111,10 +116,10 @@ func TestVariantPinnedOutput(t *testing.T) {
 		sigma       float64
 		calls, atts int
 	}{
-		{RSME, "495e8e3d63e14460362826fbe6031977cc3dcaccc26026fcd55cbde9efeac01b", 0.04, 0.14875000000000002, 12, 60},
-		{RS, "b8a43243512b5ea4ffc33965aeb02c7716743ce14d19b5ee1025e9ff8c650257", 0.04, 0.9220000000000002, 15, 75},
-		{ME, "2a834c606636c0fd99d13553099e93b97c142d38f7c23e2b1c9ea8c7364fc8e8", 0.04, 0.184, 12, 60},
-		{RepAn, "6ed65a0279edefd2acf13a2f0cfaf0bc7b2adec21607021521be29745943c30f", 0.04, 0.50875, 15, 75},
+		{RSME, "f2a1efe7185c75202345fc86de359ce99809e2abc704f3a12682386bf2199e32", 0.04, 0.14875000000000002, 12, 60},
+		{RS, "654a5616a333f06d4c7e1b8b2b0f42e030a3fab6feeb9c079cda375631bbc8ad", 0.04, 0.9220000000000002, 15, 75},
+		{ME, "139c74da072773aa3786af9f696832dbf00ce911ba05aee7d6180203aea2df20", 0.04, 0.184, 12, 60},
+		{RepAn, "8b38a83fd560959090926d42a3e36d0450e899a557adec0f9192ea165edbc756", 0.04, 0.50875, 15, 75},
 	} {
 		t.Run(pin.variant.String(), func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 3, 8} {
@@ -138,9 +143,10 @@ func TestVariantPinnedOutput(t *testing.T) {
 }
 
 // TestResumeRepAnCheckpoint resumes testdata/repan-checkpoint.json, a
-// Rep-An search interrupted mid-bisection by the build in which Rep-An
-// still lived in package repan, and requires the result to be
-// bit-identical to the uninterrupted run.
+// Rep-An search interrupted mid-bisection (first written by the build in
+// which Rep-An still lived in package repan, regenerated for
+// CheckpointVersion 3), and requires the result to be bit-identical to
+// the uninterrupted run.
 func TestResumeRepAnCheckpoint(t *testing.T) {
 	g := testGraph(t, 5)
 	full, err := Anonymize(g, repAnPinnedParams(""))
@@ -253,6 +259,16 @@ func TestTraceShapePerVariant(t *testing.T) {
 			t.Errorf("%v: uniqueness n attr %v, want 1..%d", v, n, g.NumNodes())
 		} else if dd, ok := d.(int); !ok || dd < 1 || dd > nn {
 			t.Errorf("%v: uniqueness distinct attr %v, want 1..%d", v, d, nn)
+		} else {
+			// One exp per distinct value for the moments, then at most one
+			// per (distinct value, box) pair.
+			b, _ := u.Attr("boxes")
+			e, _ := u.Attr("kernel_evals")
+			if bb, ok := b.(int); !ok || bb < 1 || bb > dd {
+				t.Errorf("%v: uniqueness boxes attr %v, want 1..%d", v, b, dd)
+			} else if ee, ok := e.(int); !ok || ee < 2*dd || ee > dd+dd*bb {
+				t.Errorf("%v: uniqueness kernel_evals attr %v, want %d..%d", v, e, 2*dd, dd+dd*bb)
+			}
 		}
 	}
 }

@@ -31,13 +31,13 @@ type Config struct {
 	// queued plus running work (mean completed-job duration times the
 	// in-flight count) already exceed it. Zero disables the cost gate.
 	MaxPendingSeconds float64
-	// WorkersPerJob is each job's parallelism: Monte Carlo sampling, the
-	// θ-uniqueness rows and the GenObf attempts (core.Params.Workers). Zero
-	// carves the budget from the machine: GOMAXPROCS / MaxConcurrent,
-	// floored at 1, so a fully loaded daemon never oversubscribes the
-	// cores its telemetry and query planes also live on. Worker count
-	// never changes a job's output (seed-determinism is worker-count
-	// independent), so the budget is pure scheduling policy.
+	// WorkersPerJob is each job's parallelism: Monte Carlo sampling and
+	// the GenObf attempts (core.Params.Workers). Zero carves the budget
+	// from the machine: GOMAXPROCS / MaxConcurrent, floored at 1, so a
+	// fully loaded daemon never oversubscribes the cores its telemetry
+	// and query planes also live on. Worker count never changes a job's
+	// output (seed-determinism is worker-count independent), so the
+	// budget is pure scheduling policy.
 	WorkersPerJob int
 	// CheckpointEvery is the σ-search checkpoint cadence in GenObf calls
 	// (default 1: every call, the strongest crash-recovery guarantee).

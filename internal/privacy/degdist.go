@@ -5,8 +5,7 @@
 package privacy
 
 import (
-	"math"
-
+	"chameleon/internal/portable"
 	"chameleon/internal/uncertain"
 )
 
@@ -55,7 +54,7 @@ func DegreeEntropy(dist []float64) float64 {
 	for _, p := range dist {
 		if p > 0 {
 			// float64() rounds the product: no fused multiply-add on any GOARCH.
-			h -= float64(p * math.Log2(p))
+			h -= float64(p * portable.Log2(p))
 		}
 	}
 	return h

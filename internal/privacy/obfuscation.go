@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"chameleon/internal/portable"
 	"chameleon/internal/uncertain"
 )
 
@@ -83,18 +84,18 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 			mass[w] += p
 			if p > 0 {
 				// float64() rounds the product: no fused multiply-add on any GOARCH.
-				sumPlogP[w] += float64(p * math.Log2(p))
+				sumPlogP[w] += float64(p * portable.Log2(p))
 			}
 		}
 	}
 	entropy := make([]float64, maxW+1)
 	for w := range entropy {
 		if mass[w] > 0 {
-			entropy[w] = math.Log2(mass[w]) - sumPlogP[w]/mass[w]
+			entropy[w] = portable.Log2(mass[w]) - sumPlogP[w]/mass[w]
 		}
 	}
 
-	threshold := math.Log2(float64(k))
+	threshold := portable.Log2(float64(k))
 	nonObf := 0
 	for _, w := range property {
 		if w < 0 {
@@ -168,7 +169,7 @@ func CheckObfuscationWindow(pub *uncertain.Graph, property []int, k, t int) (Obf
 		return ps[hi] - ps[lo]
 	}
 
-	threshold := math.Log2(float64(k))
+	threshold := portable.Log2(float64(k))
 	entropy := make([]float64, maxW+1)
 	computed := make([]bool, maxW+1)
 	nonObf := 0
@@ -184,11 +185,11 @@ func CheckObfuscationWindow(pub *uncertain.Graph, property []int, k, t int) (Obf
 				if p > 0 {
 					mass += p
 					// float64() rounds the product: no fused multiply-add on any GOARCH.
-					plogp += float64(p * math.Log2(p))
+					plogp += float64(p * portable.Log2(p))
 				}
 			}
 			if mass > 0 {
-				entropy[w] = math.Log2(mass) - plogp/mass
+				entropy[w] = portable.Log2(mass) - plogp/mass
 			} else {
 				entropy[w] = -1 // sentinel: empty posterior
 			}

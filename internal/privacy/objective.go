@@ -1,8 +1,7 @@
 package privacy
 
 import (
-	"math"
-
+	"chameleon/internal/portable"
 	"chameleon/internal/uncertain"
 )
 
@@ -31,7 +30,7 @@ func AnonymityObjective(g *uncertain.Graph) float64 {
 			if p > 0 {
 				mass[w] += p
 				// float64() rounds the product: no fused multiply-add on any GOARCH.
-				sumPlogP[w] += float64(p * math.Log2(p))
+				sumPlogP[w] += float64(p * portable.Log2(p))
 			}
 		}
 	}
@@ -40,7 +39,7 @@ func AnonymityObjective(g *uncertain.Graph) float64 {
 		if mass[w] <= 0 {
 			continue
 		}
-		h := math.Log2(mass[w]) - sumPlogP[w]/mass[w]
+		h := portable.Log2(mass[w]) - sumPlogP[w]/mass[w]
 		// float64() rounds the product: no fused multiply-add on any GOARCH.
 		objective += float64(mass[w] * h)
 	}
@@ -63,7 +62,7 @@ func DegreeUncertaintyDecomposition(g *uncertain.Graph) (vertexEntropy, sizeTerm
 		return 0, 0, 0
 	}
 	vertexEntropy = TotalDegreeEntropy(g)
-	sizeTerm = n * math.Log2(n)
+	sizeTerm = n * portable.Log2(n)
 
 	dists := VertexDegreeDistributions(g)
 	maxW := 0
@@ -83,7 +82,7 @@ func DegreeUncertaintyDecomposition(g *uncertain.Graph) (vertexEntropy, sizeTerm
 		if m > 0 {
 			q := m / n
 			// float64() rounds the product: no fused multiply-add on any GOARCH.
-			hOmega -= float64(q * math.Log2(q))
+			hOmega -= float64(q * portable.Log2(q))
 		}
 	}
 	omegaTerm = n * hOmega

@@ -102,15 +102,16 @@ func TestVertexUniquenessDistinct(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		g.MustAddEdge(0, uncertain.NodeID(i), 0.5)
 	}
-	if _, d := VertexUniquenessDistinct(g, 1); d != 2 {
-		t.Fatalf("distinct expected degrees = %d, want 2", d)
+	if _, st := VertexUniquenessDistinct(g); st.Distinct != 2 {
+		t.Fatalf("distinct expected degrees = %d, want 2", st.Distinct)
 	}
 }
 
 // BenchmarkCommonness times the kernel on the expected degrees of the
 // benchmark's two anonymization shapes: a duplicate-heavy dblp-shaped
-// graph and an all-distinct brightkite-shaped one. The distinct count is
-// what the cost depends on.
+// graph and an all-distinct brightkite-shaped one, and reports the
+// distinct values and the exps the transform made, which its cost
+// follows.
 func BenchmarkCommonness(b *testing.B) {
 	dblp := gen.DiscreteProbs(
 		[]float64{0.13, 0.28, 0.46, 0.64, 0.80},
@@ -131,12 +132,13 @@ func BenchmarkCommonness(b *testing.B) {
 				b.Fatal(err)
 			}
 			values, theta := g.ExpectedDegrees(), g.DegreeStdDev()
-			var d int
+			var st KernelStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, d = commonness(values, theta, 1)
+				_, st = commonness(values, theta)
 			}
-			b.ReportMetric(float64(d), "distinct")
+			b.ReportMetric(float64(st.Distinct), "distinct")
+			b.ReportMetric(float64(st.KernelEvals), "exps")
 		})
 	}
 }

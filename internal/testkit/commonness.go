@@ -4,8 +4,9 @@ import "math"
 
 // NaiveCommonness is the all-pairs reference for privacy.Commonness: one
 // kernel evaluation per ordered pair of values, n² in all, summed over the
-// population in input order. privacy.Commonness shares kernel rows between
-// equal values and must agree with it bit for bit.
+// population in input order. privacy.Commonness, a fast Gauss transform,
+// must stay within privacy.CommonnessRelErr of it, plus the n·2⁻⁵³ of this
+// loop's own summation rounding, and match its NaN, ±Inf and zero results.
 //
 // The explicit conversion rounds each product before it is added. On amd64
 // at the default GOAMD64=v1 the compiler never fuses a multiply-add, so the

@@ -7,6 +7,8 @@ package truncnorm
 import (
 	"math"
 	"math/rand/v2"
+
+	"chameleon/internal/portable"
 )
 
 // Sample draws one value from R(sigma): |N(0, sigma^2)| truncated to [0,1].
@@ -62,5 +64,5 @@ func Mean(sigma float64) float64 {
 	if z == 0 {
 		return 0.5
 	}
-	return sigma * math.Sqrt(2/math.Pi) * (1 - math.Exp(-1/(2*sigma*sigma))) / z
+	return sigma * math.Sqrt(2/math.Pi) * (1 - portable.Exp(-1/(2*sigma*sigma))) / z
 }
