@@ -14,9 +14,9 @@ import (
 func TestAdaptiveStopsEarly(t *testing.T) {
 	g := randomGraph(71, 40, 120)
 	est := Estimator{Seed: 1, Workers: 1, TargetRSE: 0.05, MaxSamples: 16384}
-	w := est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	w := est.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		_, pairs := sc.componentsPairs()
-		return float64(pairs)
+		return pairs
 	})
 	n := int(w.Count())
 	if n >= est.maxSamples() {
@@ -37,9 +37,9 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 func TestAdaptiveCapped(t *testing.T) {
 	g := randomGraph(72, 40, 110)
 	est := Estimator{Seed: 2, Workers: 1, TargetRSE: 1e-12, MaxSamples: 256}
-	w := est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	w := est.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		_, pairs := sc.componentsPairs()
-		return float64(pairs)
+		return pairs
 	})
 	if int(w.Count()) != 256 {
 		t.Fatalf("capped run counted %d samples, want exactly the 256 cap", int(w.Count()))
@@ -65,15 +65,15 @@ func TestAdaptiveWorkerIndependence(t *testing.T) {
 		inputs = append(inputs, input{name: "paired/" + mode.String(), mode: mode, h: h, target: 0.05})
 	}
 	for _, in := range inputs {
-		run := func(workers int) obs.Welford {
+		run := func(workers int) tally {
 			est := Estimator{Seed: 3, Workers: workers, TargetRSE: in.target, MaxSamples: 8192, Mode: in.mode}
-			return est.forEachSample(g, in.h, func(i int, sc *scratch) float64 {
+			return est.forEachSample(g, in.h, func(i int, sc *scratch) int64 {
 				_, pairs := sc.componentsPairs()
 				if in.h == nil {
-					return float64(pairs)
+					return pairs
 				}
 				_, hp := sc.pair.componentsPairs()
-				return float64(pairs - hp)
+				return pairs - hp
 			})
 		}
 		serial := run(1)
@@ -165,7 +165,7 @@ func TestAdaptiveLoopSteadyStateAllocs(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; guard runs in the non-race pass")
 	}
 	g := randomGraph(75, 60, 140)
-	visit := func(i int, sc *scratch) float64 { _, p := sc.componentsPairs(); return float64(p) }
+	visit := func(i int, sc *scratch) int64 { _, p := sc.componentsPairs(); return p }
 	for _, mode := range allModes {
 		est := Estimator{Seed: 1, Workers: 1, TargetRSE: 0.05, MaxSamples: 512, Mode: mode}
 		est.forEachSample(g, nil, visit) // warm-up: sampler snapshot + pooled scratch
@@ -194,15 +194,15 @@ func TestModeWorkerIndependence(t *testing.T) {
 	h := perturbClone(g, 0.05)
 	for _, mode := range allModes {
 		for _, hv := range []*uncertain.Graph{nil, h} {
-			collect := func(workers int) ([]int64, obs.Welford) {
+			collect := func(workers int) ([]int64, tally) {
 				est := Estimator{Samples: 450, Seed: 5, Workers: workers, Mode: mode}
 				out := make([]int64, 2*est.samples())
-				w := est.forEachSample(g, hv, func(i int, sc *scratch) float64 {
+				w := est.forEachSample(g, hv, func(i int, sc *scratch) int64 {
 					_, out[2*i] = sc.componentsPairs()
 					if hv != nil {
 						_, out[2*i+1] = sc.pair.componentsPairs()
 					}
-					return float64(out[2*i] - out[2*i+1])
+					return out[2*i] - out[2*i+1]
 				})
 				return out, w
 			}
@@ -384,14 +384,49 @@ func perturbClone(g *uncertain.Graph, eps float64) *uncertain.Graph {
 func BenchmarkAdaptiveChunkLoop(b *testing.B) {
 	g := randomGraph(79, 120, 300)
 	est := Estimator{Seed: 1, Workers: 1, TargetRSE: 0.02, MaxSamples: 1024, Mode: uncertain.SampleCoupled}
-	visit := func(i int, sc *scratch) float64 {
+	visit := func(i int, sc *scratch) int64 {
 		_, p := sc.componentsPairs()
-		return float64(p)
+		return p
 	}
 	est.forEachSample(g, nil, visit) // warm-up: sampler snapshot + pooled scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est.forEachSample(g, nil, visit)
+	}
+}
+
+// TestAdaptiveEdgeRelevanceWorkerIndependence: adaptive EdgeRelevance sums
+// its worlds on the workers, and a parallel round may draw chunks past the
+// stopping point, which are drawn again and subtracted. Every worker count
+// must give the serial estimates bit for bit under every mode, and each
+// mode must have had worlds to subtract on some worker count.
+func TestAdaptiveEdgeRelevanceWorkerIndependence(t *testing.T) {
+	g := randomGraph(80, 50, 120)
+	for _, mode := range allModes {
+		run := func(workers int) ([]float64, map[string]float64) {
+			o := obs.NewObserver()
+			est := Estimator{Seed: 6, Workers: workers, TargetRSE: 0.01, MaxSamples: 8192, Mode: mode, Obs: o}
+			return est.EdgeRelevance(g), o.Registry().Snapshot().Gauges
+		}
+		serial, gauges := run(1)
+		if n := gauges["err.worlds"]; n >= 8192 || n < adaptiveMinSamples {
+			t.Fatalf("mode %v: serial run stopped at %v worlds; test needs a mid-range stop", mode, n)
+		}
+		subtracted := false
+		for _, workers := range []int{2, 3, 5, 7} {
+			got, gauges := run(workers)
+			if gauges["mc.adaptive.last_drawn"] > gauges["mc.adaptive.last_samples"] {
+				subtracted = true
+			}
+			for j := range serial {
+				if got[j] != serial[j] {
+					t.Fatalf("mode %v workers=%d: EdgeRelevance[%d] = %v, serial %v", mode, workers, j, got[j], serial[j])
+				}
+			}
+		}
+		if !subtracted {
+			t.Errorf("mode %v: no worker count drew past the stopping point; the subtraction went untested", mode)
+		}
 	}
 }

@@ -199,17 +199,17 @@ func (e Estimator) sampleLabelsT(g *uncertain.Graph) *labelSet {
 		ls = new(labelSet)
 	}
 	ls.grow(nv, ns)
-	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	stat := e.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		d, pairs := sc.componentsPairs()
 		ls.cc[i] = pairs
 		lab := ls.lab
 		for v := 0; v < nv; v++ {
 			lab[v*ns+i] = int32(d.Find(v))
 		}
-		return float64(pairs)
+		return pairs
 	})
 	if e.adaptive() {
-		ls.truncate(e.effSamples(w))
+		ls.truncate(e.effSamples(stat.Welford))
 	}
 	if e.Cache != nil {
 		if e.cancelled() {

@@ -38,7 +38,7 @@ func TestForEachSampleCancelledUpFront(t *testing.T) {
 		o := obs.NewObserver()
 		est := Estimator{Samples: 2048, Seed: 9, Workers: workers, Obs: o, Ctx: ctx}
 		var calls atomic.Int64
-		est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+		est.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 			calls.Add(1)
 			return 0
 		})
@@ -95,11 +95,11 @@ func TestForEachSampleCancelMidway(t *testing.T) {
 			h, worldsPerCall = g, 2
 		}
 		var calls atomic.Int64
-		est.forEachSample(g, h, func(i int, sc *scratch) float64 {
+		est.forEachSample(g, h, func(i int, sc *scratch) int64 {
 			if calls.Add(1) == 3*sampleChunk {
 				cancel()
 			}
-			return float64(i & 7)
+			return int64(i & 7)
 		})
 		drawn := calls.Load()
 		if drawn >= n {
@@ -130,7 +130,7 @@ func TestNilContextSamplesEverything(t *testing.T) {
 	g := cancelTestGraph(t)
 	est := Estimator{Samples: 300, Seed: 4, Workers: 2}
 	var calls atomic.Int64
-	est.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	est.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		calls.Add(1)
 		return 0
 	})
@@ -186,8 +186,8 @@ func TestCancelledQualityNotRecorded(t *testing.T) {
 }
 
 // TestEdgeRelevanceCancelled: EdgeRelevance under a cancelled context
-// returns a discardable zero vector of the right shape instead of scanning
-// uninitialized arena rows.
+// returns a discardable zero vector of the right shape instead of
+// estimates from a truncated sample set.
 func TestEdgeRelevanceCancelled(t *testing.T) {
 	g := cancelTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())

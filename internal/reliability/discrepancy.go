@@ -156,50 +156,43 @@ func (e Estimator) SampledPairDiscrepancy(g, h *uncertain.Graph, ps PairSample) 
 
 // DeltaExpectedConnectedPairs estimates E[cc(G)] - E[cc(H)] from PAIRED
 // worlds: world i of both graphs is drawn at the same sample index (see
-// forEachSample), the per-index difference feeds the accumulator, and
-// the estimate is the mean difference. Under the coupled and stratified
+// forEachSample), the per-index difference feeds the tally, and the
+// estimate is the mean of its exact sum. Under the coupled and stratified
 // modes the two draws share one uniform per common edge — common random
 // numbers — so the difference's variance collapses to the contribution of
 // the edges whose probabilities actually differ; adaptive stopping then
 // reaches a target RSE in a fraction of the samples the independent
 // two-sample estimator needs. The achieved variance-reduction factor,
 // (Var cc(G) + Var cc(H)) / Var(cc(G)-cc(H)), is published as the
-// mc.adaptive.vr_factor gauge (≈1 for independent draws, ≫1 under CRN).
+// mc.adaptive.vr_factor gauge (≈1 for independent draws, ≫1 under CRN),
+// from per-chunk moments of each graph's counts merged over the counted
+// chunks.
 func (e Estimator) DeltaExpectedConnectedPairs(g, h *uncertain.Graph) (float64, error) {
 	defer e.timeOp("DeltaExpectedConnectedPairs", time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
 	}
-	limit := e.budget()
-	dg := make([]float64, limit)
-	dh := make([]float64, limit)
-	w := e.forEachSample(g, h, func(i int, sc *scratch) float64 {
+	chunks := (e.budget() + sampleChunk - 1) / sampleChunk
+	cg := make([]obs.Welford, chunks)
+	ch := make([]obs.Welford, chunks)
+	stat := e.forEachSample(g, h, func(i int, sc *scratch) int64 {
 		_, pg := sc.componentsPairs()
 		_, ph := sc.pair.componentsPairs()
-		dg[i], dh[i] = float64(pg), float64(ph)
-		return float64(pg) - float64(ph)
+		cg[i/sampleChunk].Add(float64(pg))
+		ch[i/sampleChunk].Add(float64(ph))
+		return pg - ph
 	})
-	e.recordQuality("DeltaExpectedConnectedPairs", w)
-	// The estimate is the sequential sum over the counted prefix of the
-	// side arrays, like every other estimator in this package: its sum
-	// order is what pins the published value, which the accumulator's
-	// chunk-wise mean would round differently.
-	n := e.effSamples(w)
-	var sum float64
-	var sg, sh, sd obs.Welford
-	for i := 0; i < n; i++ {
-		d := dg[i] - dh[i]
-		sum += d
-		sg.Add(dg[i])
-		sh.Add(dh[i])
-		sd.Add(d)
-	}
-	if e.Obs != nil {
-		if vd := sd.Variance(); vd > 0 {
-			e.Obs.Registry().Gauge("mc.adaptive.vr_factor").Set((sg.Variance() + sh.Variance()) / vd)
+	e.recordQuality("DeltaExpectedConnectedPairs", stat.Welford)
+	n := e.effSamples(stat.Welford)
+	if vd := stat.Variance(); e.Obs != nil && vd > 0 {
+		var sg, sh obs.Welford
+		for c := 0; c*sampleChunk < n; c++ {
+			sg.Merge(cg[c])
+			sh.Merge(ch[c])
 		}
+		e.Obs.Registry().Gauge("mc.adaptive.vr_factor").Set((sg.Variance() + sh.Variance()) / vd)
 	}
-	return sum / float64(n), nil
+	return meanOf(stat.sum, n), nil
 }
 
 // RelativeDiscrepancy returns the sampled per-pair discrepancy normalized

@@ -285,6 +285,41 @@ func TestPairReliabilityMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReliabilityVectorMatchesReference: the vector counts label matches
+// in the transposed labels, sampled afresh or read from the cache, and
+// must equal the row-major count over the reference labels.
+func TestReliabilityVectorMatchesReference(t *testing.T) {
+	for name, g := range equivalenceGraphs() {
+		est := Estimator{Samples: 128, Seed: 17}
+		labels := referenceLabels(est, g)
+		const src = 0
+		want := make([]float64, g.NumNodes())
+		for _, l := range labels {
+			for v := range want {
+				if l[v] == l[src] {
+					want[v]++
+				}
+			}
+		}
+		for v := range want {
+			want[v] *= 1 / float64(len(labels))
+		}
+		want[src] = 1
+		for _, workers := range []int{1, 4} {
+			for _, cache := range []*LabelCache{nil, NewLabelCache()} {
+				est := Estimator{Samples: 128, Seed: 17, Workers: workers, Cache: cache}
+				got := est.ReliabilityVector(g, src)
+				for v := range want {
+					if got[v] != want[v] {
+						t.Errorf("%s workers=%d cache=%v: ReliabilityVector[%d] = %v, reference %v",
+							name, workers, cache != nil, v, got[v], want[v])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExpectedConnectedPairsCachePathMatches(t *testing.T) {
 	g := randomGraph(19, 30, 55)
 	plain := Estimator{Samples: 100, Seed: 4}

@@ -130,7 +130,7 @@ func (e Estimator) maxSamples() int {
 }
 
 // budget is the largest sample count a call may draw: the fixed N, or the
-// adaptive cap. Callers size per-world side arrays by it and truncate to
+// adaptive cap. The label matrices are sized by it and truncated to
 // effSamples afterwards.
 func (e Estimator) budget() int {
 	if e.adaptive() {
@@ -195,11 +195,14 @@ func (e Estimator) timeOp(name string, start time.Time) {
 // union-find structure recycled across worlds. Pooled so steady-state
 // sampling performs zero allocations. A paired run draws the second
 // graph's world into pair, which stays attached across pool round trips.
+// worker is the index, below Estimator.workers(), of the worker running
+// the current run on this scratch: fn may keep per-worker sums by it.
 type scratch struct {
-	pcg   rand.PCG
-	world uncertain.World
-	dsu   *unionfind.DSU
-	pair  *scratch
+	pcg    rand.PCG
+	world  uncertain.World
+	dsu    *unionfind.DSU
+	pair   *scratch
+	worker int
 }
 
 // components returns the component structure of the scratch's current
@@ -310,9 +313,37 @@ func stopRSE(w obs.Welford, target float64) bool {
 	return w.Count() >= adaptiveMinSamples && w.RelStdErr() <= target
 }
 
+// tally accumulates fn's integer per-world statistic: its exact sum, from
+// which the estimates are read, and its Welford moments, which drive the
+// stopping rule and the quality streams. An integer sum is the same in any
+// order, so an estimate cannot depend on which worker drew which world.
+// int64 cannot wrap while the absolute values summed stay below 2^63: a
+// connected-pair count is below n²/2, so N·n²/2 < 2^63 suffices (at n =
+// 825k that is N < 2.7·10^7).
+type tally struct {
+	obs.Welford
+	sum int64
+}
+
+func (t *tally) add(x int64) {
+	t.Add(float64(x))
+	t.sum += x
+}
+
+func (t *tally) merge(o tally) {
+	t.Merge(o.Welford)
+	t.sum += o.sum
+}
+
+// meanOf is the estimate an exact integer sum gives over n worlds.
+// float64(sum) equals the ascending float64 sum of the same integers while
+// that sum stays below 2^53, so the value is the one a sequential float
+// scan gives.
+func meanOf(sum int64, n int) float64 { return float64(sum) / float64(n) }
+
 // forEachSample runs fn(sampleIndex, scratch) over sampled worlds of g and
-// returns the Welford accumulator of fn's per-world statistic (the value
-// whose mean the caller is estimating). When fn is called, sc.world holds
+// returns the tally of fn's per-world statistic (the value whose mean the
+// caller is estimating). When fn is called, sc.world holds
 // world sampleIndex of g; fn may use sc.components() and must not retain
 // references into the scratch past its return. fn must be safe for
 // concurrent invocation on distinct indices.
@@ -326,16 +357,22 @@ func stopRSE(w obs.Welford, target float64) bool {
 // decorrelated seed (pairSeed), giving the classical independent
 // two-sample estimator. Each drawn pair counts as two worlds.
 //
-// Worlds are scheduled by run in chunks of sampleChunk indices.
-// Fixed-budget estimates are never computed from the accumulator; callers
-// keep their own index-ordered reductions over per-world side arrays, and
-// the accumulator feeds the quality streams (see recordQuality).
-func (e Estimator) forEachSample(g, h *uncertain.Graph, fn func(i int, sc *scratch) float64) obs.Welford {
+// Worlds are scheduled by run in chunks of sampleChunk indices. Estimates
+// divide the tally's exact sum by effSamples; the moments feed the quality
+// streams (see recordQuality).
+func (e Estimator) forEachSample(g, h *uncertain.Graph, fn func(i int, sc *scratch) int64) tally {
+	r := e.newRun(g, h, fn)
+	return e.run(&r)
+}
+
+// newRun sets up forEachSample's run over [0, budget) of g's worlds,
+// paired with h's when h is non-nil.
+func (e Estimator) newRun(g, h *uncertain.Graph, fn func(i int, sc *scratch) int64) mcRun {
 	r := mcRun{fn: fn, draw: e.drawFn(), g: g.Sampler(), seed: e.Seed, limit: e.budget(), size: sampleChunk, worlds: 1}
 	if h != nil {
 		r.h, r.seedH, r.worlds = h.Sampler(), e.pairSeed(), 2
 	}
-	return e.run(&r)
+	return r
 }
 
 // ForEachWorld calls fn on worlds 0..n-1 of g (n > 0), world i drawn from
@@ -348,7 +385,7 @@ func (e Estimator) forEachSample(g, h *uncertain.Graph, fn func(i int, sc *scrat
 // retain w or pcg past its return.
 func ForEachWorld(g *uncertain.Graph, seed uint64, n, workers int, fn func(i int, w *uncertain.World, pcg *rand.PCG)) {
 	r := mcRun{draw: drawWorldStream, g: g.Sampler(), seed: seed, limit: n, size: 1, worlds: 1,
-		fn: func(i int, sc *scratch) float64 {
+		fn: func(i int, sc *scratch) int64 {
 			fn(i, &sc.world, &sc.pcg)
 			return 0
 		}}
@@ -367,9 +404,10 @@ func ForEachWorld(g *uncertain.Graph, seed uint64, n, workers int, fn func(i int
 // point is a function of the chunk-order prefix alone, and the
 // accumulator's count is the effective N. Chunks a round drew past the
 // stopping point are counted as drawn but not merged, so the counted
-// prefix is always contiguous — callers truncate their per-world side
-// arrays to it. One worker runs the same chunks in the same order inline,
-// merging each as it finishes, with no goroutine and no slot array.
+// prefix is always contiguous; r.drawn records how many indices were
+// drawn, merged or not. One worker runs the same chunks in the same order
+// inline, merging each as it finishes, with no goroutine and no slot
+// array. The run covers the chunks of [r.start, r.limit).
 //
 // Cancellation (Estimator.Ctx) is cooperative at chunk boundaries: no
 // chunk is started once the context is done, and a started chunk runs to
@@ -379,15 +417,15 @@ func ForEachWorld(g *uncertain.Graph, seed uint64, n, workers int, fn func(i int
 // sum(mc.worker.*) == mc.worlds_sampled holds on interrupted runs too.
 // Metrics go through the nil-safe registry path: a nil Obs yields a nil
 // registry whose instruments drop updates.
-func (e Estimator) run(r *mcRun) obs.Welford {
+func (e Estimator) run(r *mcRun) tally {
 	reg := e.Obs.Registry()
-	chunks := (r.limit + r.size - 1) / r.size
-	workers := min(e.workers(), chunks)
-	var stat obs.Welford
+	lo, hi := r.start/r.size, (r.limit+r.size-1)/r.size
+	workers := min(e.workers(), hi-lo)
+	var stat tally
 	var drawn int64
 	if workers == 1 {
-		sc := r.scratch()
-		for c := 0; c < chunks && !e.cancelled(); c++ {
+		sc := r.scratch(0)
+		for c := lo; c < hi && !e.cancelled(); c++ {
 			part := r.chunk(sc, c)
 			drawn += part.Count()
 			if e.fold(&stat, part) {
@@ -397,14 +435,14 @@ func (e Estimator) run(r *mcRun) obs.Welford {
 		scratchPool.Put(sc)
 		reg.Counter(workerName(0)).Add(r.worlds * drawn)
 	} else {
-		perRound := chunks
+		perRound := hi - lo
 		if e.adaptive() {
 			perRound = workers
 		}
-		parts := make([]obs.Welford, perRound)
+		parts := make([]tally, perRound)
 		done := false
-		for first := 0; first < chunks && !done; first += perRound {
-			round := parts[:min(perRound, chunks-first)]
+		for first := lo; first < hi && !done; first += perRound {
+			round := parts[:min(perRound, hi-first)]
 			r.round(e, workers, first, round)
 			for _, part := range round {
 				drawn += part.Count()
@@ -418,53 +456,57 @@ func (e Estimator) run(r *mcRun) obs.Welford {
 			}
 		}
 	}
+	r.drawn = int(drawn)
 	reg.Counter("mc.worlds_sampled").Add(r.worlds * drawn)
 	if e.adaptive() {
-		e.recordAdaptive(stat, int(drawn))
+		e.recordAdaptive(stat.Welford, r.drawn)
 	}
 	return stat
 }
 
 // fold merges the next chunk's accumulator into the chunk-order prefix and
 // reports whether the adaptive stopping rule fires on the result.
-func (e Estimator) fold(stat *obs.Welford, part obs.Welford) bool {
-	stat.Merge(part)
-	return e.adaptive() && stopRSE(*stat, e.TargetRSE)
+func (e Estimator) fold(stat *tally, part tally) bool {
+	stat.merge(part)
+	return e.adaptive() && stopRSE(stat.Welford, e.TargetRSE)
 }
 
 // mcRun holds one scheduled run's inputs, read-only once the workers
 // start.
 type mcRun struct {
-	fn          func(i int, sc *scratch) float64
+	fn          func(i int, sc *scratch) int64
 	draw        drawFunc
 	g, h        *uncertain.WorldSampler
 	seed, seedH uint64
-	limit       int   // sample budget: indices run over [0, limit)
+	start       int   // first index, a multiple of size
+	limit       int   // indices run over [start, limit)
 	size        int   // indices per chunk
 	worlds      int64 // worlds drawn per index: 2 when paired
+	drawn       int   // set by run: the indices it drew, merged or not
 }
 
-// scratch checks a scratch out of the pool, with the second world
-// attached when the run is paired.
-func (r *mcRun) scratch() *scratch {
+// scratch checks a scratch out of the pool for worker w, with the second
+// world attached when the run is paired.
+func (r *mcRun) scratch(w int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if r.h != nil && sc.pair == nil {
 		sc.pair = new(scratch)
 	}
+	sc.worker = w
 	return sc
 }
 
 // chunk draws every index of chunk c into sc in order, calls fn on each,
 // and returns the chunk's accumulator.
-func (r *mcRun) chunk(sc *scratch, c int) obs.Welford {
-	var part obs.Welford
+func (r *mcRun) chunk(sc *scratch, c int) tally {
+	var part tally
 	end := min((c+1)*r.size, r.limit)
 	for i := c * r.size; i < end; i++ {
 		r.draw(r.seed, r.g, sc, i)
 		if r.h != nil {
 			r.draw(r.seedH, r.h, sc.pair, i)
 		}
-		part.Add(r.fn(i, sc))
+		part.add(r.fn(i, sc))
 	}
 	return part
 }
@@ -475,7 +517,7 @@ func (r *mcRun) chunk(sc *scratch, c int) obs.Welford {
 // so the chunks that ran are a prefix of the round; the slots of the rest
 // are left empty. Each worker adds the worlds it drew to its
 // mc.worker.NN.samples counter.
-func (r mcRun) round(e Estimator, workers, first int, parts []obs.Welford) {
+func (r mcRun) round(e Estimator, workers, first int, parts []tally) {
 	reg := e.Obs.Registry()
 	clear(parts)
 	var cursor atomic.Int64
@@ -484,7 +526,7 @@ func (r mcRun) round(e Estimator, workers, first int, parts []obs.Welford) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := r.scratch()
+			sc := r.scratch(w)
 			var drawn int64
 			for !e.cancelled() {
 				j := int(cursor.Add(1)) - 1
@@ -626,17 +668,17 @@ func (e Estimator) recordStream(name, op string, w obs.Welford, convergence bool
 func (e Estimator) SampleLabels(g *uncertain.Graph) [][]int32 {
 	labels := make([][]int32, e.budget())
 	nv := g.NumNodes()
-	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	stat := e.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		d, pairs := sc.componentsPairs()
 		row := make([]int32, nv)
 		for v := range row {
 			row[v] = int32(d.Find(v))
 		}
 		labels[i] = row
-		return float64(pairs)
+		return pairs
 	})
 	if e.adaptive() {
-		labels = labels[:e.effSamples(w)]
+		labels = labels[:e.effSamples(stat.Welford)]
 	}
 	return labels
 }
@@ -646,27 +688,19 @@ func (e Estimator) SampleLabels(g *uncertain.Graph) [][]int32 {
 func (e Estimator) ExpectedConnectedPairs(g *uncertain.Graph) float64 {
 	defer e.timeOp("ExpectedConnectedPairs", time.Now())
 	if ls := e.cachedLabels(g); ls != nil {
-		var total float64
-		var w obs.Welford
+		var stat tally
 		for _, c := range ls.cc {
-			total += float64(c)
-			w.Add(float64(c))
+			stat.add(c)
 		}
-		e.recordQuality("ExpectedConnectedPairs", w)
-		return total / float64(len(ls.cc))
+		e.recordQuality("ExpectedConnectedPairs", stat.Welford)
+		return meanOf(stat.sum, len(ls.cc))
 	}
-	counts := make([]int64, e.budget())
-	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
-		_, counts[i] = sc.componentsPairs()
-		return float64(counts[i])
+	stat := e.forEachSample(g, nil, func(i int, sc *scratch) int64 {
+		_, pairs := sc.componentsPairs()
+		return pairs
 	})
-	e.recordQuality("ExpectedConnectedPairs", w)
-	n := e.effSamples(w)
-	var total float64
-	for _, c := range counts[:n] {
-		total += float64(c)
-	}
-	return total / float64(n)
+	e.recordQuality("ExpectedConnectedPairs", stat.Welford)
+	return meanOf(stat.sum, e.effSamples(stat.Welford))
 }
 
 // PairReliability estimates R_{u,v}(G) (Definition 1): the probability that
@@ -696,74 +730,42 @@ func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) fl
 		}
 		return float64(hits) / float64(n)
 	}
-	hits := make([]int8, e.budget())
-	w := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
+	stat := e.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		if sc.components().Connected(int(u), int(v)) {
-			hits[i] = 1
 			return 1
 		}
 		return 0
 	})
-	e.recordQuality("PairReliability", w)
-	n := e.effSamples(w)
-	var total float64
-	for _, h := range hits[:n] {
-		total += float64(h)
-	}
-	return total / float64(n)
+	e.recordQuality("PairReliability", stat.Welford)
+	return meanOf(stat.sum, e.effSamples(stat.Welford))
 }
 
 // ReliabilityVector estimates R_{src,v} for every v against a single
-// source; handy for k-nearest-neighbor style queries (cf. [30]). With a
-// Cache attached the vector is computed from the memoized transposed
-// labels (same worlds, same values as the uncached path), so repeated
-// k-NN queries against one graph sample it exactly once.
+// source; handy for k-nearest-neighbor style queries (cf. [30]). It counts
+// matches in the transposed labels; with a Cache attached those are
+// memoized, so repeated k-NN queries against one graph sample it exactly
+// once. The counts are integers, so both paths give the same values.
 func (e Estimator) ReliabilityVector(g *uncertain.Graph, src uncertain.NodeID) []float64 {
 	defer e.timeOp("ReliabilityVector", time.Now())
-	if e.Cache != nil {
-		ls := e.sampleLabelsT(g)
-		out := make([]float64, g.NumNodes())
-		rs := ls.row(int(src))
-		n := len(rs)
-		if n == 0 {
-			n = 1 // cancelled before any world: caller discards via Ctx.Err()
-		}
-		inv := 1 / float64(n)
-		for v := range out {
-			rv := ls.row(v)
-			c := 0
-			for s := range rs {
-				if rv[s] == rs[s] {
-					c++
-				}
-			}
-			out[v] = float64(c) * inv
-		}
-		out[src] = 1
-		return out
-	}
-	labels := e.SampleLabels(g)
+	ls := e.sampleLabelsT(g)
 	out := make([]float64, g.NumNodes())
-	n := 0
-	for _, l := range labels {
-		if l == nil {
-			break // cancelled mid-sampling: rows past the cut were never drawn
-		}
-		n++
-		ls := l[src]
-		for v := range out {
-			if l[v] == ls {
-				out[v]++
-			}
-		}
-	}
+	rs := ls.row(int(src))
+	n := len(rs)
 	if n == 0 {
-		n = 1 // cancelled before any world: result is discarded by the caller
+		n = 1 // cancelled before any world: caller discards via Ctx.Err()
 	}
 	inv := 1 / float64(n)
 	for v := range out {
-		out[v] *= inv
+		rv := ls.row(v)
+		c := 0
+		for s := range rs {
+			if rv[s] == rs[s] {
+				c++
+			}
+		}
+		out[v] = float64(c) * inv
 	}
 	out[src] = 1
+	e.releaseLabels(ls)
 	return out
 }

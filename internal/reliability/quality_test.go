@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chameleon/internal/obs"
+	"chameleon/internal/uncertain"
 )
 
 // TestQualityRecorded: every estimator op must publish its statistical
@@ -184,5 +185,52 @@ func TestQualityMergeAcrossWorkers(t *testing.T) {
 		if math.Abs(par.Variance-serial.Variance) > 1e-6*serial.Variance {
 			t.Errorf("workers=%d: variance %v != %v", workers, par.Variance, serial.Variance)
 		}
+	}
+}
+
+// TestEdgeRelevanceFallbackGauges: EdgeRelevance publishes the effective N
+// as err.worlds, and as err.fallback_edges the number of edges whose
+// presence bit never varied, which each cost a serial conditional
+// estimate. The count must match a scan of the reference worlds' masks.
+func TestEdgeRelevanceFallbackGauges(t *testing.T) {
+	for name, g := range map[string]*uncertain.Graph{
+		"degenerate": degenerateGraph(), // one p=0 and two p=1 edges
+		"random":     randomGraph(11, 40, 90),
+	} {
+		o := obs.NewObserver()
+		est := Estimator{Samples: 40, Seed: 5, Workers: 2, Obs: o}
+		est.EdgeRelevance(g)
+		present := make([]int, g.NumEdges())
+		for i := 0; i < est.samples(); i++ {
+			for j, in := range g.SampleWorld(est.rngFor(i)).PresenceMask() {
+				if in {
+					present[j]++
+				}
+			}
+		}
+		want := 0
+		for _, c := range present {
+			if c == 0 || c == est.samples() {
+				want++
+			}
+		}
+		gauges := o.Registry().Snapshot().Gauges
+		if got := gauges["err.fallback_edges"]; got != float64(want) {
+			t.Errorf("%s: err.fallback_edges = %v, want %d", name, got, want)
+		}
+		if got := gauges["err.worlds"]; got != 40 {
+			t.Errorf("%s: err.worlds = %v, want 40", name, got)
+		}
+		if name == "degenerate" && want < 3 {
+			t.Errorf("degenerate: %d fallback edges, want at least its 3 edges with p in {0, 1}", want)
+		}
+	}
+
+	// Adaptive: err.worlds is the stopping point, not the cap.
+	o := obs.NewObserver()
+	Estimator{Seed: 5, Obs: o, TargetRSE: 0.05, MaxSamples: 4096}.EdgeRelevance(randomGraph(11, 40, 90))
+	gauges := o.Registry().Snapshot().Gauges
+	if got, want := gauges["err.worlds"], gauges["mc.adaptive.last_samples"]; got != want || got >= 4096 {
+		t.Errorf("adaptive: err.worlds = %v, want the stopping point %v below the 4096 cap", got, want)
 	}
 }

@@ -3,35 +3,28 @@ package reliability
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"chameleon/internal/uncertain"
 )
 
-// relArena holds EdgeRelevance's per-call sampling state: every world's
-// packed presence bitset (N rows of `words` uint64s) and connected-pair
-// count. Pooled across calls so the σ-search, which evaluates hundreds of
-// candidates, reuses one allocation.
-type relArena struct {
-	masks []uint64
-	cc    []float64
-}
+// edgeSum is one edge's share of a worker's grouping in EdgeRelevance:
+// the summed connected-pair counts of the worlds that contain the edge,
+// and how many worlds those are.
+type edgeSum struct{ cc, n int64 }
 
-var relArenaPool = sync.Pool{New: func() any { return new(relArena) }}
-
-// grow resizes the arena for n worlds of `words` mask words each, reusing
-// capacity. Rows are fully overwritten by the sampling pass, so no zeroing.
-func (ar *relArena) grow(n, words int) {
-	if need := n * words; cap(ar.masks) < need {
-		ar.masks = make([]uint64, need)
-	} else {
-		ar.masks = ar.masks[:need]
-	}
-	if cap(ar.cc) < n {
-		ar.cc = make([]float64, n)
-	} else {
-		ar.cc = ar.cc[:n]
+// addWorld adds one world to the sums of the edges it contains: cc to
+// each edge's pair total and one to its world count. Passing -cc and -1
+// takes the world back out.
+func addWorld(sums []edgeSum, present uncertain.Bitset, cc, one int64) {
+	for wi, word := range present {
+		base := wi << 6
+		for word != 0 {
+			j := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			sums[j].cc += cc
+			sums[j].n += one
+		}
 	}
 }
 
@@ -48,73 +41,66 @@ func (ar *relArena) grow(n, words int) {
 // O(N * alpha(|V|) * |E|) instead of the naive O(|E| * N * alpha(|V|) * |E|)
 // (Lemma 3 vs Lemma 2).
 //
-// The grouping pass is word-parallel: per world it iterates the set bits
-// of the packed presence mask (and of its complement) instead of testing
-// one bool per edge. Worlds are accumulated in ascending sample order per
-// edge, so the floating-point sums — and hence the estimates — are
-// bit-identical to a sequential per-edge scan.
+// The grouping runs on the workers, inside the sampling pass: each worker
+// adds every world it draws to its own per-edge sums, walking the set bits
+// of the world's packed presence mask, so memory is O(workers * |E|). The
+// absent side needs no pass of its own: CC_ne is the run's total cc minus
+// CC_e, and n_ne is N - n_e. Every sum is of integers, so it is exact in
+// any order, and the estimates are bit-identical to a sequential per-edge
+// scan in ascending float64 arithmetic (see meanOf). An adaptive round
+// may draw chunks past the stopping point; those worlds are drawn again
+// and subtracted, on the same scheduler, so the sums cover exactly the
+// counted prefix.
 //
 // Edges whose presence bit never varies across the samples (probability 0
 // or 1, or extreme probabilities at small N) fall back to explicit
-// conditional sampling for the missing side.
+// conditional sampling for the missing side. The err.fallback_edges gauge
+// counts them, next to err.worlds, the effective N.
 func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	defer e.timeOp("EdgeRelevance", time.Now())
 	m := g.NumEdges()
-	words := (m + 63) / 64
-
-	ar := relArenaPool.Get().(*relArena)
-	ar.grow(e.budget(), words)
-	ccStat := e.forEachSample(g, nil, func(i int, sc *scratch) float64 {
-		_, pairs := sc.componentsPairs()
-		ar.cc[i] = float64(pairs)
-		copy(ar.masks[i*words:(i+1)*words], sc.world.Bits())
-		return float64(pairs)
-	})
-	if e.cancelled() {
-		// The arena rows for undrawn samples are uninitialized: scanning
-		// them could index phantom edges past m. Return zeros; the caller
-		// observes Ctx.Err() and discards the result.
-		relArenaPool.Put(ar)
-		return make([]float64, m)
-	}
-	e.recordQuality("EdgeRelevance", ccStat)
-	// Effective sample count: the stopping-rule prefix in adaptive mode
-	// (always contiguous, so rows [0,n) of the arena are exactly the counted
-	// worlds), the fixed budget otherwise.
-	n := e.effSamples(ccStat)
-
-	// tailMask zeroes the complement's phantom bits past edge m-1.
-	tailMask := ^uint64(0)
-	if r := m & 63; r != 0 {
-		tailMask = 1<<uint(r) - 1
-	}
-
-	ccPresent := make([]float64, m)
-	ccAbsent := make([]float64, m)
-	nPresent := make([]int, m)
-	for s := 0; s < n; s++ {
-		cc := ar.cc[s]
-		row := ar.masks[s*words : (s+1)*words]
-		for wi, word := range row {
-			base := wi << 6
-			inv := ^word
-			if wi == words-1 {
-				inv &= tailMask
+	perWorker := make([][]edgeSum, e.workers())
+	group := func(sign int64) func(int, *scratch) int64 {
+		return func(_ int, sc *scratch) int64 {
+			_, cc := sc.componentsPairs()
+			sums := perWorker[sc.worker]
+			if sums == nil {
+				sums = make([]edgeSum, m)
+				perWorker[sc.worker] = sums
 			}
-			for word != 0 {
-				j := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				ccPresent[j] += cc
-				nPresent[j]++
-			}
-			for inv != 0 {
-				j := base + bits.TrailingZeros64(inv)
-				inv &= inv - 1
-				ccAbsent[j] += cc
-			}
+			addWorld(sums, sc.world.Bits(), sign*cc, sign)
+			return cc
 		}
 	}
-	relArenaPool.Put(ar)
+	r := e.newRun(g, nil, group(1))
+	ccStat := e.run(&r)
+	if n := int(ccStat.Count()); n < r.drawn && !e.cancelled() {
+		// The last adaptive round drew chunks past the stopping point:
+		// draw those worlds again and take them back out of the sums.
+		fixed := e
+		fixed.TargetRSE = 0
+		r.fn, r.start, r.limit = group(-1), n, r.drawn
+		fixed.run(&r)
+	}
+	if e.cancelled() {
+		// The sums cover a truncated or partly subtracted sample set.
+		// Return zeros; the caller observes Ctx.Err() and discards the
+		// result.
+		return make([]float64, m)
+	}
+	e.recordQuality("EdgeRelevance", ccStat.Welford)
+	n := e.effSamples(ccStat.Welford)
+	var present []edgeSum
+	for _, sums := range perWorker {
+		if present == nil {
+			present = sums
+			continue
+		}
+		for j, s := range sums {
+			present[j].cc += s.cc
+			present[j].n += s.n
+		}
+	}
 
 	// Per-edge standard error of the ERR estimate, from the pooled cc
 	// variance: Var(ERR^e) ~ Var(cc) * (1/n_e + 1/n_ne) under the grouped
@@ -122,22 +108,26 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	// estimator-quality signal the σ-search precompute is judged by.
 	varCC := ccStat.Variance()
 	var seSum, seMax float64
-	seEdges := 0
+	seEdges, fallback := 0, 0
 
 	err := make([]float64, m)
-	for i := 0; i < m; i++ {
+	for i, s := range present {
+		ne := int(s.n)
+		ccNE := ccStat.sum - s.cc
 		var meanE, meanNE float64
 		switch {
-		case nPresent[i] == 0:
-			meanNE = ccAbsent[i] / float64(n)
+		case ne == 0:
+			meanNE = meanOf(ccNE, n)
 			meanE = e.conditionalCC(g, i, true)
-		case nPresent[i] == n:
-			meanE = ccPresent[i] / float64(n)
+			fallback++
+		case ne == n:
+			meanE = meanOf(s.cc, n)
 			meanNE = e.conditionalCC(g, i, false)
+			fallback++
 		default:
-			meanE = ccPresent[i] / float64(nPresent[i])
-			meanNE = ccAbsent[i] / float64(n-nPresent[i])
-			se := math.Sqrt(varCC * (1/float64(nPresent[i]) + 1/float64(n-nPresent[i])))
+			meanE = meanOf(s.cc, ne)
+			meanNE = meanOf(ccNE, n-ne)
+			se := math.Sqrt(varCC * (1/float64(ne) + 1/float64(n-ne)))
 			seSum += se
 			if se > seMax {
 				seMax = se
@@ -152,10 +142,14 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 		}
 		err[i] = v
 	}
-	if seEdges > 0 && e.Obs != nil {
+	if e.Obs != nil {
 		reg := e.Obs.Registry()
-		reg.Gauge("err.stderr.mean").Set(seSum / float64(seEdges))
-		reg.Gauge("err.stderr.max").Set(seMax)
+		reg.Gauge("err.worlds").Set(float64(n))
+		reg.Gauge("err.fallback_edges").Set(float64(fallback))
+		if seEdges > 0 {
+			reg.Gauge("err.stderr.mean").Set(seSum / float64(seEdges))
+			reg.Gauge("err.stderr.max").Set(seMax)
+		}
 	}
 	return err
 }
@@ -178,7 +172,7 @@ func (e Estimator) conditionalCC(g *uncertain.Graph, edge int, present bool) flo
 	sampler := g.Sampler()
 	draw := e.drawFn()
 	sc := scratchPool.Get().(*scratch)
-	var total float64
+	var total int64
 	for i := 0; i < n; i++ {
 		if i%sampleChunk == 0 && e.cancelled() {
 			break // partial mean: caller observes Ctx.Err() and discards
@@ -186,10 +180,10 @@ func (e Estimator) conditionalCC(g *uncertain.Graph, edge int, present bool) flo
 		draw(e.Seed, sampler, sc, 1_000_000+i)
 		sc.world.SetPresence(edge, present)
 		_, pairs := sc.componentsPairs()
-		total += float64(pairs)
+		total += pairs
 	}
 	scratchPool.Put(sc)
-	return total / float64(n)
+	return meanOf(total, n)
 }
 
 // EdgeRelevanceNaive is the baseline ERR estimator of Lemma 2: for every

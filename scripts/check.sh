@@ -199,8 +199,10 @@ echo "== format benchmarks (sectioned v2 vs v1 vs TSV) =="
 # format are gated right here: decoding v2 into a *Graph (the bulk
 # FromEdges build every loader uses) must be >= 5x faster than parsing
 # the TSV, and the v2 file must be >= 3x smaller than the TSV (quantized
-# probability column engaged).
-fmt_out=$(go test -run '^$' -bench 'BenchmarkFormat' -benchmem -benchtime "$benchtime" ./internal/uncertain/)
+# probability column engaged). count=3, because emit keeps the fastest
+# repeat: at BENCHTIME=1x one decode includes warm-up and GC noise, and a
+# single repeat has read 3.4x where reruns read 9-14x.
+fmt_out=$(go test -run '^$' -bench 'BenchmarkFormat' -benchmem -count=3 -benchtime "$benchtime" ./internal/uncertain/)
 echo "$fmt_out"
 echo "$fmt_out" | emit > BENCH_format.json
 echo "wrote BENCH_format.json ($(grep -c '"name"' BENCH_format.json) entries)"
