@@ -1,8 +1,8 @@
 // Command certify independently re-verifies the (k, ε)-obfuscation
 // guarantee of a published uncertain graph (Definition 3 of the paper).
 // Unlike ugstat's privacy check, which calls the production
-// internal/privacy code, certify goes through internal/testkit's
-// certificate checker: expected degrees by direct edge scan, degree
+// internal/privacy code, certify goes through internal/certify, which
+// shares no code with it: expected degrees by direct edge scan, degree
 // distributions by divide-and-conquer convolution, posterior entropies by
 // explicit normalization. A graph that passes both checks is certified by
 // two algorithmically independent implementations.
@@ -25,7 +25,7 @@ import (
 
 	"chameleon"
 	"chameleon/cmd/internal/runner"
-	"chameleon/internal/testkit"
+	"chameleon/internal/certify"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func run(out *os.File, origPath, pubPath string, k int, eps float64) error {
 	if err != nil {
 		return err
 	}
-	cert, err := testkit.CheckCertificate(orig, pub, k, eps)
+	cert, err := certify.Check(orig, pub, k, eps)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func run(out *os.File, origPath, pubPath string, k int, eps float64) error {
 	fmt.Fprintf(tw, "eps~:\t%.6f\n", cert.EpsilonTilde)
 	fmt.Fprintf(tw, "min posterior entropy:\t%.4f bits (threshold %.4f)\n", cert.MinEntropy, math.Log2(float64(k)))
 	if cert.Boundary > 0 {
-		fmt.Fprintf(tw, "WARNING:\t%d vertices within %g bits of the threshold\n", cert.Boundary, testkit.EntropyTolerance)
+		fmt.Fprintf(tw, "WARNING:\t%d vertices within %g bits of the threshold\n", cert.Boundary, certify.EntropyTolerance)
 	}
 	if cert.Valid {
 		fmt.Fprintf(tw, "verdict:\tCERTIFIED\n")

@@ -420,8 +420,8 @@ func openLoop(ctx context.Context, do doer, eng *query.Engine, cfg config) []vie
 		schedule = append(schedule, arrival{at: t, req: genReq(rng, n, cfg)})
 	}
 
-	intended := hdr.NewRecorder(hdr.Config{}, 0)
-	service := hdr.NewRecorder(hdr.Config{}, 0)
+	intended := hdr.NewRecorder()
+	service := hdr.NewRecorder()
 	var errs atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -465,7 +465,7 @@ func openLoop(ctx context.Context, do doer, eng *query.Engine, cfg config) []vie
 // and records pure service time.
 func closedLoop(ctx context.Context, do doer, eng *query.Engine, cfg config) []view {
 	n := eng.Graph().NumNodes()
-	rec := hdr.NewRecorder(hdr.Config{}, 0)
+	rec := hdr.NewRecorder()
 	var reqs, errs atomic.Int64
 	deadline := time.Now().Add(cfg.duration)
 	start := time.Now()

@@ -1,13 +1,13 @@
-package testkit
+package certify
 
 // PoissonBinomial computes the exact distribution of a sum of independent
 // Bernoulli(p_i) variables by divide-and-conquer convolution:
 // out[j] = Pr[exactly j successes].
 //
 // This is deliberately a different algorithm from internal/privacy's
-// sequential dynamic program — the certificate checker and the
-// statistical assertions need an independently coded reference, so a bug
-// in the production recurrence cannot cancel against itself.
+// sequential dynamic program: the certificate checker needs an
+// independently coded reference, so a bug in the production recurrence
+// cannot cancel against itself.
 func PoissonBinomial(probs []float64) []float64 {
 	switch len(probs) {
 	case 0:
@@ -24,7 +24,7 @@ func PoissonBinomial(probs []float64) []float64 {
 			continue
 		}
 		for j, bj := range b {
-			out[i+j] += ai * bj
+			out[i+j] += float64(ai * bj) // unfused, as in Check
 		}
 	}
 	return out

@@ -118,13 +118,6 @@ type Params struct {
 	Workers int
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Cache, when non-nil, is handed to the run's reliability estimators so
-	// sampled component labelings survive across calls. Callers evaluating
-	// utility after the run (sweep cells, the ugstat pipeline) should pass
-	// the same cache to their evaluation estimator: the original graph is
-	// then sampled and labeled once for the whole search-plus-evaluation
-	// sequence instead of once per estimator call.
-	Cache *reliability.LabelCache
 
 	// Property overrides the adversary's per-vertex auxiliary knowledge
 	// (Definition 3's vertex property P). Empty means the paper's choice:
@@ -177,7 +170,7 @@ type Params struct {
 func (p Params) estimator(ctx context.Context) reliability.Estimator {
 	return reliability.Estimator{
 		Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
-		Obs: p.Obs, Cache: p.Cache, Mode: p.SamplingMode,
+		Obs: p.Obs, Mode: p.SamplingMode,
 		TargetRSE: p.TargetRSE, MaxSamples: p.MaxSamples, Ctx: ctx,
 	}
 }

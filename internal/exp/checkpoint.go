@@ -44,10 +44,9 @@ type cellStoreFile struct {
 // failed because the run was cancelled is never stored (the caller gates
 // Put on its context). A CellStore is safe for concurrent use.
 type CellStore struct {
-	mu    sync.Mutex
-	path  string
-	file  cellStoreFile
-	dirty bool
+	mu   sync.Mutex
+	path string
+	file cellStoreFile
 }
 
 // OpenCellStore loads the sweep checkpoint at path, creating a fresh one
@@ -132,8 +131,10 @@ func (s *CellStore) Put(run Run) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.file.Cells[cellKey(run.Dataset, run.Method, run.PaperK)] = run
-	s.dirty = true
-	return s.flushLocked()
+	if err := atomicfile.WriteJSON(s.path, s.file); err != nil {
+		return fmt.Errorf("exp: writing sweep checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Len returns the number of stored cells.
@@ -146,28 +147,6 @@ func (s *CellStore) Len() int {
 	return len(s.file.Cells)
 }
 
-// Flush rewrites the checkpoint file if there are unsaved cells. Put
-// already flushes; Flush exists for interrupt paths that want certainty.
-func (s *CellStore) Flush() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.dirty {
-		return nil
-	}
-	return s.flushLocked()
-}
-
-func (s *CellStore) flushLocked() error {
-	if err := atomicfile.WriteJSON(s.path, s.file); err != nil {
-		return fmt.Errorf("exp: writing sweep checkpoint: %w", err)
-	}
-	s.dirty = false
-	return nil
-}
-
 // Clear removes the checkpoint file; called when a sweep completes so a
 // later run does not resume from finished state.
 func (s *CellStore) Clear() error {
@@ -177,7 +156,6 @@ func (s *CellStore) Clear() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.file.Cells = make(map[string]Run)
-	s.dirty = false
 	if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("exp: removing sweep checkpoint: %w", err)
 	}

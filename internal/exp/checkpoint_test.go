@@ -156,9 +156,6 @@ func TestNilCellStoreIsNoop(t *testing.T) {
 	if err := s.Put(Run{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}

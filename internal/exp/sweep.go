@@ -174,7 +174,7 @@ func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method
 	}
 
 	params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method)^uint64(paperK))
-	params.Obs, params.Cache = c.Obs, c.cache
+	params.Obs = c.Obs
 	params.ProgressBase, params.ProgressSpan = c.prog.window()
 	var res *core.Result
 	variant, err := core.ParseVariant(method)

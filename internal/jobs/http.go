@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"time"
 
-	"chameleon/internal/testkit"
+	"chameleon/internal/certify"
 	"chameleon/internal/uncertain"
 )
 
@@ -224,7 +224,7 @@ func (a *API) handleCertificate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("jobs: loading result for %s: %w", id, err))
 		return
 	}
-	rep, err := testkit.CheckCertificate(orig, pub, st.Spec.K, st.Spec.Epsilon)
+	rep, err := certify.Check(orig, pub, st.Spec.K, st.Spec.Epsilon)
 	if err != nil {
 		writeError(w, fmt.Errorf("jobs: certifying %s: %w", id, err))
 		return

@@ -2,14 +2,13 @@
 // utility evaluation (Section VI-A) under possible-world semantics:
 // degree-based metrics (average node degree, maximal degree, degree
 // distribution), node-separation metrics (average distance, effective
-// diameter — via ANF), and the clustering coefficient. Except for the
-// average degree, which has a closed form, every metric is the Monte Carlo
-// average over sampled worlds.
+// diameter — via ANF), and the clustering coefficient. The average degree
+// and the degree distribution have closed forms; every other metric is
+// the Monte Carlo average over sampled worlds.
 package metrics
 
 import (
 	"math/rand/v2"
-	"sync"
 
 	"chameleon/internal/anf"
 	"chameleon/internal/privacy"
@@ -67,35 +66,9 @@ func (o Options) MaxDegree(g *uncertain.Graph) float64 {
 	return total / float64(n)
 }
 
-// DegreeDistribution estimates the expected degree histogram:
-// out[d] = E[#vertices with degree d] over sampled worlds.
-func (o Options) DegreeDistribution(g *uncertain.Graph) []float64 {
-	n := o.samples(1000)
-	var mu sync.Mutex
-	counts := make([]int64, g.MaxStructuralDegree()+1)
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
-		local := make([]int64, len(counts))
-		for v := 0; v < w.NumNodes(); v++ {
-			local[w.Degree(uncertain.NodeID(v))]++
-		}
-		mu.Lock()
-		for d, c := range local {
-			counts[d] += c
-		}
-		mu.Unlock()
-	})
-	out := make([]float64, len(counts))
-	for d, c := range counts {
-		out[d] = float64(c) / float64(n)
-	}
-	return out
-}
-
 // ExpectedDegreeDistribution computes the expected degree histogram
 // analytically: out[d] = sum over vertices of Pr[deg(v) = d], with the
-// per-vertex Poisson-binomial distributions evaluated exactly. It is the
-// closed-form counterpart of the Monte Carlo DegreeDistribution and
-// useful for cross-validating sampling budgets.
+// per-vertex Poisson-binomial distributions evaluated exactly.
 func ExpectedDegreeDistribution(g *uncertain.Graph) []float64 {
 	out := make([]float64, g.MaxStructuralDegree()+1)
 	var buf []float64

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"chameleon/internal/exact"
 	"chameleon/internal/gen"
 	"chameleon/internal/uncertain"
 )
@@ -57,8 +58,7 @@ func TestDegreeDistributionSumsToNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Samples: 200, Seed: 3}
-	dist := o.DegreeDistribution(g)
+	dist := ExpectedDegreeDistribution(g)
 	var total float64
 	for _, c := range dist {
 		total += c
@@ -70,8 +70,7 @@ func TestDegreeDistributionSumsToNodes(t *testing.T) {
 
 func TestDegreeDistributionDeterministicGraph(t *testing.T) {
 	g := certainGraph(t, 4, [2]uncertain.NodeID{0, 1}, [2]uncertain.NodeID{2, 3})
-	o := Options{Samples: 10, Seed: 4}
-	dist := o.DegreeDistribution(g)
+	dist := ExpectedDegreeDistribution(g)
 	if dist[1] != 4 {
 		t.Fatalf("all four vertices have degree 1, got %v", dist)
 	}
@@ -179,13 +178,11 @@ var estimators = []struct {
 	run  func(o Options, g *uncertain.Graph) []float64
 }{
 	{"MaxDegree", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.MaxDegree(g)} }},
-	{"DegreeDistribution", func(o Options, g *uncertain.Graph) []float64 { return o.DegreeDistribution(g) }},
 	{"Distances", func(o Options, g *uncertain.Graph) []float64 {
 		d := o.Distances(g)
 		return []float64{d.AverageDistance, d.EffectiveDiameter}
 	}},
 	{"ClusteringCoefficient", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.ClusteringCoefficient(g)} }},
-	{"Triangles", func(o Options, g *uncertain.Graph) []float64 { return []float64{o.Triangles(g)} }},
 }
 
 func estimatorGraph(t *testing.T) *uncertain.Graph {
@@ -214,13 +211,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestEstimatorsPinned(t *testing.T) {
 	g := estimatorGraph(t)
 	want := map[string][]uint64{
-		"MaxDegree": {0x4017888888888889},
-		"DegreeDistribution": {0x4001333333333333, 0x4021a22222222222, 0x4029888888888889, 0x40225dddddddddde,
-			0x4012000000000000, 0x3ffbbbbbbbbbbbbc, 0x3fe3bbbbbbbbbbbc, 0x3fc7777777777777,
-			0x3fa1111111111111, 0x3f91111111111111, 0},
+		"MaxDegree":             {0x4017888888888889},
 		"Distances":             {0x40101aa7d73dba72, 0x401769a857d75985},
 		"ClusteringCoefficient": {0x3fb0c60f5d8c0889},
-		"Triangles":             {0x4005bbbbbbbbbbbc},
 	}
 	for _, workers := range []int{1, 3} {
 		o := Options{Samples: 60, Seed: 5, Workers: workers}
@@ -237,73 +230,23 @@ func TestEstimatorsPinned(t *testing.T) {
 	}
 }
 
-func TestExpectedDegreeDistributionMatchesMC(t *testing.T) {
-	g, err := gen.ErdosRenyi(25, 50, gen.UniformProbs(0.1, 0.9), rand.New(rand.NewPCG(3, 3)))
+// TestExpectedDegreeDistributionMatchesExact checks the closed form
+// against the sum of every vertex's exactly enumerated degree law.
+func TestExpectedDegreeDistributionMatchesExact(t *testing.T) {
+	g, err := gen.ErdosRenyi(12, 20, gen.UniformProbs(0.1, 0.9), rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic := ExpectedDegreeDistribution(g)
-	mc := (Options{Samples: 8000, Seed: 13}).DegreeDistribution(g)
-	var mass float64
-	for d := range analytic {
-		mass += analytic[d]
-		var m float64
-		if d < len(mc) {
-			m = mc[d]
-		}
-		if math.Abs(analytic[d]-m) > 0.35 {
-			t.Fatalf("degree %d: analytic %v, MC %v", d, analytic[d], m)
+	got := ExpectedDegreeDistribution(g)
+	want := make([]float64, len(got))
+	for v := 0; v < g.NumNodes(); v++ {
+		for d, p := range exact.DegreeDistribution(g, uncertain.NodeID(v)) {
+			want[d] += p
 		}
 	}
-	if math.Abs(mass-25) > 1e-9 {
-		t.Fatalf("analytic distribution mass = %v, want 25", mass)
-	}
-}
-
-func TestExpectedTrianglesClosedForm(t *testing.T) {
-	// Single triangle with probabilities 0.5, 0.4, 0.3: E = 0.06.
-	g := uncertain.New(3)
-	g.MustAddEdge(0, 1, 0.5)
-	g.MustAddEdge(1, 2, 0.4)
-	g.MustAddEdge(0, 2, 0.3)
-	if got := ExpectedTriangles(g); math.Abs(got-0.06) > 1e-12 {
-		t.Fatalf("E[triangles] = %v, want 0.06", got)
-	}
-	// No triangle in a star.
-	star := certainGraph(t, 4, [2]uncertain.NodeID{0, 1}, [2]uncertain.NodeID{0, 2}, [2]uncertain.NodeID{0, 3})
-	if got := ExpectedTriangles(star); got != 0 {
-		t.Fatalf("star E[triangles] = %v, want 0", got)
-	}
-	// K4 certain: 4 triangles.
-	k4 := certainGraph(t, 4,
-		[2]uncertain.NodeID{0, 1}, [2]uncertain.NodeID{0, 2}, [2]uncertain.NodeID{0, 3},
-		[2]uncertain.NodeID{1, 2}, [2]uncertain.NodeID{1, 3}, [2]uncertain.NodeID{2, 3})
-	if got := ExpectedTriangles(k4); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("K4 E[triangles] = %v, want 4", got)
-	}
-}
-
-func TestExpectedTrianglesMatchesMC(t *testing.T) {
-	g, err := gen.ErdosRenyi(40, 160, gen.UniformProbs(0.2, 0.9), rand.New(rand.NewPCG(7, 7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := ExpectedTriangles(g)
-	mc := (Options{Samples: 6000, Seed: 8}).Triangles(g)
-	if exact <= 0 {
-		t.Fatal("test graph should contain expected triangles")
-	}
-	if math.Abs(exact-mc)/exact > 0.1 {
-		t.Fatalf("closed form %v vs MC %v", exact, mc)
-	}
-}
-
-func TestExpectedTrianglesIgnoresZeroEdges(t *testing.T) {
-	g := uncertain.New(3)
-	g.MustAddEdge(0, 1, 0.5)
-	g.MustAddEdge(1, 2, 0.4)
-	g.MustAddEdge(0, 2, 0)
-	if got := ExpectedTriangles(g); got != 0 {
-		t.Fatalf("zero-probability edge should kill the triangle, got %v", got)
+	for d := range want {
+		if math.Abs(got[d]-want[d]) > 1e-12 {
+			t.Fatalf("degree %d: closed form %v, exact %v", d, got[d], want[d])
+		}
 	}
 }

@@ -1,26 +1,24 @@
 // Package hdr implements a High Dynamic Range histogram for latency
-// recording: log-linear bucketing with a configurable relative-error
-// bound, lock-free concurrent recording, mergeable state, and a
+// recording: log-linear bucketing with a fixed relative-error bound,
+// lock-free concurrent recording, mergeable state, and a
 // coordinated-omission corrector for open-loop load measurement.
 //
 // The value axis (nanoseconds, or any non-negative int64 unit) is split
 // into exponential "octaves", each subdivided into 2^m linear
 // sub-buckets. Within an octave every bucket spans at most value/2^m, so
 // any quantile read from the bucket bounds is within a relative error of
-// 2^-m of the exact order statistic — the classical HdrHistogram
-// guarantee, with m derived from Config.RelError. Memory is a few KB per
-// histogram (one int64 counter per bucket), independent of the number of
-// recorded values, and two histograms with the same configuration merge
-// by bucket-count addition — an associative, commutative operation, which
-// is what makes the shard-and-merge Recorder and cross-process
-// aggregation sound.
+// 2^-m (RelError) of the exact order statistic — the classical
+// HdrHistogram guarantee. Memory is a few KB per histogram (one int64
+// counter per bucket), independent of the number of recorded values, and
+// every histogram has the same layout, so two merge by bucket-count
+// addition — an associative, commutative operation, which is what makes
+// the shard-and-merge Recorder sound.
 //
 // Like the rest of the obs subsystem, a nil *Histogram or *Recorder is a
 // usable no-op.
 package hdr
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -29,93 +27,55 @@ import (
 	"time"
 )
 
-// DefaultMaxValue is the highest trackable value when Config.MaxValue is
-// zero: 2^42 ns is about 73 minutes, far beyond any request latency this
-// repo measures. Values above the maximum saturate into the top bucket.
-const DefaultMaxValue = int64(1) << 42
+// MaxValue is the highest trackable value: 2^42 ns is about 73 minutes,
+// far beyond any request latency this repo measures. Values above it
+// saturate into the top bucket.
+const MaxValue = int64(1) << 42
 
-// DefaultRelError is the quantile relative-error bound when
-// Config.RelError is zero: 2^-7, i.e. quantiles accurate to within
-// 0.79%, at a cost of 128 linear sub-buckets per octave.
-const DefaultRelError = 1.0 / 128
+// The bucket layout. subHalf = 2^m linear sub-buckets per octave; values
+// below subCount = 2·subHalf are exact (unit-width buckets), values above
+// land in octave e >= 1 where bucket width is 2^e and the relative error
+// is bounded by 1/subHalf.
+const (
+	m        = 7
+	subHalf  = int64(1) << m
+	subCount = int64(2) << m
+)
 
-// Config fixes a histogram's bucket layout. Histograms merge only when
-// their configurations are equal after defaulting.
-type Config struct {
-	// RelError bounds the relative error of Snapshot.Quantile: the
-	// reported value differs from the exact order statistic by at most
-	// RelError × value. Internally rounded down to the next power of two
-	// (2^-m); zero means DefaultRelError.
-	RelError float64
-	// MaxValue is the largest distinguishable value; larger recordings
-	// saturate into the top bucket. Zero means DefaultMaxValue.
-	MaxValue int64
-}
+// RelError bounds the relative error of Snapshot.Quantile: 2^-7, i.e.
+// quantiles accurate to within 0.79%, at a cost of 128 linear
+// sub-buckets per octave.
+const RelError = 1.0 / float64(subHalf)
 
-// layout is the resolved bucket geometry. subHalf = 2^m linear
-// sub-buckets per octave; values below subCount = 2·subHalf are exact
-// (unit-width buckets), values above land in octave e >= 1 where bucket
-// width is 2^e and the relative error is bounded by 1/subHalf.
-type layout struct {
-	m        uint  // sub-bucket magnitude
-	subHalf  int64 // 1 << m
-	subCount int64 // 2 << m
-	maxValue int64
-	nBuckets int
-}
-
-func makeLayout(cfg Config) layout {
-	relErr := cfg.RelError
-	if relErr <= 0 {
-		relErr = DefaultRelError
-	}
-	// Smallest m with 2^-m <= relErr; clamped so the bucket array stays
-	// sane (m=20 is a 0.0001% bound and ~1M buckets per octave already).
-	m := uint(math.Ceil(math.Log2(1 / relErr)))
-	if m < 1 {
-		m = 1
-	}
-	if m > 20 {
-		m = 20
-	}
-	l := layout{m: m, subHalf: 1 << m, subCount: 2 << m}
-	l.maxValue = cfg.MaxValue
-	if l.maxValue <= 0 {
-		l.maxValue = DefaultMaxValue
-	}
-	if l.maxValue < l.subCount {
-		l.maxValue = l.subCount // keep at least one full linear range
-	}
-	l.nBuckets = l.index(l.maxValue) + 1
-	return l
-}
+// nBuckets is the number of buckets up to and including MaxValue's.
+var nBuckets = index(MaxValue) + 1
 
 // index maps a value to its bucket. Values in [0, subCount) are exact;
 // above that, octave e = len(v) - (m+1) >= 1 holds values in
 // [subCount<<(e-1), subCount<<e) across subHalf buckets of width 2^e.
-func (l layout) index(v int64) int {
+func index(v int64) int {
 	if v < 0 {
 		v = 0
 	}
-	if v > l.maxValue {
-		v = l.maxValue
+	if v > MaxValue {
+		v = MaxValue
 	}
-	if v < l.subCount {
+	if v < subCount {
 		return int(v)
 	}
-	e := uint(bits.Len64(uint64(v))) - (l.m + 1)
-	return int(l.subCount + int64(e-1)*l.subHalf + (v >> e) - l.subHalf)
+	e := uint(bits.Len64(uint64(v))) - (m + 1)
+	return int(subCount + int64(e-1)*subHalf + (v >> e) - subHalf)
 }
 
 // bounds returns bucket i's inclusive value range.
-func (l layout) bounds(i int) (lo, hi int64) {
-	if int64(i) < l.subCount {
+func bounds(i int) (lo, hi int64) {
+	if int64(i) < subCount {
 		return int64(i), int64(i)
 	}
-	rem := int64(i) - l.subCount
-	e := uint(rem/l.subHalf) + 1
-	r := rem % l.subHalf
-	lo = (l.subHalf + r) << e
+	rem := int64(i) - subCount
+	e := uint(rem/subHalf) + 1
+	r := rem % subHalf
+	lo = (subHalf + r) << e
 	return lo, lo + (1 << e) - 1
 }
 
@@ -123,7 +83,6 @@ func (l layout) bounds(i int) (lo, hi int64) {
 // atomic add per bucket plus count/sum/min/max maintenance. Construct
 // with New.
 type Histogram struct {
-	layout
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
@@ -131,17 +90,15 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-// New builds a histogram with the given configuration (zero fields take
-// the package defaults).
-func New(cfg Config) *Histogram {
-	l := makeLayout(cfg)
-	h := &Histogram{layout: l, counts: make([]atomic.Int64, l.nBuckets)}
+// New builds an empty histogram.
+func New() *Histogram {
+	h := &Histogram{counts: make([]atomic.Int64, nBuckets)}
 	h.min.Store(math.MaxInt64)
 	return h
 }
 
 // Record adds one value. Negative values clamp to zero and values above
-// the configured maximum clamp to it (saturating into the top bucket),
+// MaxValue clamp to it (saturating into the top bucket),
 // so count, sum, min and max always describe the clamped stream and the
 // sum cannot overflow on outliers. No-op on a nil histogram.
 func (h *Histogram) Record(v int64) {
@@ -151,10 +108,10 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if v > h.maxValue {
-		v = h.maxValue
+	if v > MaxValue {
+		v = MaxValue
 	}
-	h.counts[h.index(v)].Add(1)
+	h.counts[index(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -192,18 +149,13 @@ func (h *Histogram) RecordCorrected(v, expectedInterval int64) {
 	}
 }
 
-// Merge folds o's recordings into h. Both histograms must share one
-// configuration; merging is bucket-count addition, so it is associative
-// and commutative and never loses precision. Safe while both sides keep
-// recording (the merged state then reflects some interleaving). A nil o
-// is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
+// Merge folds o's recordings into h. Merging is bucket-count addition,
+// so it is associative and commutative and never loses precision. Safe
+// while both sides keep recording (the merged state then reflects some
+// interleaving). A nil o is a no-op.
+func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
-		return nil
-	}
-	if h.layout != o.layout {
-		return fmt.Errorf("hdr: merge of mismatched layouts (m=%d max=%d vs m=%d max=%d)",
-			h.m, h.maxValue, o.m, o.maxValue)
+		return
 	}
 	for i := range o.counts {
 		if n := o.counts[i].Load(); n != 0 {
@@ -224,7 +176,6 @@ func (h *Histogram) Merge(o *Histogram) error {
 			break
 		}
 	}
-	return nil
 }
 
 // Count returns the number of recordings (0 on nil).
@@ -242,7 +193,6 @@ func (h *Histogram) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		layout: h.layout,
 		Counts: make([]int64, len(h.counts)),
 		Count:  h.count.Load(),
 		Sum:    h.sum.Load(),
@@ -260,7 +210,6 @@ func (h *Histogram) Snapshot() Snapshot {
 // Snapshot is a frozen histogram state. The zero value is an empty
 // snapshot whose Quantile returns 0.
 type Snapshot struct {
-	layout
 	Counts []int64
 	Count  int64
 	Sum    int64
@@ -269,7 +218,7 @@ type Snapshot struct {
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) of the recorded values,
-// within the configured relative-error bound: the reported value is >=
+// within the relative-error bound: the reported value is >=
 // the exact order statistic and exceeds it by at most RelError × value.
 // Returns 0 for an empty snapshot.
 func (s Snapshot) Quantile(q float64) int64 {
@@ -287,7 +236,7 @@ func (s Snapshot) Quantile(q float64) int64 {
 	for i, n := range s.Counts {
 		cum += n
 		if cum >= rank {
-			_, hi := s.bounds(i)
+			_, hi := bounds(i)
 			// The exact order statistic lies inside bucket i and is <= the
 			// recorded maximum, so min(hi, Max) still upper-bounds it while
 			// keeping p100 == Max exactly.
@@ -309,37 +258,6 @@ func (s Snapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Merge folds o into s (same-configuration requirement as
-// Histogram.Merge).
-func (s *Snapshot) Merge(o Snapshot) error {
-	if o.Count == 0 && len(o.Counts) == 0 {
-		return nil
-	}
-	if len(s.Counts) == 0 {
-		// Merging into an empty zero-value snapshot adopts o wholesale.
-		*s = o
-		s.Counts = append([]int64(nil), o.Counts...)
-		return nil
-	}
-	if s.layout != o.layout {
-		return fmt.Errorf("hdr: merge of mismatched snapshot layouts")
-	}
-	for i, n := range o.Counts {
-		s.Counts[i] += n
-	}
-	s.Sum += o.Sum
-	if o.Count > 0 {
-		if s.Count == 0 || o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-	}
-	s.Count += o.Count
-	return nil
-}
-
 // Recorder shards recordings over several histograms so concurrent
 // writers on different cores do not contend on the same counter cache
 // lines, and merges them on Snapshot. The shard is picked per recording
@@ -348,26 +266,20 @@ func (s *Snapshot) Merge(o Snapshot) error {
 type Recorder struct {
 	shards []*Histogram
 	mask   uint64
-	cfg    Config
 }
 
-// NewRecorder builds a sharded recorder. shards is rounded up to a power
-// of two; zero picks a default sized to the machine (capped at 8 — the
-// recording rates this repo sees saturate long after that).
-func NewRecorder(cfg Config, shards int) *Recorder {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 8 {
-			shards = 8
-		}
-	}
+// NewRecorder builds a sharded recorder with GOMAXPROCS shards, rounded
+// up to a power of two and capped at 8 (the recording rates this repo
+// sees saturate long after that).
+func NewRecorder() *Recorder {
+	shards := min(runtime.GOMAXPROCS(0), 8)
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	r := &Recorder{shards: make([]*Histogram, n), mask: uint64(n - 1), cfg: cfg}
+	r := &Recorder{shards: make([]*Histogram, n), mask: uint64(n - 1)}
 	for i := range r.shards {
-		r.shards[i] = New(cfg)
+		r.shards[i] = New()
 	}
 	return r
 }
@@ -411,9 +323,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	merged := New(r.cfg)
+	merged := New()
 	for _, h := range r.shards {
-		merged.Merge(h) // same config by construction: cannot fail
+		merged.Merge(h)
 	}
 	return merged.Snapshot()
 }

@@ -25,61 +25,51 @@ func exactQuantile(sorted []int64, q float64) int64 {
 // TestQuantileWithinRelativeError is the property pinning the package's
 // central claim: for arbitrary sample sets and every probed quantile,
 // the histogram's answer is >= the exact order statistic and exceeds it
-// by at most the configured relative error.
+// by at most RelError.
 func TestQuantileWithinRelativeError(t *testing.T) {
-	configs := []Config{
-		{},                  // defaults: 2^-7
-		{RelError: 0.05},    // coarse: 2^-5
-		{RelError: 0.001},   // fine: 2^-10
-		{MaxValue: 1 << 30}, // smaller range, default error
-	}
 	quantiles := []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}
 	rng := rand.New(rand.NewPCG(42, 7))
 
-	for ci, cfg := range configs {
-		resolved := makeLayout(cfg)
-		relErr := 1 / float64(resolved.subHalf)
-		for trial := 0; trial < 20; trial++ {
-			h := New(cfg)
-			n := 100 + rng.IntN(5000)
-			vals := make([]int64, n)
-			for i := range vals {
-				switch trial % 3 {
-				case 0: // log-uniform across the whole range (latency-like)
-					vals[i] = int64(math.Exp(rng.Float64() * math.Log(float64(resolved.maxValue))))
-				case 1: // small exact-range integers
-					vals[i] = rng.Int64N(resolved.subCount)
-				default: // heavy-tailed mixture
-					vals[i] = rng.Int64N(1000)
-					if rng.IntN(10) == 0 {
-						vals[i] = rng.Int64N(resolved.maxValue)
-					}
-				}
-				h.Record(vals[i])
-			}
-			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-			s := h.Snapshot()
-			for _, q := range quantiles {
-				exact := exactQuantile(vals, q)
-				got := s.Quantile(q)
-				if got < exact {
-					t.Fatalf("cfg %d trial %d q=%v: got %d below exact %d", ci, trial, q, got, exact)
-				}
-				if diff := got - exact; float64(diff) > relErr*float64(exact) {
-					t.Fatalf("cfg %d trial %d q=%v: got %d vs exact %d, error %d exceeds bound %v",
-						ci, trial, q, got, exact, diff, relErr*float64(exact))
+	for trial := 0; trial < 60; trial++ {
+		h := New()
+		n := 100 + rng.IntN(5000)
+		vals := make([]int64, n)
+		for i := range vals {
+			switch trial % 3 {
+			case 0: // log-uniform across the whole range (latency-like)
+				vals[i] = int64(math.Exp(rng.Float64() * math.Log(float64(MaxValue))))
+			case 1: // small exact-range integers
+				vals[i] = rng.Int64N(subCount)
+			default: // heavy-tailed mixture
+				vals[i] = rng.Int64N(1000)
+				if rng.IntN(10) == 0 {
+					vals[i] = rng.Int64N(MaxValue)
 				}
 			}
-			if s.Min != vals[0] || s.Max != vals[n-1] {
-				t.Fatalf("cfg %d trial %d: min/max = %d/%d, want %d/%d", ci, trial, s.Min, s.Max, vals[0], vals[n-1])
+			h.Record(vals[i])
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		s := h.Snapshot()
+		for _, q := range quantiles {
+			exact := exactQuantile(vals, q)
+			got := s.Quantile(q)
+			if got < exact {
+				t.Fatalf("trial %d q=%v: got %d below exact %d", trial, q, got, exact)
 			}
-			var sum int64
-			for _, v := range vals {
-				sum += v
+			if diff := got - exact; float64(diff) > RelError*float64(exact) {
+				t.Fatalf("trial %d q=%v: got %d vs exact %d, error %d exceeds bound %v",
+					trial, q, got, exact, diff, RelError*float64(exact))
 			}
-			if s.Sum != sum || s.Count != int64(n) {
-				t.Fatalf("cfg %d trial %d: sum/count = %d/%d, want %d/%d", ci, trial, s.Sum, s.Count, sum, n)
-			}
+		}
+		if s.Min != vals[0] || s.Max != vals[n-1] {
+			t.Fatalf("trial %d: min/max = %d/%d, want %d/%d", trial, s.Min, s.Max, vals[0], vals[n-1])
+		}
+		var sum int64
+		for _, v := range vals {
+			sum += v
+		}
+		if s.Sum != sum || s.Count != int64(n) {
+			t.Fatalf("trial %d: sum/count = %d/%d, want %d/%d", trial, s.Sum, s.Count, sum, n)
 		}
 	}
 }
@@ -94,7 +84,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Error("nil histogram snapshot not empty")
 	}
 
-	h := New(Config{})
+	h := New()
 	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Errorf("empty quantile = %d, want 0", got)
 	}
@@ -105,7 +95,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 		}
 	}
 
-	h = New(Config{MaxValue: 1 << 20})
+	h = New()
 	h.Record(-5)                // clamps to 0
 	h.Record(math.MaxInt64)     // saturates into the top bucket
 	h.Record(math.MaxInt64 / 2) // likewise
@@ -127,7 +117,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 func TestMergeAssociativeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	mk := func(n int, scale int64) *Histogram {
-		h := New(Config{})
+		h := New()
 		for i := 0; i < n; i++ {
 			h.Record(rng.Int64N(scale))
 		}
@@ -146,22 +136,20 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 	}
 
 	a, b, c := build()
-	left := New(Config{})
+	left := New()
 	for _, h := range []*Histogram{a, b, c} { // (a+b)+c
-		if err := left.Merge(h); err != nil {
-			t.Fatal(err)
-		}
+		left.Merge(h)
 	}
 	a, b, c = build()
-	bc := New(Config{})
+	bc := New()
 	bc.Merge(b)
 	bc.Merge(c)
-	right := New(Config{})
+	right := New()
 	right.Merge(a)
 	right.Merge(bc) // a+(b+c)
 
 	a, b, c = build()
-	rev := New(Config{})
+	rev := New()
 	for _, h := range []*Histogram{c, a, b} { // reordered
 		rev.Merge(h)
 	}
@@ -188,40 +176,6 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 	}
 }
 
-// TestMergeMismatchedLayouts: differing configurations must refuse to
-// merge rather than silently mix incompatible bucket geometries.
-func TestMergeMismatchedLayouts(t *testing.T) {
-	a := New(Config{RelError: 0.01})
-	b := New(Config{RelError: 0.05})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge of mismatched layouts succeeded")
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err == nil {
-		t.Fatal("snapshot merge of mismatched layouts succeeded")
-	}
-}
-
-// TestSnapshotMergeIntoZero: a zero-value Snapshot adopts the first
-// merged state, so callers can fold a set of snapshots without knowing
-// the configuration up front.
-func TestSnapshotMergeIntoZero(t *testing.T) {
-	h := New(Config{})
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * 1000)
-	}
-	var acc Snapshot
-	if err := acc.Merge(h.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Merge(h.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Count != 200 || acc.Min != 1000 || acc.Max != 100000 {
-		t.Fatalf("accumulated snapshot = count %d min %d max %d", acc.Count, acc.Min, acc.Max)
-	}
-}
-
 // TestCoordinatedOmissionCorrection simulates the pinned-stall scenario
 // CO correction exists for: a FIFO server with 1ms service time fed by
 // 10ms open-loop arrivals freezes for 2 seconds mid-run. Ground truth is
@@ -238,9 +192,9 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 		nOps     = 1000
 		stallAt  = 100
 	)
-	truth := New(Config{})
-	naive := New(Config{})
-	corrected := New(Config{})
+	truth := New()
+	naive := New()
+	corrected := New()
 
 	serverFree := int64(0)
 	for i := 0; i < nOps; i++ {
@@ -281,7 +235,7 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 // goroutines (the lock-free shard-and-merge claim, meaningful under
 // -race) and checks the merged snapshot accounts for every recording.
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(Config{}, 4)
+	r := NewRecorder()
 	const (
 		writers = 8
 		perW    = 5000

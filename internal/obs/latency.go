@@ -15,7 +15,7 @@ import (
 type Latency struct{ rec *hdr.Recorder }
 
 func newLatency() *Latency {
-	return &Latency{rec: hdr.NewRecorder(hdr.Config{}, 0)}
+	return &Latency{rec: hdr.NewRecorder()}
 }
 
 // Observe records one duration. No-op on a nil latency.
@@ -29,16 +29,6 @@ func (l *Latency) Observe(d time.Duration) {
 func (l *Latency) ObserveNS(ns int64) {
 	if l != nil {
 		l.rec.Record(ns)
-	}
-}
-
-// ObserveCorrected records a duration with coordinated-omission
-// back-fill: when d overran the expected interval between operations,
-// the operations that should have started during the overrun are
-// synthesized on a linear ramp (see hdr.Histogram.RecordCorrected).
-func (l *Latency) ObserveCorrected(d, expectedInterval time.Duration) {
-	if l != nil {
-		l.rec.RecordCorrected(int64(d), int64(expectedInterval))
 	}
 }
 

@@ -42,22 +42,3 @@ func TestLatencyRegistry(t *testing.T) {
 		t.Fatalf("mean = %v, want ~500µs", mean)
 	}
 }
-
-// TestLatencyCorrectedObserve: the CO back-fill reaches the registry
-// instrument (count grows by the synthesized ramp, quantiles shift up).
-func TestLatencyCorrectedObserve(t *testing.T) {
-	r := NewRegistry()
-	l := r.Latency("lat")
-	for i := 0; i < 99; i++ {
-		l.Observe(time.Millisecond)
-	}
-	l.ObserveCorrected(time.Second, 10*time.Millisecond)
-	s := l.Snapshot()
-	// 99 plain + 1 stalled + 99 back-filled ramp samples (990ms..10ms).
-	if s.Count != 199 {
-		t.Fatalf("count = %d, want 199", s.Count)
-	}
-	if s.P99NS < int64(900*time.Millisecond) {
-		t.Fatalf("corrected p99 = %v, want stall-dominated", time.Duration(s.P99NS))
-	}
-}

@@ -244,46 +244,6 @@ func TestWorldSamplerPairwiseIndependence(t *testing.T) {
 	}
 }
 
-// TestPoissonBinomialMatchesConvolution cross-checks internal/privacy's
-// sequential DP against this package's independent divide-and-conquer
-// convolution. Deterministic.
-func TestPoissonBinomialMatchesConvolution(t *testing.T) {
-	cases := [][]float64{
-		{},
-		{0.3},
-		{0, 1, 0.5},
-		{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-		{1e-6, 0.999999, 0.5, 0.25, 0.75},
-	}
-	// Add every corpus vertex's incident-probability vector.
-	for _, cg := range Corpus() {
-		var buf []float64
-		for v := 0; v < cg.G.NumNodes(); v++ {
-			buf = cg.G.IncidentProbs(uncertain.NodeID(v), buf[:0])
-			cases = append(cases, append([]float64(nil), buf...))
-		}
-	}
-	for ci, probs := range cases {
-		got := privacy.DegreeDistribution(probs)
-		want := PoissonBinomial(probs)
-		if len(got) != len(want) {
-			t.Fatalf("case %d: length %d vs %d", ci, len(got), len(want))
-		}
-		var gSum, wSum float64
-		for j := range got {
-			if err := CheckClose(fmt.Sprintf("case %d P(deg=%d)", ci, j),
-				got[j], want[j], 1e-12); err != nil {
-				t.Error(err)
-			}
-			gSum += got[j]
-			wSum += want[j]
-		}
-		if math.Abs(gSum-1) > 1e-12 || math.Abs(wSum-1) > 1e-12 {
-			t.Errorf("case %d: distributions sum to %v (DP) and %v (D&C), want 1", ci, gSum, wSum)
-		}
-	}
-}
-
 // TestSampledDegreesMatchPoissonBinomial closes the loop between the
 // world sampler and the privacy machinery: the empirical degree
 // distribution of the star6 hub across sampled worlds must match its

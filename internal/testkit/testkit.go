@@ -1,8 +1,10 @@
 // Package testkit is the repo's verification subsystem: the machinery
 // that checks the statistical claims of the pipeline rather than its
-// determinism. Pinned seeds prove that an estimator reproduces itself;
-// they prove nothing about whether it estimates the right quantity. The
-// oracle hierarchy here does:
+// determinism. Apart from the certificate forward bench/ still calls,
+// only tests import it: scripts/check.sh keeps it, and internal/exact,
+// out of the facade, the commands and the examples. Pinned seeds prove
+// that an estimator reproduces itself; they prove nothing about whether
+// it estimates the right quantity. The oracle hierarchy here does:
 //
 //   - exact oracles — exhaustive possible-world enumeration
 //     (internal/exact) gives ground truth on small graphs, including the
@@ -16,9 +18,9 @@
 //     goodness-of-fit tests validate samplers whose outputs are
 //     distributions, with a fixed-seed retry policy that keeps the
 //     expected false-failure rate below 1e-6;
-//   - certificate checking — an independent re-derivation of the
-//     (k, ε)-obfuscation guarantee (Definition 3) that re-verifies any
-//     published graph from scratch, shared by unit tests and cmd/certify;
+//   - certificate checking — internal/certify's independent
+//     re-derivation of the (k, ε)-obfuscation guarantee (Definition 3)
+//     must certify every method's published graph;
 //   - metamorphic checks (CheckAll) — invariances the system must satisfy
 //     whatever the inputs: vertex-relabel invariance, Δ monotonicity in
 //     σ, and seed/worker-count independence of committed estimates.

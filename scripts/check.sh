@@ -38,6 +38,22 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== no test oracles in production binaries =="
+# internal/testkit and internal/exact are brute-force references for the
+# tests; the facade, the commands and the examples must not link them.
+# internal/certify re-verifies what internal/privacy computes, so it must
+# not import internal/privacy either.
+oracles=$(go list -deps . ./cmd/... ./examples/... | grep -xE 'chameleon/internal/(testkit|exact)' || true)
+if [ -n "$oracles" ]; then
+    echo "production packages import test oracles:" >&2
+    echo "$oracles" >&2
+    exit 1
+fi
+if go list -deps ./internal/certify | grep -qx 'chameleon/internal/privacy'; then
+    echo "internal/certify imports internal/privacy, the code it re-verifies" >&2
+    exit 1
+fi
+
 echo "== no fused multiply-add (arm64 cross-build) =="
 # Go may fuse x*y + z into one FMA instruction, which rounds once where
 # the source rounds twice: arm64 builds do, amd64 at the default
@@ -46,9 +62,10 @@ echo "== no fused multiply-add (arm64 cross-build) =="
 # float64(), which the spec says must round and so forbids the fusion.
 # This step cross-builds them for arm64 with the local toolchain and fails
 # on any fused instruction left. internal/portable is the exp and log2
-# every published float goes through instead of math.Exp's FMA path.
+# every published float goes through instead of math.Exp's FMA path, and
+# internal/certify is the verdict the job daemon serves to clients.
 fmadir=$(mktemp -d)
-for pkg in core privacy uncertain reliability truncnorm obs portable; do
+for pkg in core privacy uncertain reliability truncnorm obs portable certify; do
     GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
     go tool objdump "$fmadir/$pkg.a" |
         awk '/^TEXT/ { fn = $2 } $4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1, $4 }' >>"$fmadir/fused"
