@@ -200,7 +200,8 @@ type Result struct {
 // distinct, the number of distinct expected degrees) and, for RSME and
 // RS, an "edge-relevance" span; each search phase holds one "genobf"
 // span per call (sigma attribute) whose "attempt" children carry the
-// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall time.
+// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall time,
+// split into "select", "perturb" and "check" children.
 func (r *Result) Trace() *Trace { return r.trace }
 
 func (o Options) coreParams() (core.Params, error) {

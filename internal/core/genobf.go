@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"chameleon/internal/obs"
 	"chameleon/internal/privacy"
 	"chameleon/internal/truncnorm"
 	"chameleon/internal/uncertain"
@@ -105,7 +106,7 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 			asp := sp.StartChild("attempt")
 			asp.SetAttr("sigma", sigma)
 			asp.SetAttr("seq", seq)
-			pub, rep, err := a.attempt(seq, sigma)
+			pub, rep, err := a.attempt(seq, sigma, asp)
 			// Injected candidates that survived perturbation: pub keeps
 			// every original edge, so the edge-count delta is exactly the
 			// re-injected non-edges.
@@ -164,11 +165,19 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 // attempt runs trial seq at noise level sigma: it selects E_C, perturbs
 // it into a.work and checks the result, which it returns as pub. The
 // trial's RNG stream is PCG(Seed^0xC0DEC0DE, seq), reseeded in place.
-func (a *attemptSlot) attempt(seq uint64, sigma float64) (pub *uncertain.Graph, rep privacy.ObfuscationReport, err error) {
+// Each of the three steps is timed as a child span of sp: "select",
+// "perturb" and "check".
+func (a *attemptSlot) attempt(seq uint64, sigma float64, sp *obs.Span) (pub *uncertain.Graph, rep privacy.ObfuscationReport, err error) {
 	a.pcg.Seed(a.p.Seed^0xC0DEC0DE, seq)
+	step := sp.StartChild("select")
 	a.selectCandidates(a.rng)
+	step.End()
+	step = sp.StartChild("perturb")
 	pub = a.perturb(sigma, a.rng)
+	step.End()
+	step = sp.StartChild("check")
 	rep, err = privacy.CheckObfuscation(pub, a.prop, a.p.K)
+	step.End()
 	return pub, rep, err
 }
 

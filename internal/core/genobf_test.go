@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"chameleon/internal/gen"
+	"chameleon/internal/obs"
 	"chameleon/internal/privacy"
 	"chameleon/internal/uncertain"
 )
@@ -211,7 +212,7 @@ func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *attemptSlot {
 		t.Fatal(err)
 	}
 	a := st.slots[0]
-	if _, _, err := a.attempt(1, sigma); err != nil {
+	if _, _, err := a.attempt(1, sigma, nil); err != nil {
 		t.Fatal(err)
 	}
 	return a
@@ -226,7 +227,7 @@ func BenchmarkGenObfAttempt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.attempt(uint64(i)+2, 0.001); err != nil {
+		if _, _, err := a.attempt(uint64(i)+2, 0.001, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,12 +236,13 @@ func BenchmarkGenObfAttempt(b *testing.B) {
 // TestAttemptAllocationsSizeIndependent: once the working graph and the
 // selection buffers have grown, repeating an attempt allocates the same
 // handful of objects whatever the graph size — nothing per vertex, per
-// edge or per candidate.
+// edge or per candidate. Each run is traced under a fresh attempt span,
+// as genObf traces it.
 func TestAttemptAllocationsSizeIndependent(t *testing.T) {
 	allocs := func(n int) float64 {
 		a := warmAttempt(t, brightkiteGraph(t, n), 0.3)
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := a.attempt(1, 0.3); err != nil {
+			if _, _, err := a.attempt(1, 0.3, obs.NewSpan("attempt")); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -370,7 +372,7 @@ func TestGenObfTieGoesToLowestSeq(t *testing.T) {
 	params := func(workers int) Params {
 		return Params{K: 3, Epsilon: 0.5, Seed: 11, Variant: ME, Attempts: 16, Workers: workers}
 	}
-	first, rep, err := newState(t, g, params(1)).slots[0].attempt(1, sigma)
+	first, rep, err := newState(t, g, params(1)).slots[0].attempt(1, sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

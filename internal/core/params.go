@@ -276,7 +276,9 @@ type Result struct {
 	// children, then one span per search phase ("exponential-search",
 	// "bisection") whose "genobf" children carry the sigma tried, and
 	// whose "attempt" grandchildren carry the per-trial outcome
-	// (epsilon_tilde, ok, injected_edges) and wall time. Always recorded; query it with Find/FindAll.
+	// (epsilon_tilde, ok, injected_edges) and wall time, split into
+	// "select", "perturb" and "check" children. Always recorded; query it
+	// with Find/FindAll.
 	Trace *obs.Span
 }
 

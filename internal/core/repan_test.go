@@ -214,6 +214,7 @@ func spanShape(root *obs.Span) string {
 // uniqueness, then edge relevance for the reliability-sensitive methods.
 // With the attempts on two workers their spans end out of order, so each
 // carries its seq: the seqs are exactly 1..Result.Attempts, each once,
+// every attempt times its select, perturb and check steps in that order,
 // and every genobf span records its worker count.
 func TestTraceShapePerVariant(t *testing.T) {
 	g := testGraph(t, 3)
@@ -240,6 +241,16 @@ func TestTraceShapePerVariant(t *testing.T) {
 				t.Fatalf("%v: attempt span seq %v (%T), want each of 1..%d once", v, attr, attr, res.Attempts)
 			}
 			seen[seq] = true
+			var steps []string
+			for _, c := range a.Children {
+				steps = append(steps, c.Name)
+				if !c.Ended() || c.Duration() > a.Duration() {
+					t.Fatalf("%v: attempt %d step %s ran %v of the attempt's %v", v, seq, c.Name, c.Duration(), a.Duration())
+				}
+			}
+			if got := strings.Join(steps, " "); got != "select perturb check" {
+				t.Fatalf("%v: attempt %d steps %q, want \"select perturb check\"", v, seq, got)
+			}
 		}
 		for _, c := range res.Trace.FindAll("genobf") {
 			if w, _ := c.Attr("workers"); w != 2 {

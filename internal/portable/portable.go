@@ -69,7 +69,39 @@ func expmulti(hi, lo float64, k int) float64 {
 // Log2 returns the binary logarithm of x. Exact powers of two give exact
 // results. Log2(+Inf) = +Inf, Log2(0) = −Inf, Log2(x < 0) = NaN,
 // Log2(NaN) = NaN.
+//
+// A positive normal finite x takes its exponent and mantissa straight
+// from its bits; every other x goes through log2Frexp. Both run the same
+// arithmetic on the same operands, so they return the same bits.
 func Log2(x float64) float64 {
+	const (
+		mask  = 0x7ff
+		shift = 52
+		bias  = 1022
+	)
+	b := math.Float64bits(x)
+	e := int(b>>shift) & mask
+	if b>>63 != 0 || e == 0 || e == mask {
+		return log2Frexp(x)
+	}
+	// x = frac · 2**exp with frac in [0.5, 1), as math.Frexp returns it:
+	// x's mantissa under 0.5's exponent.
+	frac := math.Float64frombits(b&(1<<shift-1) | bias<<shift)
+	exp := e - bias
+	if frac == 0.5 {
+		return float64(exp - 1)
+	}
+	// log's reduction of frac: math.Frexp(frac) returns frac, 0.
+	f1, ki := frac, 0
+	if f1 < math.Sqrt2/2 {
+		f1 *= 2
+		ki--
+	}
+	return float64(logReduced(f1, ki)*(1/math.Ln2)) + float64(exp)
+}
+
+// log2Frexp is Log2 through math.Frexp and log, for every x.
+func log2Frexp(x float64) float64 {
 	frac, exp := math.Frexp(x)
 	// Exact powers of two give an exact answer; do not depend on
 	// log(0.5)·(1/ln2) + exp rounding to exp−1.
@@ -81,17 +113,6 @@ func Log2(x float64) float64 {
 
 // log returns the natural logarithm of x.
 func log(x float64) float64 {
-	const (
-		ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
-		ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
-		l1    = 6.666666666666735130e-01   /* 3FE55555 55555593 */
-		l2    = 3.999999999940941908e-01   /* 3FD99999 9997FA04 */
-		l3    = 2.857142874366239149e-01   /* 3FD24924 94229359 */
-		l4    = 2.222219843214978396e-01   /* 3FCC71C5 1D8E78AF */
-		l5    = 1.818357216161805012e-01   /* 3FC74664 96CB03DE */
-		l6    = 1.531383769920937332e-01   /* 3FC39A09 D078C69F */
-		l7    = 1.479819860511658591e-01   /* 3FC2F112 DF3E5244 */
-	)
 	switch {
 	case math.IsNaN(x) || math.IsInf(x, 1):
 		return x
@@ -107,6 +128,22 @@ func log(x float64) float64 {
 		f1 *= 2
 		ki--
 	}
+	return logReduced(f1, ki)
+}
+
+// logReduced returns ln(2**ki · f1) for √2/2 ≤ f1 < √2.
+func logReduced(f1 float64, ki int) float64 {
+	const (
+		ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
+		ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
+		l1    = 6.666666666666735130e-01   /* 3FE55555 55555593 */
+		l2    = 3.999999999940941908e-01   /* 3FD99999 9997FA04 */
+		l3    = 2.857142874366239149e-01   /* 3FD24924 94229359 */
+		l4    = 2.222219843214978396e-01   /* 3FCC71C5 1D8E78AF */
+		l5    = 1.818357216161805012e-01   /* 3FC74664 96CB03DE */
+		l6    = 1.531383769920937332e-01   /* 3FC39A09 D078C69F */
+		l7    = 1.479819860511658591e-01   /* 3FC2F112 DF3E5244 */
+	)
 	f := f1 - 1
 	k := float64(ki)
 

@@ -167,3 +167,85 @@ func TestAgainstBigFloat(t *testing.T) {
 		}
 	}
 }
+
+// TestLog2FastPathMatchesFrexp holds Log2's bit-level fast path to the
+// math.Frexp path bit for bit on 10⁷ seeded inputs: uniform values in
+// (0, 1], where the obfuscation check takes its logarithms, random bit
+// patterns, which reach every class of float64, and mantissas within a
+// million ulps of √2/2, where the reduction switches branch.
+func TestLog2FastPathMatchesFrexp(t *testing.T) {
+	const draws = 10_000_000
+	rng := rand.New(rand.NewPCG(11, 0x1062))
+	sqrtHalf := math.Float64bits(math.Sqrt2 / 2)
+	for i := 0; i < draws; i++ {
+		var x float64
+		switch i % 10 {
+		case 0, 1, 2, 3:
+			x = 1 - rng.Float64()
+		case 4, 5, 6:
+			x = math.Float64frombits(rng.Uint64())
+		default:
+			m := math.Float64frombits(sqrtHalf + uint64(rng.IntN(1<<21)) - 1<<20)
+			x = math.Ldexp(m, rng.IntN(2046)-1021)
+		}
+		if got, want := Log2(x), log2Frexp(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Log2(%v [%#016x]) = %#016x, frexp path %#016x",
+				x, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// TestLog2FastPathEdges checks the fast path's boundaries: every power of
+// two (exact), 1, the largest finite value, both sides of the smallest
+// normal, and the values next to √2/2.
+func TestLog2FastPathEdges(t *testing.T) {
+	for e := -1074; e <= 1023; e++ {
+		if got := Log2(math.Ldexp(1, e)); got != float64(e) {
+			t.Errorf("Log2(2**%d) = %v", e, got)
+		}
+	}
+	xs := []float64{
+		1,
+		math.MaxFloat64,
+		0x1p-1022,                       // the smallest normal
+		math.Float64frombits(1<<52 - 1), // the largest subnormal
+		math.Float64frombits(1<<52 + 1), // just above the smallest normal
+		math.Nextafter(1, 0),            // just below 1
+		math.Nextafter(1, 2),            // just above 1
+		math.Sqrt2 / 2,
+		math.Nextafter(math.Sqrt2/2, 0),
+		math.Nextafter(math.Sqrt2/2, 1),
+		math.Sqrt2,
+	}
+	for _, x := range xs {
+		if got, want := Log2(x), log2Frexp(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Log2(%v) = %#016x, frexp path %#016x", x, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// BenchmarkLog2 times p·log₂p over probabilities in (0, 1], as the
+// obfuscation check takes it, through Log2 and through the math.Frexp
+// path alone.
+func BenchmarkLog2(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	ps := make([]float64, 1024)
+	for i := range ps {
+		ps[i] = 1 - rng.Float64()
+	}
+	for _, c := range []struct {
+		name string
+		log2 func(float64) float64
+	}{{"fast", Log2}, {"frexp", log2Frexp}} {
+		b.Run(c.name, func(b *testing.B) {
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				p := ps[i&1023]
+				sum += float64(p * c.log2(p))
+			}
+			sink = sum
+		})
+	}
+}
+
+var sink float64

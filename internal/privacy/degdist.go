@@ -14,21 +14,30 @@ import (
 // (the Poisson-binomial distribution) by dynamic programming:
 // out[j] = Pr[exactly j successes], j in 0..len(probs).
 func DegreeDistribution(probs []float64) []float64 {
-	return degreeDistributionInto(make([]float64, 0, len(probs)+1), probs)
+	return degreeDistributionInto(make([]float64, 0, len(probs)+1), probs, len(probs))
 }
 
-// degreeDistributionInto is DegreeDistribution written over dist's
-// storage: it allocates nothing when cap(dist) > len(probs).
-func degreeDistributionInto(dist, probs []float64) []float64 {
+// degreeDistributionInto is DegreeDistribution cut at maxJ and written
+// over dist's storage: it returns out[j] = Pr[exactly j successes] for
+// j in 0..min(len(probs), maxJ), and allocates nothing when cap(dist)
+// exceeds that bound. Row i of the DP at index j reads only indices j
+// and j-1 of row i-1, so the kept entries have the bits of the full
+// distribution's. Each row is updated upward, carrying row i-1's entry
+// at j-1 in prev.
+func degreeDistributionInto(dist, probs []float64, maxJ int) []float64 {
 	dist = append(dist[:0], 1)
 	for _, p := range probs {
-		dist = append(dist, 0)
-		q := 1 - p
-		for j := len(dist) - 1; j >= 1; j-- {
-			// float64() rounds the product: no fused multiply-add on any GOARCH.
-			dist[j] = float64(dist[j]*q) + float64(dist[j-1]*p)
+		if len(dist) <= maxJ {
+			dist = append(dist, 0)
 		}
+		q := 1 - p
+		prev := dist[0]
 		dist[0] *= q
+		for j, cur := range dist[1:] {
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			dist[j+1] = float64(cur*q) + float64(prev*p)
+			prev = cur
+		}
 	}
 	return dist
 }

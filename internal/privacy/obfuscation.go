@@ -23,10 +23,14 @@ func DegreeProperty(g *uncertain.Graph) []int {
 // ObfuscationReport is the outcome of the (k, eps)-obf check of a
 // published graph against an adversary property vector.
 type ObfuscationReport struct {
-	K               int
-	EntropyByDegree []float64 // H(Y_w) for degree value w; index up to max degree
-	NonObfuscated   int       // vertices v with H(Y_{P(v)}) < log2(K)
-	EpsilonTilde    float64   // NonObfuscated / |V|
+	K int
+	// EntropyByDegree[w] is H(Y_w) for w in 0..W, W the largest property
+	// value (negative values count as 0). It is defined at the values
+	// some vertex's property takes, and 0 at every other index, which
+	// the verdict never reads.
+	EntropyByDegree []float64
+	NonObfuscated   int     // vertices v with H(Y_{P(v)}) < log2(K)
+	EpsilonTilde    float64 // NonObfuscated / |V|
 }
 
 // Obfuscates reports whether the check achieved (k, eps)-obf for the given
@@ -36,7 +40,8 @@ func (r ObfuscationReport) Obfuscates(eps float64) bool {
 }
 
 // CheckObfuscation verifies Definition 3 on the published uncertain graph
-// pub: for each degree value w it builds the adversary's posterior
+// pub: for each degree value w that is some vertex's property P(v) it
+// builds the adversary's posterior
 //
 //	Y_w(u) = Pr[deg_pub(u) = w] / sum_x Pr[deg_pub(x) = w]
 //
@@ -44,6 +49,7 @@ func (r ObfuscationReport) Obfuscates(eps float64) bool {
 // k-obfuscated iff H(Y_w) >= log2(k). Degree values with zero total mass in
 // the published graph are treated conservatively as NOT obfuscated (these
 // are exactly the "extreme unique nodes" the epsilon tolerance exists for).
+// A negative property value is read as 0.
 func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationReport, error) {
 	n := pub.NumNodes()
 	if len(property) != n {
@@ -55,32 +61,41 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 	if k > n {
 		return ObfuscationReport{}, fmt.Errorf("privacy: k=%d exceeds |V|=%d; no graph can satisfy it", k, n)
 	}
-	maxDeg := pub.MaxStructuralDegree()
-	maxW := maxDeg
+	maxW := 0
 	for _, w := range property {
-		if w > maxW {
-			maxW = w
-		}
+		maxW = max(maxW, w)
+	}
+	// isValue[w] reports whether w is some vertex's property value.
+	isValue := make([]bool, maxW+1)
+	for _, w := range property {
+		isValue[max(w, 0)] = true
 	}
 
 	// One pass over the vertices in ascending order: each vertex's
-	// distribution goes into one reused buffer and is folded straight into
+	// distribution, cut at maxW, goes into one reused buffer and is folded
+	// straight into
 	//
 	//	mass[w]     = sum_u Pr[deg(u) = w]
 	//	sumPlogP[w] = sum_u p log2 p   over p = Pr[deg(u) = w] > 0
 	//
-	// Every per-degree sum adds the vertices in the same order as summing
-	// the stored distributions would, so the bits do not depend on the
-	// buffering. H(Y_w) = -sum_u y log2 y with y = Pr[deg(u)=w]/mass[w]
-	//                   = log2(mass[w]) - (1/mass[w]) * sumPlogP[w].
+	// at the property values w only. Every per-degree sum adds the
+	// vertices in the same order as summing the full stored distributions
+	// would, and the cut entries have the full DP's bits, so the bits do
+	// not depend on the cut or the buffering.
+	// H(Y_w) = -sum_u y log2 y with y = Pr[deg(u)=w]/mass[w]
+	//        = log2(mass[w]) - (1/mass[w]) * sumPlogP[w].
+	maxDeg := pub.MaxStructuralDegree()
 	probs := make([]float64, 0, maxDeg)
-	dist := make([]float64, 0, maxDeg+1)
+	dist := make([]float64, 0, min(maxDeg, maxW)+1)
 	mass := make([]float64, maxW+1)
 	sumPlogP := make([]float64, maxW+1)
 	for u := 0; u < n; u++ {
 		probs = pub.IncidentProbs(uncertain.NodeID(u), probs[:0])
-		dist = degreeDistributionInto(dist, probs)
+		dist = degreeDistributionInto(dist, probs, maxW)
 		for w, p := range dist {
+			if !isValue[w] {
+				continue
+			}
 			mass[w] += p
 			if p > 0 {
 				// float64() rounds the product: no fused multiply-add on any GOARCH.
@@ -90,7 +105,7 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 	}
 	entropy := make([]float64, maxW+1)
 	for w := range entropy {
-		if mass[w] > 0 {
+		if isValue[w] && mass[w] > 0 {
 			entropy[w] = portable.Log2(mass[w]) - sumPlogP[w]/mass[w]
 		}
 	}
@@ -98,109 +113,9 @@ func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationR
 	threshold := portable.Log2(float64(k))
 	nonObf := 0
 	for _, w := range property {
-		if w < 0 {
-			w = 0
-		}
+		w = max(w, 0)
 		if mass[w] <= 0 || entropy[w] < threshold {
 			nonObf++
-		}
-	}
-	return ObfuscationReport{
-		K:               k,
-		EntropyByDegree: entropy,
-		NonObfuscated:   nonObf,
-		EpsilonTilde:    float64(nonObf) / float64(n),
-	}, nil
-}
-
-// CheckObfuscationWindow runs the Definition 3 check against a WEAKER
-// adversary whose degree knowledge is approximate: for a target with
-// property value w the adversary only knows deg is in [w-t, w+t], so the
-// posterior pools the probability mass of the whole window:
-//
-//	Y^t_w(u) = Pr[deg_pub(u) in [w-t, w+t]] / sum_x Pr[deg_pub(x) in [w-t, w+t]]
-//
-// t = 0 reduces to CheckObfuscation. Wider windows can only raise the
-// posterior entropy (more candidates blend in), so the report's
-// NonObfuscated count is non-increasing in t — property-tested.
-func CheckObfuscationWindow(pub *uncertain.Graph, property []int, k, t int) (ObfuscationReport, error) {
-	if t < 0 {
-		return ObfuscationReport{}, fmt.Errorf("privacy: window must be >= 0, got %d", t)
-	}
-	if t == 0 {
-		return CheckObfuscation(pub, property, k)
-	}
-	n := pub.NumNodes()
-	if len(property) != n {
-		return ObfuscationReport{}, fmt.Errorf("privacy: property length %d != |V| %d", len(property), n)
-	}
-	if k < 1 || k > n {
-		return ObfuscationReport{}, fmt.Errorf("privacy: k=%d out of [1, %d]", k, n)
-	}
-	maxW := pub.MaxStructuralDegree()
-	for _, w := range property {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	dists := VertexDegreeDistributions(pub)
-	// windowMass[u][w] = Pr[deg(u) in [w-t, w+t]] via per-vertex prefix sums.
-	prefix := make([][]float64, n)
-	for u, d := range dists {
-		ps := make([]float64, len(d)+1)
-		for j, p := range d {
-			ps[j+1] = ps[j] + p
-		}
-		prefix[u] = ps
-	}
-	window := func(u, w int) float64 {
-		ps := prefix[u]
-		lo := w - t
-		if lo < 0 {
-			lo = 0
-		}
-		hi := w + t + 1
-		if hi > len(ps)-1 {
-			hi = len(ps) - 1
-		}
-		if lo >= hi {
-			return 0
-		}
-		return ps[hi] - ps[lo]
-	}
-
-	threshold := portable.Log2(float64(k))
-	entropy := make([]float64, maxW+1)
-	computed := make([]bool, maxW+1)
-	nonObf := 0
-	for _, w := range property {
-		if w < 0 {
-			w = 0
-		}
-		if !computed[w] {
-			computed[w] = true
-			var mass, plogp float64
-			for u := 0; u < n; u++ {
-				p := window(u, w)
-				if p > 0 {
-					mass += p
-					// float64() rounds the product: no fused multiply-add on any GOARCH.
-					plogp += float64(p * portable.Log2(p))
-				}
-			}
-			if mass > 0 {
-				entropy[w] = portable.Log2(mass) - plogp/mass
-			} else {
-				entropy[w] = -1 // sentinel: empty posterior
-			}
-		}
-		if entropy[w] < threshold {
-			nonObf++
-		}
-	}
-	for w := range entropy {
-		if entropy[w] < 0 {
-			entropy[w] = 0
 		}
 	}
 	return ObfuscationReport{

@@ -253,105 +253,6 @@ func TestUncertaintyHelpsObfuscation(t *testing.T) {
 	}
 }
 
-func TestWindowedAdversaryZeroMatchesExact(t *testing.T) {
-	g := uncertain.New(20)
-	rng := rand.New(rand.NewPCG(9, 9))
-	for i := 0; i < 40; i++ {
-		u := uncertain.NodeID(rng.IntN(20))
-		v := uncertain.NodeID(rng.IntN(20))
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		g.MustAddEdge(u, v, rng.Float64())
-	}
-	prop := DegreeProperty(g)
-	exact, err := CheckObfuscation(g, prop, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windowed, err := CheckObfuscationWindow(g, prop, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.NonObfuscated != windowed.NonObfuscated {
-		t.Fatalf("t=0 window should match the exact check: %d vs %d",
-			exact.NonObfuscated, windowed.NonObfuscated)
-	}
-}
-
-func TestWindowedAdversaryWeakerMonotone(t *testing.T) {
-	// Wider knowledge windows pool more candidates: the non-obfuscated
-	// count must be non-increasing in t.
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 10))
-		n := 8 + rng.IntN(20)
-		g := uncertain.New(n)
-		for i := 0; i < 3*n; i++ {
-			u := uncertain.NodeID(rng.IntN(n))
-			v := uncertain.NodeID(rng.IntN(n))
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			g.MustAddEdge(u, v, rng.Float64())
-		}
-		prop := DegreeProperty(g)
-		prev := n + 1
-		for _, t := range []int{0, 1, 2, 4} {
-			rep, err := CheckObfuscationWindow(g, prop, 4, t)
-			if err != nil {
-				return false
-			}
-			if rep.NonObfuscated > prev {
-				return false
-			}
-			prev = rep.NonObfuscated
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWindowedAdversaryStarHub(t *testing.T) {
-	// Star: with an exact adversary the hub is exposed; with a window as
-	// wide as the degree gap, the hub blends with the leaves.
-	const n = 8
-	g := uncertain.New(n)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(0, uncertain.NodeID(i), 1)
-	}
-	prop := DegreeProperty(g)
-	exact, err := CheckObfuscationWindow(g, prop, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.NonObfuscated != 1 {
-		t.Fatalf("exact adversary should expose the hub, got %d", exact.NonObfuscated)
-	}
-	wide, err := CheckObfuscationWindow(g, prop, 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.NonObfuscated != 0 {
-		t.Fatalf("a window covering all degrees should hide everyone, got %d", wide.NonObfuscated)
-	}
-}
-
-func TestWindowedAdversaryErrors(t *testing.T) {
-	g := uncertain.New(3)
-	g.MustAddEdge(0, 1, 0.5)
-	if _, err := CheckObfuscationWindow(g, []int{0, 0, 0}, 2, -1); err == nil {
-		t.Fatal("negative window should error")
-	}
-	if _, err := CheckObfuscationWindow(g, []int{0}, 2, 1); err == nil {
-		t.Fatal("short property should error")
-	}
-	if _, err := CheckObfuscationWindow(g, []int{0, 0, 0}, 9, 1); err == nil {
-		t.Fatal("k > n should error")
-	}
-}
-
 func BenchmarkDegreeDistribution(b *testing.B) {
 	probs := make([]float64, 64)
 	rng := rand.New(rand.NewPCG(1, 1))
