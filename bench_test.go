@@ -337,6 +337,24 @@ func BenchmarkEdgeRelevance(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeRelevanceFallback runs EdgeRelevance on a graph shaped
+// like each job of the end-to-end jobs-burst workload: 1,800 nodes of
+// brightkite-like small probabilities, on one worker at N = 1000. A
+// handful of its edges never appear in the 1,000 worlds, so every call
+// also runs the shared conditional pass over 250 auxiliary worlds.
+func BenchmarkEdgeRelevanceFallback(b *testing.B) {
+	g, err := gen.BarabasiAlbert(1800, 2, gen.SmallProbs(0.29), rand.New(rand.NewPCG(1, 0xb00)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	est := reliability.Estimator{Samples: 1000, Seed: 7, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est.EdgeRelevance(g)
+	}
+}
+
 // BenchmarkDiscrepancy measures one candidate evaluation as the sweep and
 // the σ-search perform it: the original graph's sampled labels are held in
 // the shared label cache (computed once per sweep), while the candidate is

@@ -17,8 +17,9 @@ import (
 // just statistically equal but BIT-IDENTICAL, and these tests assert
 // exact float equality to catch any drift in that contract.
 
-// referenceConditionalCC mirrors conditionalCC: E[cc] with edge pinned,
-// over the shared auxiliary world stream at offset 1_000_000.
+// referenceConditionalCC is one edge's conditional side as pinnedMeans
+// estimates it: E[cc] with the edge pinned, over the shared auxiliary
+// world stream at offset 1_000_000, recounted world by world.
 func referenceConditionalCC(e Estimator, g *uncertain.Graph, edge int, present bool) float64 {
 	n := e.samples() / 4
 	if n < 32 {

@@ -190,8 +190,8 @@ func TestQualityMergeAcrossWorkers(t *testing.T) {
 
 // TestEdgeRelevanceFallbackGauges: EdgeRelevance publishes the effective N
 // as err.worlds, and as err.fallback_edges the number of edges whose
-// presence bit never varied, which each cost a serial conditional
-// estimate. The count must match a scan of the reference worlds' masks.
+// presence bit never varied, which take the shared conditional pass. The
+// count must match a scan of the reference worlds' masks.
 func TestEdgeRelevanceFallbackGauges(t *testing.T) {
 	for name, g := range map[string]*uncertain.Graph{
 		"degenerate": degenerateGraph(), // one p=0 and two p=1 edges

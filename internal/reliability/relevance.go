@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"chameleon/internal/uncertain"
+	"chameleon/internal/unionfind"
 )
 
 // edgeSum is one edge's share of a worker's grouping in EdgeRelevance:
@@ -53,9 +54,12 @@ func addWorld(sums []edgeSum, present uncertain.Bitset, cc, one int64) {
 // counted prefix.
 //
 // Edges whose presence bit never varies across the samples (probability 0
-// or 1, or extreme probabilities at small N) fall back to explicit
-// conditional sampling for the missing side. The err.fallback_edges gauge
-// counts them, next to err.worlds, the effective N.
+// or 1, or extreme probabilities at small N) have no worlds on one side.
+// That side is estimated by conditional sampling with the edge pinned to
+// it, over max(N/4, 32) auxiliary worlds drawn once for all such edges
+// (pinnedMeans): one extra pass, plus an exact integer component delta per
+// such edge and world. The err.fallback_edges gauge counts these edges,
+// next to err.worlds, the effective N.
 func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	defer e.timeOp("EdgeRelevance", time.Now())
 	m := g.NumEdges()
@@ -82,13 +86,6 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 		r.fn, r.start, r.limit = group(-1), n, r.drawn
 		fixed.run(&r)
 	}
-	if e.cancelled() {
-		// The sums cover a truncated or partly subtracted sample set.
-		// Return zeros; the caller observes Ctx.Err() and discards the
-		// result.
-		return make([]float64, m)
-	}
-	e.recordQuality("EdgeRelevance", ccStat.Welford)
 	n := e.effSamples(ccStat.Welford)
 	var present []edgeSum
 	for _, sums := range perWorker {
@@ -101,6 +98,24 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 			present[j].n += s.n
 		}
 	}
+	var pins []pin
+	for i, s := range present {
+		if s.n == 0 || int(s.n) == n {
+			ed := g.Edge(i)
+			pins = append(pins, pin{edge: i, u: int(ed.U), v: int(ed.V), present: s.n == 0})
+		}
+	}
+	var pinned []float64
+	if len(pins) > 0 {
+		pinned = e.pinnedMeans(g, pins)
+	}
+	if e.cancelled() {
+		// The sums cover a truncated or partly subtracted sample set.
+		// Return zeros; the caller observes Ctx.Err() and discards the
+		// result.
+		return make([]float64, m)
+	}
+	e.recordQuality("EdgeRelevance", ccStat.Welford)
 
 	// Per-edge standard error of the ERR estimate, from the pooled cc
 	// variance: Var(ERR^e) ~ Var(cc) * (1/n_e + 1/n_ne) under the grouped
@@ -108,9 +123,10 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	// estimator-quality signal the σ-search precompute is judged by.
 	varCC := ccStat.Variance()
 	var seSum, seMax float64
-	seEdges, fallback := 0, 0
+	seEdges := 0
 
 	err := make([]float64, m)
+	k := 0
 	for i, s := range present {
 		ne := int(s.n)
 		ccNE := ccStat.sum - s.cc
@@ -118,12 +134,12 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 		switch {
 		case ne == 0:
 			meanNE = meanOf(ccNE, n)
-			meanE = e.conditionalCC(g, i, true)
-			fallback++
+			meanE = pinned[k]
+			k++
 		case ne == n:
 			meanE = meanOf(s.cc, n)
-			meanNE = e.conditionalCC(g, i, false)
-			fallback++
+			meanNE = pinned[k]
+			k++
 		default:
 			meanE = meanOf(s.cc, ne)
 			meanNE = meanOf(ccNE, n-ne)
@@ -145,7 +161,7 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	if e.Obs != nil {
 		reg := e.Obs.Registry()
 		reg.Gauge("err.worlds").Set(float64(n))
-		reg.Gauge("err.fallback_edges").Set(float64(fallback))
+		reg.Gauge("err.fallback_edges").Set(float64(len(pins)))
 		if seEdges > 0 {
 			reg.Gauge("err.stderr.mean").Set(seSum / float64(seEdges))
 			reg.Gauge("err.stderr.max").Set(seMax)
@@ -154,36 +170,91 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 	return err
 }
 
-// conditionalCC estimates E[cc] with edge i forced to the given presence,
-// using a reduced sample budget (this path only triggers for edges with
-// probability 0 or 1). It samples into a pooled scratch and pins the edge
-// bit in place instead of copying the mask.
-//
-// The 1_000_000+i seed offset is deliberate, not an accident of history:
-// every edge's conditional estimate draws the SAME auxiliary world stream
-// (offset past the main sample indices), i.e. common random numbers across
-// edges, so the conditional means differ only through the pinned edge and
-// compare without independent sampling noise.
-func (e Estimator) conditionalCC(g *uncertain.Graph, edge int, present bool) float64 {
-	n := e.samples() / 4
-	if n < 32 {
-		n = 32
+// pin is an edge whose presence bit never varied in EdgeRelevance's main
+// pass, with endpoints u, v and the presence its missing side fixes.
+type pin struct {
+	edge, u, v int
+	present    bool
+}
+
+// conditionalStart is the first index of the auxiliary worlds pinnedMeans
+// draws. The offset is deliberate, not an accident of history: every
+// pinned edge reads the SAME auxiliary worlds, past the main sample
+// indices, i.e. common random numbers across edges, so the conditional
+// means differ only through the pinned edge and compare without
+// independent sampling noise. It is 15,625 whole chunks, as run needs its
+// start to be a multiple of the chunk size.
+const conditionalStart = 1_000_000
+
+// pinnedMeans estimates E[cc] with each pin's edge forced to its presence,
+// over auxiliary worlds conditionalStart+i, i < max(N/4, 32), with the
+// fixed Samples as N even in adaptive mode. The worlds are drawn once, on
+// the scheduler, for all pins together: each world's components are
+// computed once, and each pin adds the world's cc plus the exact change
+// pinning its edge makes (pinnedCC). The per-pin sums are integers, so the
+// means are those of drawing every pin's worlds separately, in any order
+// and at any worker count.
+func (e Estimator) pinnedMeans(g *uncertain.Graph, pins []pin) []float64 {
+	type pinSums struct {
+		sums    []int64
+		bridges uncertain.Bridges
 	}
-	sampler := g.Sampler()
-	draw := e.drawFn()
-	sc := scratchPool.Get().(*scratch)
-	var total int64
-	for i := 0; i < n; i++ {
-		if i%sampleChunk == 0 && e.cancelled() {
-			break // partial mean: caller observes Ctx.Err() and discards
+	n := max(e.samples()/4, 32)
+	perWorker := make([]*pinSums, e.workers())
+	fixed := e
+	fixed.TargetRSE = 0
+	r := fixed.newRun(g, nil, func(_ int, sc *scratch) int64 {
+		d, cc := sc.componentsPairs()
+		ps := perWorker[sc.worker]
+		if ps == nil {
+			ps = &pinSums{sums: make([]int64, len(pins))}
+			perWorker[sc.worker] = ps
 		}
-		draw(e.Seed, sampler, sc, 1_000_000+i)
-		sc.world.SetPresence(edge, present)
-		_, pairs := sc.componentsPairs()
-		total += pairs
+		ps.bridges.Reset()
+		for k, p := range pins {
+			ps.sums[k] += pinnedCC(&sc.world, d, cc, &ps.bridges, p)
+		}
+		return cc
+	})
+	r.start, r.limit = conditionalStart, conditionalStart+n
+	fixed.run(&r)
+	means := make([]float64, len(pins))
+	for k := range pins {
+		var sum int64
+		for _, ps := range perWorker {
+			if ps != nil {
+				sum += ps.sums[k]
+			}
+		}
+		means[k] = meanOf(sum, n)
 	}
-	scratchPool.Put(sc)
-	return meanOf(total, n)
+	return means
+}
+
+// pinnedCC is the connected-pair count of world w with p's edge pinned to
+// p.present, given the world's components d and pair count cc:
+//
+//   - the edge already has the pinned presence: cc;
+//   - pinned present, absent, endpoints in components of sizes a ≠ b
+//     apart: cc + a·b, and cc when they share a component;
+//   - pinned absent, present, a bridge splitting s nodes off a component
+//     of c: cc − s·(c − s), and cc when the edge lies on a cycle.
+//
+// bridges must have been Reset since w was drawn; its low-link pass runs
+// only when the last case comes up.
+func pinnedCC(w *uncertain.World, d *unionfind.DSU, cc int64, bridges *uncertain.Bridges, p pin) int64 {
+	switch {
+	case w.Present(p.edge) == p.present:
+		return cc
+	case p.present:
+		if d.Connected(p.u, p.v) {
+			return cc
+		}
+		return cc + int64(d.SetSize(p.u))*int64(d.SetSize(p.v))
+	default:
+		s := int64(bridges.Split(w, p.edge))
+		return cc - s*(int64(d.SetSize(p.u))-s)
+	}
 }
 
 // EdgeRelevanceNaive is the baseline ERR estimator of Lemma 2: for every

@@ -182,7 +182,7 @@ echo "== reliability benchmarks (-benchmem -count=3, allocation guard) =="
 # iteration count) plus the highest allocs/op of any run, so both perf and
 # allocation regressions are catchable.
 rel_out=$(go test -run '^$' \
-    -bench 'BenchmarkEdgeRelevance$|BenchmarkDiscrepancy$|BenchmarkDiscrepancyUncached|BenchmarkWorldSamplerInto|BenchmarkComponentsInto|BenchmarkSampleWorld$|BenchmarkConnectedPairs$|BenchmarkAdaptiveChunkLoop' \
+    -bench 'BenchmarkEdgeRelevance$|BenchmarkEdgeRelevanceFallback$|BenchmarkDiscrepancy$|BenchmarkDiscrepancyUncached|BenchmarkWorldSamplerInto|BenchmarkComponentsInto|BenchmarkSampleWorld$|BenchmarkConnectedPairs$|BenchmarkAdaptiveChunkLoop' \
     -benchmem -count=3 -benchtime "$benchtime" . ./internal/reliability/)
 echo "$rel_out"
 echo "$rel_out" | emit > BENCH_reliability.json
