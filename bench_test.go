@@ -395,6 +395,48 @@ func BenchmarkDiscrepancyUncached(b *testing.B) {
 	}
 }
 
+// queryMixGraph is the end-to-end query-mix workload's graph at bench
+// seed 1: 2,000 BA nodes of degree 3 with the dblp-s probability profile.
+func queryMixGraph(b *testing.B) *uncertain.Graph {
+	b.Helper()
+	probs := gen.DiscreteProbs(
+		[]float64{0.13, 0.28, 0.46, 0.64, 0.80},
+		[]float64{0.15, 0.23, 0.27, 0.22, 0.13},
+	)
+	g, err := gen.BarabasiAlbert(2000, 3, probs, rand.New(rand.NewPCG(1, 0xc11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkReliabilityVector measures one knn query's reliability vector
+// as the query plane serves it: N = 512 worlds of the query-mix graph
+// held in a warm label cache, a different source each call.
+func BenchmarkReliabilityVector(b *testing.B) {
+	g := queryMixGraph(b)
+	est := reliability.Estimator{Samples: 512, Seed: 11, Cache: reliability.NewLabelCache()}
+	est.WarmCache(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est.ReliabilityVector(g, uncertain.NodeID(i*7919%g.NumNodes()))
+	}
+}
+
+// BenchmarkPairReliabilityCached measures one pair_reliability request's
+// estimator call on the same warm cache; allocs/op must be 0.
+func BenchmarkPairReliabilityCached(b *testing.B) {
+	g := queryMixGraph(b)
+	est := reliability.Estimator{Samples: 512, Seed: 11, Cache: reliability.NewLabelCache()}
+	est.WarmCache(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est.PairReliability(g, uncertain.NodeID(i*7919%g.NumNodes()), uncertain.NodeID(i*104729%g.NumNodes()))
+	}
+}
+
 // perturbDown returns a clone of g with every probability pushed DOWN by
 // delta (clamped away from 0): a one-directional perturbation keeps the
 // Δ-discrepancy mean away from zero, which a relative-SE stopping target

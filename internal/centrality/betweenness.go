@@ -24,32 +24,36 @@ func Betweenness(w *uncertain.World) []float64 {
 	sigma := make([]float64, n) // shortest-path counts
 	dist := make([]int32, n)
 	delta := make([]float64, n)
-	stack := make([]uncertain.NodeID, 0, n)
-	queue := make([]uncertain.NodeID, 0, n)
+	// order holds the vertices in BFS order: the queue while head walks
+	// forward, the stack when walked back from the end.
+	order := make([]uncertain.NodeID, n)
 	preds := make([][]uncertain.NodeID, n)
+	for i := range dist {
+		dist[i] = -1
+	}
 
+	tail := 0
 	for s := 0; s < n; s++ {
-		// Reset per-source state.
-		stack = stack[:0]
-		queue = queue[:0]
-		for i := 0; i < n; i++ {
-			sigma[i] = 0
-			dist[i] = -1
-			delta[i] = 0
-			preds[i] = preds[i][:0]
+		// Reset the state the previous source touched: only the vertices
+		// it reached.
+		for _, v := range order[:tail] {
+			sigma[v] = 0
+			dist[v] = -1
+			delta[v] = 0
+			preds[v] = preds[v][:0]
 		}
 		src := uncertain.NodeID(s)
 		sigma[src] = 1
 		dist[src] = 0
-		queue = append(queue, src)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			stack = append(stack, v)
+		order[0] = src
+		tail = 1
+		for head := 0; head < tail; head++ {
+			v := order[head]
 			for _, u := range adj[v] {
 				if dist[u] < 0 {
 					dist[u] = dist[v] + 1
-					queue = append(queue, u)
+					order[tail] = u
+					tail++
 				}
 				if dist[u] == dist[v]+1 {
 					sigma[u] += sigma[v]
@@ -58,8 +62,8 @@ func Betweenness(w *uncertain.World) []float64 {
 			}
 		}
 		// Dependency accumulation in reverse BFS order.
-		for i := len(stack) - 1; i >= 0; i-- {
-			v := stack[i]
+		for i := tail - 1; i >= 0; i-- {
+			v := order[i]
 			for _, p := range preds[v] {
 				delta[p] += sigma[p] / sigma[v] * (1 + delta[v])
 			}

@@ -179,6 +179,87 @@ func TestBrandesMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// referenceBrandes is Betweenness as it was before the shared BFS order
+// array: a sliced-off queue, a separate stack and a full reset per source.
+func referenceBrandes(w *uncertain.World) []float64 {
+	n := w.NumNodes()
+	adj := w.AdjacencyLists()
+	bc := make([]float64, n)
+	sigma := make([]float64, n)
+	dist := make([]int32, n)
+	delta := make([]float64, n)
+	var stack, queue []uncertain.NodeID
+	preds := make([][]uncertain.NodeID, n)
+	for s := 0; s < n; s++ {
+		stack, queue = stack[:0], queue[:0]
+		for i := 0; i < n; i++ {
+			sigma[i], dist[i], delta[i], preds[i] = 0, -1, 0, preds[i][:0]
+		}
+		src := uncertain.NodeID(s)
+		sigma[src], dist[src] = 1, 0
+		queue = append(queue, src)
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			stack = append(stack, v)
+			for _, u := range adj[v] {
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+				if dist[u] == dist[v]+1 {
+					sigma[u] += sigma[v]
+					preds[u] = append(preds[u], v)
+				}
+			}
+		}
+		for i := len(stack) - 1; i >= 0; i-- {
+			v := stack[i]
+			for _, p := range preds[v] {
+				delta[p] += sigma[p] / sigma[v] * (1 + delta[v])
+			}
+			if v != src {
+				bc[v] += delta[v]
+			}
+		}
+	}
+	for i := range bc {
+		bc[i] /= 2
+	}
+	return bc
+}
+
+// TestBrandesMatchesReference: Betweenness gives the reference's bits on
+// sampled worlds of connected and of fragmented graphs, where a source
+// reaches only part of the vertices and the next source must not see the
+// state it left behind.
+func TestBrandesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	dense, err := gen.BarabasiAlbert(150, 3, gen.UniformProbs(0.5, 1), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := gen.BarabasiAlbert(150, 1, gen.SmallProbs(0.29), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := gen.ErdosRenyi(120, 130, gen.UniformProbs(0.2, 0.9), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*uncertain.Graph{"dense": dense, "sparse": sparse, "er": er} {
+		for i := range 5 {
+			w := g.SampleWorld(rand.New(rand.NewPCG(uint64(i), 9)))
+			got, want := Betweenness(w), referenceBrandes(w)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s world %d: bc[%d] = %v, reference %v", name, i, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
 func TestExpectedBetweenness(t *testing.T) {
 	// Certain graph: expectation equals the deterministic value.
 	g := uncertain.New(5)

@@ -13,7 +13,7 @@ package knn
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"chameleon/internal/reliability"
 	"chameleon/internal/uncertain"
@@ -38,23 +38,67 @@ func Query(g *uncertain.Graph, src uncertain.NodeID, k int, est reliability.Esti
 		return nil, fmt.Errorf("knn: k must be >= 1, got %d", k)
 	}
 	rel := est.ReliabilityVector(g, src)
-	out := make([]Neighbor, 0, k)
+	// top is a min-heap of the best k so far, the weakest at the root.
+	// Vertices arrive in id order, so a newcomer tying the root's
+	// reliability ranks after it and is rejected.
+	top := make([]Neighbor, 0, min(k, len(rel)))
 	for v, r := range rel {
 		if uncertain.NodeID(v) == src || r <= 0 {
 			continue
 		}
-		out = append(out, Neighbor{Node: uncertain.NodeID(v), Reliability: r})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Reliability != out[j].Reliability {
-			return out[i].Reliability > out[j].Reliability
+		nb := Neighbor{Node: uncertain.NodeID(v), Reliability: r}
+		if len(top) < k {
+			top = append(top, nb)
+			siftUp(top, len(top)-1)
+		} else if r > top[0].Reliability {
+			top[0] = nb
+			siftDown(top, 0)
 		}
-		return out[i].Node < out[j].Node
-	})
-	if k < len(out) {
-		out = out[:k]
 	}
-	return out, nil
+	slices.SortFunc(top, func(a, b Neighbor) int {
+		if weaker(a, b) {
+			return 1
+		}
+		return -1 // nodes are distinct, so no two entries tie
+	})
+	return top, nil
+}
+
+// weaker reports whether a ranks after b: lower reliability, or the same
+// reliability and a larger id.
+func weaker(a, b Neighbor) bool {
+	if a.Reliability != b.Reliability {
+		return a.Reliability < b.Reliability
+	}
+	return a.Node > b.Node
+}
+
+func siftUp(h []Neighbor, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !weaker(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []Neighbor, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && weaker(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && weaker(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Jaccard computes the Jaccard similarity of two answer sets (ignoring

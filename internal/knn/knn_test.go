@@ -3,6 +3,7 @@ package knn
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"chameleon/internal/gen"
@@ -144,5 +145,68 @@ func TestPreservationDefaults(t *testing.T) {
 	}
 	if score != 1 {
 		t.Fatalf("score = %v", score)
+	}
+}
+
+// referenceQuery is Query as it was before the bounded heap: every
+// vertex with nonzero reliability, sorted, then cut to k.
+func referenceQuery(rel []float64, src uncertain.NodeID, k int) []Neighbor {
+	var out []Neighbor
+	for v, r := range rel {
+		if uncertain.NodeID(v) == src || r <= 0 {
+			continue
+		}
+		out = append(out, Neighbor{Node: uncertain.NodeID(v), Reliability: r})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Reliability != out[j].Reliability {
+			return out[i].Reliability > out[j].Reliability
+		}
+		return out[i].Node < out[j].Node
+	})
+	if k < len(out) {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestQueryMatchesSortReference: the bounded top-k returns exactly the
+// list sort-then-truncate returns, for every source, with k below, at and
+// above the number of reachable vertices. Eight worlds make reliabilities
+// multiples of 1/8, so most of the answer is ties broken by id.
+func TestQueryMatchesSortReference(t *testing.T) {
+	g, err := gen.BarabasiAlbert(120, 2, gen.UniformProbs(0.05, 0.6), rand.New(rand.NewPCG(3, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, est := range []reliability.Estimator{
+		{Samples: 8, Seed: 1},
+		{Samples: 200, Seed: 2, Cache: reliability.NewLabelCache()},
+	} {
+		aboveReach := 0
+		for src := uncertain.NodeID(0); int(src) < g.NumNodes(); src++ {
+			rel := est.ReliabilityVector(g, src)
+			for _, k := range []int{1, 3, 8, 40, g.NumNodes() + 5} {
+				want := referenceQuery(rel, src, k)
+				if len(want) < k {
+					aboveReach++
+				}
+				got, err := Query(g, src, k, est)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("N=%d src %d k %d: %d neighbors, reference %d", est.Samples, src, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("N=%d src %d k %d: neighbor %d = %+v, reference %+v", est.Samples, src, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if aboveReach == 0 {
+			t.Fatalf("N=%d: no query asked for more neighbors than were reachable", est.Samples)
+		}
 	}
 }

@@ -25,6 +25,17 @@ func (w *Welford) Add(x float64) {
 	w.m2 += float64(d * (x - w.mean))
 }
 
+// BernoulliWelford returns the accumulator of n observations of which k
+// are 1 and the rest 0, in closed form: mean k/n and M2 = k(n-k)/n, the
+// merge of a constant-1 and a constant-0 accumulator. Up to rounding it is
+// the state that n calls to Add would leave.
+func BernoulliWelford(n, k int64) Welford {
+	if n == 0 {
+		return Welford{}
+	}
+	return Welford{n: n, mean: float64(k) / float64(n), m2: float64(k) * float64(n-k) / float64(n)}
+}
+
 // Merge folds another accumulator's state into w.
 func (w *Welford) Merge(o Welford) {
 	if o.n == 0 {

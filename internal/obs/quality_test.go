@@ -86,6 +86,29 @@ func TestWelfordMergeEquivalence(t *testing.T) {
 	}
 }
 
+// TestBernoulliWelford: the closed form agrees with n calls to Add up to
+// rounding, including the all-zero, all-one and empty streams.
+func TestBernoulliWelford(t *testing.T) {
+	for _, c := range []struct{ n, k int64 }{{0, 0}, {1, 1}, {512, 0}, {512, 512}, {512, 37}, {1000, 999}, {130, 65}} {
+		var w Welford
+		for i := int64(0); i < c.n; i++ {
+			if i < c.k {
+				w.Add(1)
+			} else {
+				w.Add(0)
+			}
+		}
+		b := BernoulliWelford(c.n, c.k)
+		if b.Count() != w.Count() {
+			t.Fatalf("n=%d k=%d: count %d, want %d", c.n, c.k, b.Count(), w.Count())
+		}
+		if math.Abs(b.Mean()-w.Mean()) > 1e-12 || math.Abs(b.Variance()-w.Variance()) > 1e-12 {
+			t.Fatalf("n=%d k=%d: mean %v variance %v, streamed %v and %v",
+				c.n, c.k, b.Mean(), b.Variance(), w.Mean(), w.Variance())
+		}
+	}
+}
+
 func TestWelfordDegenerate(t *testing.T) {
 	var w Welford
 	if w.Variance() != 0 || w.StdErr() != 0 || w.RelStdErr() != 0 {

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,7 +183,7 @@ func (e *Engine) LastSpan() *obs.SpanSnapshot { return e.span.Load() }
 // Do answers one request. The returned Response always carries the
 // request ID and latency; on error its Error field mirrors err.
 func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
-	id := fmt.Sprintf("q-%08d", e.reqSeq.Add(1))
+	id := requestID(e.reqSeq.Add(1))
 	reg := e.opts.Obs.Registry()
 	reg.Counter("query.requests").Inc()
 
@@ -207,7 +208,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		outcome = "error"
 		reg.Counter("query.errors").Inc()
 	}
-	if isKind(req.Kind) {
+	if reg != nil && isKind(req.Kind) {
 		reg.Counter("query.requests." + req.Kind).Inc()
 		reg.Latency("query.latency." + req.Kind).Observe(lat)
 		if err != nil {
@@ -219,16 +220,29 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		s.End()
 		e.span.Store(s.SnapshotTree())
 	}
-	e.opts.Events.Write(wideevent.Event{
-		At:        start,
-		RequestID: id,
-		Kind:      req.Kind,
-		Outcome:   outcome,
-		Error:     resp.Error,
-		LatencyNS: int64(lat),
-		Attrs:     attrs(req),
-	})
+	if e.opts.Events != nil {
+		e.opts.Events.Write(wideevent.Event{
+			At:        start,
+			RequestID: id,
+			Kind:      req.Kind,
+			Outcome:   outcome,
+			Error:     resp.Error,
+			LatencyNS: int64(lat),
+			Attrs:     attrs(req),
+		})
+	}
 	return resp, err
+}
+
+// requestID formats the n-th request's ID as fmt's "q-%08d" does.
+func requestID(n int64) string {
+	var digits, b [24]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	id := append(b[:0], "q-"...)
+	for range 8 - len(d) {
+		id = append(id, '0')
+	}
+	return string(append(id, d...))
 }
 
 func isKind(k string) bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -156,6 +157,27 @@ func TestEngineRequestIDs(t *testing.T) {
 	r2, _ := e.Do(ctx, Request{Kind: KindDegree, U: 2})
 	if r1.RequestID != "q-00000001" || r2.RequestID != "q-00000002" {
 		t.Fatalf("request IDs %q, %q", r1.RequestID, r2.RequestID)
+	}
+}
+
+// TestRequestIDFormat: requestID writes what fmt's "q-%08d" writes, below
+// and past eight digits.
+func TestRequestIDFormat(t *testing.T) {
+	for _, n := range []int64{1, 9, 10, 1234567, 12345678, 99999999, 100000000, 1 << 40} {
+		if got, want := requestID(n), fmt.Sprintf("q-%08d", n); got != want {
+			t.Fatalf("requestID(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestEngineDoAllocs: without an observer, wide events or spans, a degree
+// request allocates only its ID string.
+func TestEngineDoAllocs(t *testing.T) {
+	e := New(testGraph(t), Options{Samples: 50, SpanEvery: -1})
+	ctx := context.Background()
+	req := Request{Kind: KindDegree, U: 1}
+	if allocs := testing.AllocsPerRun(100, func() { e.Do(ctx, req) }); allocs > 1 {
+		t.Fatalf("a degree request allocated %v times, want at most 1", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -37,12 +38,20 @@ type labelKey struct {
 // budget); samples <= stride is the count that actually fed the estimate —
 // adaptive runs truncate to the stopping point without reshaping the
 // matrix.
+//
+// A cached set also carries hub planes, built on first use: one bit per
+// (vertex, counted world), set when the vertex shares that world's
+// component with the hub (see buildPlanes).
 type labelSet struct {
 	n       int
 	samples int
 	stride  int
 	lab     []int32
 	cc      []int64
+
+	planesOnce sync.Once
+	words      int      // plane row width: ceil(samples/64)
+	planes     []uint64 // planes[v*words+s/64] bit s%64: v is with the hub in world s
 }
 
 // row returns vertex v's labels across the counted sampled worlds.
@@ -52,9 +61,11 @@ func (ls *labelSet) row(v int) []int32 {
 
 // grow resizes the matrix for n vertices and `samples` worlds, reusing
 // capacity. Every counted cell is overwritten by the sampling pass, so no
-// zeroing.
+// zeroing; hub planes describe the old labels and are dropped.
 func (ls *labelSet) grow(n, samples int) {
 	ls.n, ls.samples, ls.stride = n, samples, samples
+	ls.planesOnce = sync.Once{}
+	ls.words, ls.planes = 0, nil
 	if need := n * samples; cap(ls.lab) < need {
 		ls.lab = make([]int32, need)
 	} else {
@@ -74,6 +85,95 @@ func (ls *labelSet) truncate(worlds int) {
 	if worlds < ls.samples {
 		ls.samples = worlds
 		ls.cc = ls.cc[:worlds]
+	}
+}
+
+// buildPlanes fills the hub planes once per label set. The hub is the
+// vertex of largest structural degree (lowest id on ties): the one most
+// likely to sit in each world's giant component, so most bits of most
+// rows are set and a source's count is mostly a popcount. Any hub gives
+// exact counts; the choice only decides how many label compares
+// reliabilities skips. Call it only on a set no one is still filling.
+func (ls *labelSet) buildPlanes(g *uncertain.Graph) {
+	ls.planesOnce.Do(func() {
+		hub := 0
+		for v := 1; v < ls.n; v++ {
+			if g.Degree(uncertain.NodeID(v)) > g.Degree(uncertain.NodeID(hub)) {
+				hub = v
+			}
+		}
+		words := (ls.samples + 63) / 64
+		planes := make([]uint64, ls.n*words)
+		if ls.n > 0 {
+			rh := ls.row(hub)
+			for v := 0; v < ls.n; v++ {
+				rv, pv := ls.row(v), planes[v*words:(v+1)*words]
+				for s, l := range rh {
+					if rv[s] == l {
+						pv[s>>6] |= 1 << (s & 63)
+					}
+				}
+			}
+		}
+		ls.words, ls.planes = words, planes
+	})
+}
+
+// reliabilities sets out[v] to the number of counted worlds in which v
+// shares src's component, times inv. With hub planes built, the worlds in
+// which src is with the hub count as popcount(H[src] & H[v]): there v is
+// with src exactly when it is with the hub. In a world where src is apart
+// from the hub, a v with the hub is apart from src too, so labels are
+// compared only in the worlds where both are apart from it. When src is
+// with the hub in fewer than half the worlds (no giant component, or src
+// outside it) that leaves most worlds to compare one at a time, and the
+// plain row compare is faster.
+func (ls *labelSet) reliabilities(src int, out []float64, inv float64) {
+	rs := ls.row(src)
+	words := ls.words
+	if ls.planes != nil {
+		hs := ls.planes[src*words : (src+1)*words]
+		with := 0
+		for _, x := range hs {
+			with += bits.OnesCount64(x)
+		}
+		if 2*with >= len(rs) {
+			// apart[w]: the counted worlds of word w where src is apart
+			// from the hub.
+			apart := make([]uint64, words)
+			for w, x := range hs {
+				apart[w] = ^x
+			}
+			if r := len(rs) % 64; r != 0 {
+				apart[words-1] &= 1<<r - 1
+			}
+			for v := range out {
+				hv, rv := ls.planes[v*words:(v+1)*words], ls.row(v)
+				c := 0
+				for w, x := range hs {
+					y := hv[w]
+					c += bits.OnesCount64(x & y)
+					for m := apart[w] &^ y; m != 0; m &= m - 1 {
+						s := w<<6 | bits.TrailingZeros64(m)
+						if rv[s] == rs[s] {
+							c++
+						}
+					}
+				}
+				out[v] = float64(c) * inv
+			}
+			return
+		}
+	}
+	for v := range out {
+		rv := ls.row(v)
+		c := 0
+		for s := range rs {
+			if rv[s] == rs[s] {
+				c++
+			}
+		}
+		out[v] = float64(c) * inv
 	}
 }
 
@@ -236,7 +336,10 @@ func (e Estimator) WarmCache(g *uncertain.Graph) {
 		return
 	}
 	defer e.timeOp("WarmCache", time.Now())
-	e.sampleLabelsT(g)
+	ls := e.sampleLabelsT(g)
+	if !e.cancelled() {
+		ls.buildPlanes(g)
+	}
 }
 
 // releaseLabels hands an uncached label set back to the pool once a caller

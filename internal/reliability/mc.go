@@ -598,7 +598,7 @@ const UndersampledRSE = 0.05
 // Carlo error of the estimate. Per-pair discrepancy values do not qualify
 // — see recordPairSpread.
 func (e Estimator) recordQuality(op string, w obs.Welford) {
-	e.recordStream("mc.quality."+op, op, w, true)
+	e.recordStream("mc.quality.", op, w, true)
 }
 
 // recordPairSpread publishes the dispersion of per-PAIR values under
@@ -610,23 +610,24 @@ func (e Estimator) recordQuality(op string, w obs.Welford) {
 // excluding world-sampling noise. These streams therefore never feed the
 // mc.quality.undersampled convergence flag.
 func (e Estimator) recordPairSpread(op string, w obs.Welford) {
-	e.recordStream("mc.pairspread."+op, op, w, false)
+	e.recordStream("mc.pairspread.", op, w, false)
 }
 
-// recordStream merges the accumulator into the named quality stream and
+// recordStream merges the accumulator into the quality stream prefix+op and
 // sets the last-call gauges. The gauge names carry a "last_" prefix so
 // their sanitized /metrics forms (mc_quality_X_last_stderr, ...) never
 // collide with the stream's own pooled expansion (mc_quality_X_stderr,
 // ...) — a collision would duplicate metric families and abort Prometheus
 // scrapes. convergence gates the under-sampled flag (fixed budget) or the
 // per-op stop-reason counters (adaptive).
-func (e Estimator) recordStream(name, op string, w obs.Welford, convergence bool) {
+func (e Estimator) recordStream(prefix, op string, w obs.Welford, convergence bool) {
 	if e.Obs == nil || w.Count() < 2 || e.cancelled() {
 		// A cancelled estimate's accumulator covers a truncated sample set;
 		// recording it would pollute the quality streams of the final
 		// (interrupted) snapshot with bogus convergence data.
 		return
 	}
+	name := prefix + op // built past the nil check: no allocation without an observer
 	reg := e.Obs.Registry()
 	reg.Quality(name).Merge(w)
 	reg.Gauge(name + ".last_stderr").Set(w.StdErr())
@@ -707,24 +708,23 @@ func (e Estimator) ExpectedConnectedPairs(g *uncertain.Graph) float64 {
 // u and v are connected. With a Cache attached the estimate is read off
 // the memoized component labels — identical worlds, identical labels, so
 // the value matches the uncached fixed-budget path bit-for-bit, and a
-// warm cache answers in O(N) label comparisons without sampling.
+// warm cache answers in O(N) integer label comparisons without sampling.
+// The hits are 0/1 per world, so the quality stream is recorded from
+// their count in closed form.
 func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) float64 {
 	defer e.timeOp("PairReliability", time.Now())
 	if e.Cache != nil {
 		ls := e.sampleLabelsT(g)
 		ru, rv := ls.row(int(u)), ls.row(int(v))
-		var w obs.Welford
+		rv = rv[:len(ru)]
 		hits := 0
-		for s := range ru {
-			if ru[s] == rv[s] {
+		for s, l := range ru {
+			if l == rv[s] {
 				hits++
-				w.Add(1)
-			} else {
-				w.Add(0)
 			}
 		}
-		e.recordQuality("PairReliability", w)
 		n := len(ru)
+		e.recordQuality("PairReliability", obs.BernoulliWelford(int64(n), int64(hits)))
 		if n == 0 {
 			n = 1 // cancelled before any world: caller discards via Ctx.Err()
 		}
@@ -744,27 +744,20 @@ func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) fl
 // source; handy for k-nearest-neighbor style queries (cf. [30]). It counts
 // matches in the transposed labels; with a Cache attached those are
 // memoized, so repeated k-NN queries against one graph sample it exactly
-// once. The counts are integers, so both paths give the same values.
+// once, and the cached set's hub planes replace most label compares with
+// popcounts. The counts are integers, so every path gives the same values.
 func (e Estimator) ReliabilityVector(g *uncertain.Graph, src uncertain.NodeID) []float64 {
 	defer e.timeOp("ReliabilityVector", time.Now())
 	ls := e.sampleLabelsT(g)
+	if e.Cache != nil {
+		ls.buildPlanes(g)
+	}
 	out := make([]float64, g.NumNodes())
-	rs := ls.row(int(src))
-	n := len(rs)
+	n := ls.samples
 	if n == 0 {
 		n = 1 // cancelled before any world: caller discards via Ctx.Err()
 	}
-	inv := 1 / float64(n)
-	for v := range out {
-		rv := ls.row(v)
-		c := 0
-		for s := range rs {
-			if rv[s] == rs[s] {
-				c++
-			}
-		}
-		out[v] = float64(c) * inv
-	}
+	ls.reliabilities(int(src), out, 1/float64(n))
 	out[src] = 1
 	e.releaseLabels(ls)
 	return out

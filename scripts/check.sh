@@ -167,7 +167,8 @@ emit() { go run ./cmd/benchcmp -emit; }
 echo "== benchmarks (instrumented hot paths) =="
 # Each benchmark lands in one BENCH_*.json only, so the gate below checks
 # it once: the reliability kernels (EdgeRelevance, SampleWorld,
-# ConnectedPairs, Discrepancy*) are emitted into BENCH_reliability.json.
+# ConnectedPairs, Discrepancy*, the cached ReliabilityVector and
+# PairReliability lookups) are emitted into BENCH_reliability.json.
 benchtime="${BENCHTIME:-1s}"
 bench_out=$(go test -run '^$' \
     -bench 'BenchmarkObsOverhead|BenchmarkAnonymizeRSME|BenchmarkObfuscationCheck' \
@@ -182,7 +183,7 @@ echo "== reliability benchmarks (-benchmem -count=3, allocation guard) =="
 # iteration count) plus the highest allocs/op of any run, so both perf and
 # allocation regressions are catchable.
 rel_out=$(go test -run '^$' \
-    -bench 'BenchmarkEdgeRelevance$|BenchmarkEdgeRelevanceFallback$|BenchmarkDiscrepancy$|BenchmarkDiscrepancyUncached|BenchmarkWorldSamplerInto|BenchmarkComponentsInto|BenchmarkSampleWorld$|BenchmarkConnectedPairs$|BenchmarkAdaptiveChunkLoop' \
+    -bench 'BenchmarkEdgeRelevance$|BenchmarkEdgeRelevanceFallback$|BenchmarkDiscrepancy$|BenchmarkDiscrepancyUncached|BenchmarkWorldSamplerInto|BenchmarkComponentsInto|BenchmarkSampleWorld$|BenchmarkConnectedPairs$|BenchmarkAdaptiveChunkLoop|BenchmarkReliabilityVector$|BenchmarkPairReliabilityCached$' \
     -benchmem -count=3 -benchtime "$benchtime" . ./internal/reliability/)
 echo "$rel_out"
 echo "$rel_out" | emit > BENCH_reliability.json
@@ -373,14 +374,15 @@ fi
 
 # The world-sampling and union kernels must stay allocation-free on the
 # steady state (the tentpole guarantee of the bitset world engine), and so
-# must the adaptive sequential-stopping chunk loop built on top of them.
-for kernel in BenchmarkWorldSamplerInto BenchmarkComponentsInto BenchmarkAdaptiveChunkLoop; do
+# must the adaptive sequential-stopping chunk loop built on top of them
+# and a cached pair-reliability lookup, which counts label matches only.
+for kernel in BenchmarkWorldSamplerInto BenchmarkComponentsInto BenchmarkAdaptiveChunkLoop BenchmarkPairReliabilityCached; do
     a=$(grep "\"$kernel\"" BENCH_reliability.json | sed 's/.*"allocs_per_op": \([0-9]*\).*/\1/')
     if [ "${a:-1}" != "0" ]; then
         echo "allocation guard: $kernel reports ${a:-?} allocs/op, want 0" >&2
         exit 1
     fi
 done
-echo "allocation guard: sampling kernels are allocation-free"
+echo "allocation guard: sampling kernels and cached pair lookups are allocation-free"
 
 echo "check.sh: all gates passed"
