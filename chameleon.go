@@ -199,9 +199,12 @@ type Result struct {
 // children. "precompute" holds a "uniqueness" span (attributes n and
 // distinct, the number of distinct expected degrees) and, for RSME and
 // RS, an "edge-relevance" span; each search phase holds one "genobf"
-// span per call (sigma attribute) whose "attempt" children carry the
-// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall time,
-// split into "select", "perturb" and "check" children.
+// span per call (sigma and probe attributes, and the trials it ran) whose
+// "attempt" children carry the per-trial outcome (epsilon_tilde, ok,
+// injected_edges, discarded for a trial a probe dropped) and wall time,
+// split into "select", "perturb" and "check" children. When the winner
+// came from a probe, the bisection ends with one more "genobf" span,
+// marked rerun: that call run again with all its trials.
 func (r *Result) Trace() *Trace { return r.trace }
 
 func (o Options) coreParams() (core.Params, error) {

@@ -208,6 +208,16 @@ func writePhaseBreakdown(res *chameleon.Result) {
 		return
 	}
 	rnd := func(s *chameleon.Trace) time.Duration { return s.Duration().Round(time.Millisecond) }
+	// A probe best's full re-run has a genobf span but is no call.
+	calls := func(s *chameleon.Trace) int {
+		n := 0
+		for _, c := range s.FindAll("genobf") {
+			if rerun, _ := c.Attr("rerun"); rerun != true {
+				n++
+			}
+		}
+		return n
+	}
 	pre := t.Find("precompute")
 	exp := t.Find("exponential-search")
 	bis := t.Find("bisection")
@@ -226,7 +236,7 @@ func writePhaseBreakdown(res *chameleon.Result) {
 	fmt.Fprintf(os.Stderr,
 		"phases: precompute %v%s, sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
 		rnd(pre), layers, (exp.Duration() + bis.Duration()).Round(time.Millisecond),
-		rnd(exp), len(exp.FindAll("genobf")), rnd(bis), len(bis.FindAll("genobf")))
+		rnd(exp), calls(exp), rnd(bis), calls(bis))
 }
 
 // writeStats dumps the observer snapshot per the -stats flag contract: ""

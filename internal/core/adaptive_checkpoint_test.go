@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -36,10 +37,14 @@ func TestResumeBitIdenticalCoupledAdaptive(t *testing.T) {
 	}
 	fullBytes := encodeGraph(t, full.Graph)
 
-	// The uninterrupted search polls the context ~94 times for this
-	// graph/seed/tuple; limits are spread across that range.
+	// Limits are spread across the polls of the uninterrupted search.
+	polls := newStepCtx(math.MaxInt64)
+	if _, err := AnonymizeContext(polls, g, ckAdaptiveParams("")); err != nil {
+		t.Fatal(err)
+	}
+	total := polls.polls.Load()
 	resumed := 0
-	for _, limit := range []int64{15, 40, 60, 85} {
+	for _, limit := range []int64{total / 6, total * 2 / 5, total * 3 / 5, total * 9 / 10} {
 		ckPath := filepath.Join(t.TempDir(), "search.ckpt")
 		p := ckAdaptiveParams(ckPath)
 		if _, err := AnonymizeContext(newStepCtx(limit), g, p); !errors.Is(err, context.Canceled) {

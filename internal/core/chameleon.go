@@ -32,7 +32,9 @@ func Anonymize(g *uncertain.Graph, p Params) (*Result, error) {
 // best obfuscation found so far (Result.Graph is nil when none was found)
 // together with an error wrapping ctx.Err(); callers distinguish the
 // partial outcome with errors.Is(err, context.Canceled) or
-// context.DeadlineExceeded.
+// context.DeadlineExceeded. Until the search ends that best may be a
+// probe's first accepted trial rather than its call's best of t; it is a
+// (k, eps)-obfuscation either way.
 //
 // With Params.CheckpointPath set, the search state is snapshotted
 // atomically on interrupt (and every Params.CheckpointEvery GenObf calls),
@@ -109,7 +111,7 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 		phase := root.StartChild("exponential-search")
 		st.phase = phase
 		for {
-			out, err := st.genObfCtx(ctx, cur.sigmaHi, res)
+			out, err := st.genObfCtx(ctx, cur.sigmaHi, st.seq, true, res)
 			if err != nil {
 				phase.End()
 				return st.interrupted(cur, res, err)
@@ -144,13 +146,17 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	}
 
 	// Phase 2: bisection for the smallest feasible sigma, keeping the best
-	// obfuscation found.
+	// obfuscation found. The search reads a call only as success or
+	// failure, and only the best of the last success is published, so a
+	// call is a probe unless the bracket is within tolerance after it,
+	// whichever way it goes.
 	phase := root.StartChild("bisection")
 	st.phase = phase
 	bisections := 0
 	for cur.sigmaHi-cur.sigmaLo > p.SigmaTolerance {
 		mid := (cur.sigmaLo + cur.sigmaHi) / 2
-		out, err := st.genObfCtx(ctx, mid, res)
+		last := mid-cur.sigmaLo <= p.SigmaTolerance && cur.sigmaHi-mid <= p.SigmaTolerance
+		out, err := st.genObfCtx(ctx, mid, st.seq, !last, res)
 		if err != nil {
 			phase.End()
 			return st.interrupted(cur, res, err)
@@ -166,6 +172,19 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 		bisections++
 		st.publishProgress(cur, res)
 		st.maybeCheckpoint(cur, res)
+	}
+	if cur.best.probe {
+		// The best is a probe's first accepted trial: re-run its call in
+		// full, on the same streams, for the best of its t trials.
+		out, err := st.genObfCtx(ctx, cur.bestSigma, cur.best.base, false, res)
+		if err != nil {
+			phase.End()
+			return st.interrupted(cur, res, err)
+		}
+		if !out.ok() {
+			panic("core: unreachable: the full re-run of an accepted probe accepted no trial")
+		}
+		cur.best = out
 	}
 	phase.SetAttr("sigma", cur.sigmaHi)
 	phase.SetAttr("steps", bisections)

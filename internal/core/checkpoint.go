@@ -12,8 +12,8 @@ import (
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Loading a
-// checkpoint written by a different version fails loudly rather than
-// resuming from state with unknown semantics.
+// checkpoint written by any other version than 3 or this one fails loudly
+// rather than resuming from state with unknown semantics.
 //
 // Version history:
 //
@@ -28,7 +28,12 @@ import (
 //	    to published bytes became host-independent, so a v2 search
 //	    resumed now would continue a trajectory no build of this version
 //	    starts.
-const CheckpointVersion = 3
+//	4 — best_seq and best_probe: a GenObf call became a probe that stops
+//	    at its first accepted trial unless its graph can be published, so
+//	    the best so far may be a probe's, which a resume finishes by
+//	    re-running its call, at stream position best_seq, in full. v3
+//	    files hold a complete best and still load.
+const CheckpointVersion = 4
 
 // Search phase names as persisted in checkpoints.
 const (
@@ -37,7 +42,8 @@ const (
 )
 
 // CheckpointStep records one completed GenObf call of the σ-search: the
-// noise level tried and what came back. The step log lets a resumed run —
+// noise level tried and what came back (for a probe, the ε̃ of its first
+// accepted trial). The step log lets a resumed run —
 // or a human reading the file — reconstruct the whole search trajectory.
 type CheckpointStep struct {
 	Phase   string  `json:"phase"`
@@ -56,8 +62,9 @@ type CheckpointStep struct {
 //     configuration;
 //   - the search cursor (phase, σ bracket, doubling count, RNG stream
 //     position Seq, call/attempt totals);
-//   - the best obfuscation found so far, with the graph embedded in the
-//     v2 binary format (float64 bit patterns and sorted edge order
+//   - the best obfuscation found so far, and whether a resume must still
+//     re-run its call in full (a probe's best), with the graph embedded in
+//     the v2 binary format (float64 bit patterns and sorted edge order
 //     preserved), so a resumed run finishing from this state is
 //     bit-identical to an uninterrupted one. Checkpoints from builds that
 //     embedded v1 still load: the reader accepts either version.
@@ -94,10 +101,14 @@ type Checkpoint struct {
 	AttemptCount int     `json:"attempt_count"`
 
 	// Best obfuscation so far; BestEpsilon == 1 and a nil BestGraph mean
-	// none has been found yet.
+	// none has been found yet. BestSeq is the stream position of the call
+	// that found it, and BestProbe says that call was a probe, whose best
+	// is its first accepted trial and not yet its best of t.
 	BestEpsilon float64 `json:"best_epsilon"`
 	BestSigma   float64 `json:"best_sigma"`
 	BestGraph   []byte  `json:"best_graph,omitempty"`
+	BestSeq     uint64  `json:"best_seq"`
+	BestProbe   bool    `json:"best_probe"`
 
 	Steps []CheckpointStep `json:"steps"`
 }
@@ -121,8 +132,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, ck); err != nil {
 		return nil, fmt.Errorf("core: parsing checkpoint %s: %w", path, err)
 	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint %s has format version %d, this build reads %d", path, ck.Version, CheckpointVersion)
+	if ck.Version != CheckpointVersion && ck.Version != 3 {
+		return nil, fmt.Errorf("core: checkpoint %s has format version %d, this build reads 3 and %d", path, ck.Version, CheckpointVersion)
 	}
 	switch ck.Phase {
 	case phaseExponential, phaseBisection:
@@ -233,7 +244,7 @@ func restoreCursor(ck *Checkpoint, st *searchState, res *Result) (*searchCursor,
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding checkpointed best graph: %w", err)
 		}
-		cur.best = genObfOutcome{epsilon: ck.BestEpsilon, graph: g}
+		cur.best = genObfOutcome{epsilon: ck.BestEpsilon, graph: g, base: ck.BestSeq, probe: ck.BestProbe}
 	}
 	st.seq = ck.Seq
 	res.GenObfCalls = ck.GenObfCalls
@@ -269,6 +280,8 @@ func (st *searchState) checkpoint(cur *searchCursor, res *Result) (*Checkpoint, 
 		AttemptCount:   res.Attempts,
 		BestEpsilon:    cur.best.epsilon,
 		BestSigma:      cur.bestSigma,
+		BestSeq:        cur.best.base,
+		BestProbe:      cur.best.probe,
 		Steps:          cur.steps,
 	}
 	if cur.best.graph != nil {

@@ -8,18 +8,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"chameleon/internal/obs"
+	"chameleon/internal/privacy"
 	"chameleon/internal/uncertain"
 )
 
 // stepCtx is a deterministic cancellation source: it reports itself
 // cancelled starting from the limit-th Err() poll. With a variant that
-// skips Monte Carlo precompute (ME/Boldi), Err() is polled at a fixed,
-// reproducible sequence of points — once after precompute, once per GenObf
-// attempt, once per call wrap-up — so a given limit always interrupts the
-// search at the same spot.
+// skips Monte Carlo precompute (ME/Boldi) on one worker, Err() is polled
+// at a fixed, reproducible sequence of points — once after precompute,
+// once per GenObf attempt, once per call wrap-up — so a given limit always
+// interrupts the search at the same spot (see serialCut). On more workers
+// a probe may claim, and poll for, trials past its chosen one.
 type stepCtx struct {
 	context.Context
 	polls atomic.Int64
@@ -40,10 +44,62 @@ func (c *stepCtx) Err() error {
 
 func (c *stepCtx) Done() <-chan struct{} { return c.done }
 
+// serialCut says where a stepCtx of the given limit cuts a one-worker run
+// of the search whose genobf spans are calls: it returns how many calls
+// complete before the cut. The context is polled once after the
+// precompute (ME and Boldi sample nothing there), then per span once for
+// each trial it runs and once at wrap-up; on one worker a probe runs no
+// trial past its chosen one.
+func serialCut(calls []tracedCall, limit int64) (done int) {
+	polls := int64(1)
+	for _, c := range calls {
+		if polls += int64(c.read) + 1; polls > limit || c.rerun {
+			break
+		}
+		done++
+	}
+	return done
+}
+
+// readThrough counts the trials the first n calls read.
+func readThrough(calls []tracedCall, n int) int {
+	sum := 0
+	for _, c := range calls[:n] {
+		sum += c.read
+	}
+	return sum
+}
+
+// serialLimit is the stepCtx limit that lets a one-worker run of the search
+// whose genobf spans are calls complete its first n calls and cuts the
+// next one at its first poll.
+func serialLimit(calls []tracedCall, n int) int64 {
+	polls := int64(1)
+	for _, c := range calls[:n] {
+		polls += int64(c.read) + 1
+	}
+	return polls
+}
+
+// attemptsAfter counts the trials a run resumed from a v3 checkpoint taken
+// after the first n calls of the search whose genobf spans are calls
+// reads: those of every later call, and those of a full re-run of a probe
+// best found after the checkpoint (a best from before it is the
+// checkpoint's, which a v3 file holds complete).
+func attemptsAfter(calls []tracedCall, n int) int {
+	sum := 0
+	for i, c := range calls {
+		if i >= n && (!c.rerun || c.call > n) {
+			sum += c.read
+		}
+	}
+	return sum
+}
+
 // ckParams configures a search long enough to interrupt at interesting
 // depths: K=40 on the 250-node test graph needs real noise, so the
-// exponential phase runs ~5 doublings and the bisection ~10 steps (about
-// 90 deterministic context polls end to end).
+// exponential phase runs ~5 doublings and the bisection ~10 steps (65
+// context polls end to end on one worker).
 func ckParams(path string) Params {
 	return Params{
 		K: 40, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: ME,
@@ -65,9 +121,9 @@ func encodeGraph(t *testing.T, g *uncertain.Graph) []byte {
 // deep into the search — resuming from the written checkpoint yields a
 // result bit-identical (graph bytes, sigma, epsilon, effort counters) to
 // the uninterrupted run, with the attempts on one worker or two. Every
-// cut falls inside a GenObf call after some of its attempts ran, and the
-// cut call is discarded whole: the checkpoint holds the stream position
-// and effort totals of the last completed call.
+// cut falls inside a GenObf call, and the cut call is discarded whole: the
+// checkpoint holds the stream position and effort totals of the last
+// completed call.
 func TestResumeBitIdentical(t *testing.T) {
 	g := testGraph(t, 5)
 	for _, workers := range []int{1, 2} {
@@ -83,13 +139,17 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 			fullBytes := encodeGraph(t, full.Graph)
 			attempts := params("").withDefaults().Attempts
+			calls := tracedCalls(full.Trace)
 
 			// ctx is polled once after the precompute, then per call
-			// once per claimed attempt and once at wrap-up: poll
-			// limit+1, the first to fail, is attempt limit-6c of call
-			// c+1 for c = (limit-1)/6 — the second or third for every
-			// limit below.
-			for _, limit := range []int64{2, 8, 20, 45, 80} {
+			// once per claimed attempt and once at wrap-up. A full or
+			// failed call claims all t attempts; a probe that succeeds
+			// claims those up to its chosen one on one worker, and on two
+			// perhaps some past it, so two workers complete at most the
+			// calls one does. The limits run from the first call to the
+			// last.
+			total := serialLimit(calls, len(calls))
+			for _, limit := range []int64{2, 8, total / 4, total / 2, total - 2} {
 				ckPath := filepath.Join(t.TempDir(), "search.ckpt")
 				p := params(ckPath)
 				partial, err := AnonymizeContext(newStepCtx(limit), g, p)
@@ -103,10 +163,16 @@ func TestResumeBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("limit %d: %v", limit, err)
 				}
-				calls := int(limit-1) / (attempts + 1)
-				if ck.GenObfCalls != calls || ck.AttemptCount != calls*attempts || ck.Seq != uint64(calls*attempts) {
+				done := serialCut(calls, limit)
+				if workers > 1 {
+					// Fewer calls complete when a probe polled for
+					// trials past its chosen one.
+					done = min(done, ck.GenObfCalls)
+				}
+				read := readThrough(calls, done)
+				if ck.GenObfCalls != done || ck.AttemptCount != read || ck.Seq != uint64(done*attempts) {
 					t.Errorf("limit %d: checkpoint (%d calls, %d attempts, seq %d), want the %d completed calls' (%d, %d, %d)",
-						limit, ck.GenObfCalls, ck.AttemptCount, ck.Seq, calls, calls, calls*attempts, calls*attempts)
+						limit, ck.GenObfCalls, ck.AttemptCount, ck.Seq, done, done, read, done*attempts)
 				}
 
 				p.Resume = ck
@@ -328,11 +394,15 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fixture's attempt total counts every trial of its calls, as the
+	// search did before calls became probes.
+	calls := tracedCalls(full.Trace)
+	attempts := ck.AttemptCount + attemptsAfter(calls, ck.GenObfCalls)
 	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
-		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != attempts {
 		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
 			resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
-			full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+			full.Sigma, full.EpsilonTilde, full.GenObfCalls, attempts)
 	}
 	if !bytes.Equal(encodeGraph(t, resumed.Graph), encodeGraph(t, full.Graph)) {
 		t.Error("resumed graph bytes differ from the uninterrupted run")
@@ -340,7 +410,9 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 
 	// The same interruption point today writes the best graph in v2.
 	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
-	if _, err := AnonymizeContext(newStepCtx(45), g, ckParams(ckPath)); !errors.Is(err, context.Canceled) {
+	p = ckParams(ckPath)
+	p.Workers = 1
+	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, ck.GenObfCalls)), g, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
 	fresh, err := LoadCheckpoint(ckPath)
@@ -353,5 +425,115 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 	if fresh.GraphHash != ck.GraphHash || fresh.Seq != ck.Seq || fresh.SigmaHi != ck.SigmaHi {
 		t.Errorf("new checkpoint cursor (hash %#x, seq %d, σhi %v) != legacy (%#x, %d, %v)",
 			fresh.GraphHash, fresh.Seq, fresh.SigmaHi, ck.GraphHash, ck.Seq, ck.SigmaHi)
+	}
+}
+
+// cutCtx reports itself cancelled from the first Err() poll at which cut
+// returns true.
+type cutCtx struct {
+	context.Context
+	mu  sync.Mutex
+	cut func() bool
+	hit bool
+}
+
+func (c *cutCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.hit {
+		c.hit = c.cut()
+	}
+	if c.hit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestResumeAfterProbeAndDuringRerun: on testGraph(5) at k = 25 the last
+// bisection call of the ME search fails, so its winner is a probe's best
+// re-run in full. A run cut right after that probe, and one cut during the
+// re-run, each hand back the probe's chosen trial — a (k, ε)-obfuscation —
+// and checkpoint it as a probe best; resumed, on one worker or two, they
+// publish the uninterrupted run's bytes and effort totals.
+func TestResumeAfterProbeAndDuringRerun(t *testing.T) {
+	g := testGraph(t, 5)
+	params := func(workers int, path string) Params {
+		return Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 11, Variant: ME,
+			Workers: workers, CheckpointPath: path, Obs: obs.NewObserver()}
+	}
+	for _, workers := range []int{1, 2} {
+		full, err := Anonymize(g, params(workers, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullBytes := encodeGraph(t, full.Graph)
+		calls := tracedCalls(full.Trace)
+		rerun := calls[len(calls)-1]
+		if !rerun.rerun {
+			t.Fatal("the search's winner is no re-run probe; the test needs one")
+		}
+		tt := Params{}.withDefaults().Attempts
+		for _, c := range []struct {
+			name     string
+			calls    int  // completed calls at the cut
+			attempts int  // trials they read
+			during   bool // cut inside the re-run, not at the next call
+		}{
+			{"after the probe", rerun.call, readThrough(calls, rerun.call), false},
+			{"during the re-run", full.GenObfCalls, full.Attempts - tt, true},
+		} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
+				p := params(workers, filepath.Join(t.TempDir(), "search.ckpt"))
+				reg := p.Obs.Registry()
+				mark := int64(-1)
+				ctx := &cutCtx{Context: context.Background(), cut: func() bool {
+					if !c.during {
+						return reg.Counter("core.genobf_calls").Value() > int64(c.calls)
+					}
+					// Every call has ended once its latency is recorded:
+					// cut the re-run after it ran a trial.
+					if mark < 0 && reg.Latency("core.genobf_seconds").Count() == int64(c.calls) {
+						mark = reg.Counter("core.genobf_attempts").Value()
+					}
+					return mark >= 0 && reg.Counter("core.genobf_attempts").Value() > mark
+				}}
+				partial, err := AnonymizeContext(ctx, g, p)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+				}
+				if partial.Graph == nil || partial.EpsilonTilde > p.Epsilon {
+					t.Fatalf("interrupted run returned graph %v with ε~ %v, want a probe's accepted trial", partial.Graph != nil, partial.EpsilonTilde)
+				}
+				rep, err := privacy.CheckObfuscation(partial.Graph, privacy.DegreeProperty(g), p.K)
+				if err != nil || rep.EpsilonTilde > p.Epsilon {
+					t.Fatalf("independent check of the interrupted run's graph: ε~ %v, err %v", rep.EpsilonTilde, err)
+				}
+				ck, err := LoadCheckpoint(p.CheckpointPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.GenObfCalls != c.calls || ck.AttemptCount != c.attempts || !ck.BestProbe ||
+					ck.BestSeq != uint64((rerun.call-1)*tt) || ck.BestEpsilon != partial.EpsilonTilde {
+					t.Fatalf("checkpoint (%d calls, %d attempts, probe best %v at seq %d, ε~ %v), want (%d, %d, true, %d, %v)",
+						ck.GenObfCalls, ck.AttemptCount, ck.BestProbe, ck.BestSeq, ck.BestEpsilon,
+						c.calls, c.attempts, (rerun.call-1)*tt, partial.EpsilonTilde)
+				}
+
+				p.Resume = ck
+				resumed, err := AnonymizeContext(context.Background(), g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
+					resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+					t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
+						resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
+						full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+				}
+				if !bytes.Equal(encodeGraph(t, resumed.Graph), fullBytes) {
+					t.Error("resumed graph bytes differ from the uninterrupted run")
+				}
+			})
+		}
 	}
 }

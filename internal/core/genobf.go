@@ -14,10 +14,14 @@ import (
 )
 
 // genObfOutcome is the <eps~, G~> pair returned by GenObf; epsilon == 1
-// signals failure (no trial achieved the tolerance).
+// signals failure (no trial achieved the tolerance). base is the stream
+// position of the call, whose trials ran seqs base+1..base+t. A probe's
+// outcome is its lowest-seq accepted trial, not the call's best of t.
 type genObfOutcome struct {
 	epsilon float64
 	graph   *uncertain.Graph
+	base    uint64
+	probe   bool
 }
 
 func (o genObfOutcome) ok() bool { return o.epsilon < 1 }
@@ -35,16 +39,16 @@ type candidate struct {
 	orig int // index into g's edge list, or -1 for a new edge
 }
 
-// genObfCtx runs one GenObf call under a context. A call cut short by
+// genObfCtx runs genObf under a context. A call cut short by
 // cancellation is discarded wholesale: the RNG stream position and the
 // call/attempt totals are rolled back to their pre-call values, so a
 // resumed run replays the call from scratch and walks the exact RNG
 // sequence an uninterrupted run would have — the property the bit-identical
 // resume guarantee rests on.
-func (st *searchState) genObfCtx(ctx context.Context, sigma float64, res *Result) (genObfOutcome, error) {
+func (st *searchState) genObfCtx(ctx context.Context, sigma float64, base uint64, probe bool, res *Result) (genObfOutcome, error) {
 	seqBefore := st.seq
 	callsBefore, attemptsBefore := res.GenObfCalls, res.Attempts
-	out := st.genObf(ctx, sigma, res)
+	out := st.genObf(ctx, sigma, base, probe, res)
 	if err := ctx.Err(); err != nil {
 		st.seq = seqBefore
 		res.GenObfCalls, res.Attempts = callsBefore, attemptsBefore
@@ -54,16 +58,29 @@ func (st *searchState) genObfCtx(ctx context.Context, sigma float64, res *Result
 }
 
 // genObf implements Algorithm 3: t randomized trials of edge selection and
-// perturbation at noise level sigma, returning the trial with the smallest
-// achieved epsilon~ that meets the tolerance, or epsilon~ = 1 on failure.
+// perturbation at noise level sigma, on seqs base+1..base+t. At base ==
+// st.seq it is the search's next call and advances st.seq by t; at an
+// earlier base it re-runs that call, which counts as no new call.
 //
-// Trial i of the call runs seq st.seq+i on its own stream, so trials are
+// A full call (probe false) returns the trial with the smallest achieved
+// epsilon~ that meets the tolerance, or epsilon~ = 1 on failure. A probe
+// only answers whether the call succeeds: it stops claiming trials once one
+// it claimed is accepted, and returns its lowest-seq accepted trial. It
+// fails exactly when the full call fails, since then all t trials ran.
+//
+// Trial i of the call runs seq base+i on its own stream, so trials are
 // independent: min(Workers, t) attempt slots claim them off one atomic
-// counter, and the winner is the accepted trial with the smallest
-// (epsilon~, seq) — exactly the one the serial strict-< scan picks, for
-// any worker count. One worker runs the trials in order inline, with no
-// goroutine. Cancellation is honored between attempts (each claimed trial
-// polls ctx once, so an uncancelled call polls it exactly t times); a
+// counter, in seq order. A full call's winner is the accepted trial with
+// the smallest (epsilon~, seq) — exactly the one the serial strict-< scan
+// picks, for any worker count. A probe's is the lowest accepted seq a of
+// the call, for any worker count too: claiming stops only after some
+// accepted trial b >= a finished, so a was claimed before it and runs to
+// the end. Trials above the winner that were already in flight finish and
+// are dropped (counted in core.genobf_discarded, their spans marked
+// discarded); Result.Attempts counts the trials whose outcome the call
+// read, t for a full or failed call and a-base for a successful probe. One
+// worker runs the trials in order inline, with no goroutine. Cancellation
+// is honored between attempts (each claimed trial polls ctx once); a
 // partial call's outcome is discarded by genObfCtx.
 //
 // Every attempt builds its graph in its slot's working graph, which no
@@ -72,38 +89,48 @@ func (st *searchState) genObfCtx(ctx context.Context, sigma float64, res *Result
 // list in slot 0's working graph, which leaves the slot for good (the
 // slot's next attempt clones the input afresh), so a graph genObf returns
 // is never touched again.
-func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) genObfOutcome {
-	res.GenObfCalls++
+func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, probe bool, res *Result) genObfOutcome {
+	t := uint64(st.p.Attempts)
 	reg := st.p.Obs.Registry()
-	reg.Counter("core.genobf_calls").Inc()
+	rerun := base != st.seq
+	if !rerun {
+		res.GenObfCalls++
+		reg.Counter("core.genobf_calls").Inc()
+		st.seq = base + t
+	}
 	attemptCtr, acceptCtr := reg.Counter("core.genobf_attempts"), reg.Counter("core.genobf_accepted")
-	t := st.p.Attempts
-	workers := min(st.p.workers(), t)
+	workers := min(st.p.workers(), int(t))
 	sp := st.phase.StartChild("genobf")
 	sp.SetAttr("sigma", sigma)
-	sp.SetAttr("call", res.GenObfCalls)
+	sp.SetAttr("call", int(base/t)+1)
 	sp.SetAttr("workers", workers)
+	sp.SetAttr("probe", probe)
+	if rerun {
+		sp.SetAttr("rerun", true)
+	}
 	for len(st.slots) < workers {
 		st.slots = append(st.slots, st.newSlot())
 	}
 
-	base := st.seq
 	var (
 		next, ran atomic.Uint64
-		mu        sync.Mutex // guards bestEps, bestSeq and st.best
+		stop      atomic.Bool // a probe has an accepted trial
+		mu        sync.Mutex  // guards bestEps, bestI and st.best
 		bestEps   = 1.0
-		bestSeq   uint64
+		bestI     uint64                   // the winner's index in 1..t
+		spans     = make([]*obs.Span, t+1) // by index, to mark dropped trials
 	)
 	run := func(a *attemptSlot) {
-		for {
+		for !stop.Load() {
 			i := next.Add(1)
-			if i > uint64(t) || ctx.Err() != nil {
+			if i > t || ctx.Err() != nil {
 				return
 			}
 			seq := base + i
 			ran.Add(1)
 			attemptCtr.Inc()
 			asp := sp.StartChild("attempt")
+			spans[i] = asp
 			asp.SetAttr("sigma", sigma)
 			asp.SetAttr("seq", seq)
 			pub, rep, err := a.attempt(seq, sigma, asp)
@@ -126,11 +153,18 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 			}
 			acceptCtr.Inc()
 			mu.Lock()
-			if rep.EpsilonTilde < bestEps || rep.EpsilonTilde == bestEps && seq < bestSeq {
-				bestEps, bestSeq = rep.EpsilonTilde, seq
+			better := bestI == 0 || i < bestI
+			if !probe {
+				better = rep.EpsilonTilde < bestEps || rep.EpsilonTilde == bestEps && i < bestI
+			}
+			if better {
+				bestEps, bestI = rep.EpsilonTilde, i
 				st.best = pub.AppendEdges(st.best[:0])
 			}
 			mu.Unlock()
+			if probe {
+				stop.Store(true)
+			}
 		}
 	}
 	if workers == 1 {
@@ -146,18 +180,27 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, res *Result) g
 		}
 		wg.Wait()
 	}
-	st.seq = base + uint64(t)
-	res.Attempts += int(ran.Load())
 
-	best := genObfOutcome{epsilon: bestEps}
+	best := genObfOutcome{epsilon: bestEps, base: base, probe: probe}
+	read := ran.Load()
 	if best.ok() {
 		best.graph = st.slots[0].publish(st.best)
 		sp.SetAttr("epsilon_tilde", best.epsilon)
+		sp.SetAttr("seq", base+bestI)
+		if probe {
+			read = bestI
+		}
 	}
+	for _, asp := range spans[read+1:] {
+		asp.SetAttr("discarded", true)
+	}
+	res.Attempts += int(read)
+	reg.Counter("core.genobf_discarded").Add(int64(ran.Load() - read))
+	sp.SetAttr("trials", int(ran.Load()))
 	sp.SetAttr("ok", best.ok())
 	sp.End()
 	reg.Latency("core.genobf_seconds").Observe(sp.Duration())
-	st.p.Obs.Debug("core: genobf", "sigma", sigma, "ok", best.ok(),
+	st.p.Obs.Debug("core: genobf", "sigma", sigma, "probe", probe, "ok", best.ok(),
 		"epsilon_tilde", best.epsilon, "dur", sp.Duration())
 	return best
 }

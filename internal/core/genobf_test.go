@@ -169,7 +169,7 @@ func TestGenObfRespectsEpsilon(t *testing.T) {
 	p := Params{K: 6, Epsilon: 0.04, Samples: 60, Seed: 11}.withDefaults()
 	st := newState(t, g, p)
 	res := &Result{}
-	out := st.genObf(context.Background(), 0.05, res)
+	out := st.genObf(context.Background(), 0.05, st.seq, false, res)
 	if out.ok() && out.epsilon > p.Epsilon {
 		t.Fatalf("successful outcome with eps~ %v > eps %v", out.epsilon, p.Epsilon)
 	}
@@ -338,7 +338,7 @@ func TestGenObfNeverWritesEscapedGraphs(t *testing.T) {
 	var out []escaped
 	res := &Result{}
 	for _, sigma := range []float64{0.001, 0.3, 0.05, 0.6, 0.2, 1, 0.4, 0.15} {
-		if o := st.genObf(context.Background(), sigma, res); o.ok() {
+		if o := st.genObf(context.Background(), sigma, st.seq, false, res); o.ok() {
 			out = append(out, escaped{o.graph, uncertain.Fingerprint(o.graph)})
 		}
 	}
@@ -379,7 +379,7 @@ func TestGenObfTieGoesToLowestSeq(t *testing.T) {
 	serial := newState(t, g, params(1))
 	var want [][]byte
 	for call := 0; call < 3; call++ {
-		out := serial.genObf(context.Background(), sigma, &Result{})
+		out := serial.genObf(context.Background(), sigma, serial.seq, false, &Result{})
 		if out.epsilon != rep.EpsilonTilde {
 			t.Fatalf("serial call %d: ε~ %v, want the tie value %v", call, out.epsilon, rep.EpsilonTilde)
 		}
@@ -391,7 +391,7 @@ func TestGenObfTieGoesToLowestSeq(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		st := newState(t, g, params(workers))
 		for call := range want {
-			out := st.genObf(context.Background(), sigma, &Result{})
+			out := st.genObf(context.Background(), sigma, st.seq, false, &Result{})
 			if out.epsilon != rep.EpsilonTilde || !bytes.Equal(encodeGraph(t, out.graph), want[call]) {
 				t.Fatalf("%d workers, call %d: published another attempt than the serial scan", workers, call)
 			}

@@ -95,7 +95,10 @@ type Params struct {
 	// negative value to disable white noise entirely.
 	WhiteNoise float64
 	// Attempts is the number of randomized trials t per GenObf call;
-	// default 5.
+	// default 5. A call whose graph the search cannot publish is a probe:
+	// it stops at its first accepted trial. Every call still takes t
+	// streams, so the search's trajectory does not depend on which calls
+	// are probes.
 	Attempts int
 	// Samples is the Monte Carlo budget for reliability-relevance
 	// estimation; default reliability.DefaultSamples.
@@ -264,9 +267,14 @@ type Result struct {
 	EpsilonTilde float64
 	// Sigma is the final noise level selected by the binary search.
 	Sigma float64
-	// GenObfCalls counts invocations of the GenObf procedure.
+	// GenObfCalls counts invocations of the GenObf procedure. The full
+	// re-run of a probe best is not one.
 	GenObfCalls int
-	// Attempts counts individual randomized trials across all calls.
+	// Attempts counts the randomized trials whose outcome the search
+	// read: t per full or failed call and per full re-run, and up to and
+	// including the chosen trial per successful probe. It is the same on
+	// every worker count; trials a probe had in flight past its chosen one
+	// are dropped and counted by the core.genobf_discarded counter only.
 	Attempts int
 	// Variant echoes the heuristic combination used.
 	Variant Variant
@@ -274,11 +282,14 @@ type Result struct {
 	// score precomputation, with "uniqueness" (attributes n, distinct,
 	// boxes and kernel_evals) and, for RSME and RS, "edge-relevance"
 	// children, then one span per search phase ("exponential-search",
-	// "bisection") whose "genobf" children carry the sigma tried, and
-	// whose "attempt" grandchildren carry the per-trial outcome
-	// (epsilon_tilde, ok, injected_edges) and wall time, split into
-	// "select", "perturb" and "check" children. Always recorded; query it
-	// with Find/FindAll.
+	// "bisection") whose "genobf" children carry the sigma tried, the call
+	// number, whether the call was a probe, the trials it ran and, on
+	// success, the chosen trial's seq; a probe best's full re-run is the
+	// bisection's last "genobf" span, marked rerun. Their "attempt"
+	// children carry the per-trial outcome (seq, epsilon_tilde, ok,
+	// injected_edges, and discarded for a trial a probe dropped) and wall
+	// time, split into "select", "perturb" and "check" children. Always
+	// recorded; query it with Find/FindAll.
 	Trace *obs.Span
 }
 

@@ -107,7 +107,9 @@ func TestRepAnPinnedOutput(t *testing.T) {
 // once, with CheckpointVersion 3, when θ-uniqueness became a fast Gauss
 // transform on host-independent exp and log2 (the σ-search walk did not
 // change); they must hold on every GOARCH and CPU, and check.sh runs this
-// test under GODEBUG=cpu.fma=off too.
+// test under GODEBUG=cpu.fma=off too. The attempt counts were re-captured
+// once, with CheckpointVersion 4, when GenObf calls became probes: the
+// search now reads fewer trials, and publishes the same bytes.
 func TestVariantPinnedOutput(t *testing.T) {
 	for _, pin := range []struct {
 		variant     Variant
@@ -116,10 +118,10 @@ func TestVariantPinnedOutput(t *testing.T) {
 		sigma       float64
 		calls, atts int
 	}{
-		{RSME, "f2a1efe7185c75202345fc86de359ce99809e2abc704f3a12682386bf2199e32", 0.04, 0.14875000000000002, 12, 60},
+		{RSME, "f2a1efe7185c75202345fc86de359ce99809e2abc704f3a12682386bf2199e32", 0.04, 0.14875000000000002, 12, 45},
 		{RS, "654a5616a333f06d4c7e1b8b2b0f42e030a3fab6feeb9c079cda375631bbc8ad", 0.04, 0.9220000000000002, 15, 75},
-		{ME, "139c74da072773aa3786af9f696832dbf00ce911ba05aee7d6180203aea2df20", 0.04, 0.184, 12, 60},
-		{RepAn, "8b38a83fd560959090926d42a3e36d0450e899a557adec0f9192ea165edbc756", 0.04, 0.50875, 15, 75},
+		{ME, "139c74da072773aa3786af9f696832dbf00ce911ba05aee7d6180203aea2df20", 0.04, 0.184, 12, 58},
+		{RepAn, "8b38a83fd560959090926d42a3e36d0450e899a557adec0f9192ea165edbc756", 0.04, 0.50875, 15, 51},
 	} {
 		t.Run(pin.variant.String(), func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 3, 8} {
@@ -166,11 +168,15 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fixture's attempt total counts every trial of its calls, as the
+	// search did before calls became probes.
+	calls := tracedCalls(full.Trace)
+	attempts := ck.AttemptCount + attemptsAfter(calls, ck.GenObfCalls)
 	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
-		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != attempts {
 		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
 			resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
-			full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+			full.Sigma, full.EpsilonTilde, full.GenObfCalls, attempts)
 	}
 	if string(encodeGraph(t, resumed.Graph)) != string(encodeGraph(t, full.Graph)) {
 		t.Error("resumed graph bytes differ from the uninterrupted run")
@@ -178,7 +184,9 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 
 	// The same interruption point today writes the same echo.
 	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
-	if _, err := AnonymizeContext(newStepCtx(45), g, repAnPinnedParams(ckPath)); !errors.Is(err, context.Canceled) {
+	p = repAnPinnedParams(ckPath)
+	p.Workers = 1
+	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, ck.GenObfCalls)), g, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
 	fresh, err := LoadCheckpoint(ckPath)
@@ -213,9 +221,13 @@ func spanShape(root *obs.Span) string {
 // children are its layers: Rep-An's representative extraction, then
 // uniqueness, then edge relevance for the reliability-sensitive methods.
 // With the attempts on two workers their spans end out of order, so each
-// carries its seq: the seqs are exactly 1..Result.Attempts, each once,
-// every attempt times its select, perturb and check steps in that order,
-// and every genobf span records its worker count.
+// carries its seq. Call c's trials are seqs (c-1)t+1..ct: those the search
+// read — all t for a full or failed call, up to the chosen one for a
+// successful probe — appear each once, any trial past a probe's chosen one
+// is marked discarded, the calls' read trials total Result.Attempts, and
+// a full re-run of a probe best repeats its call's seqs last. Every
+// attempt times its select, perturb and check steps in that order, and
+// every genobf span records its worker count and the trials it ran.
 func TestTraceShapePerVariant(t *testing.T) {
 	g := testGraph(t, 3)
 	want := map[Variant]string{
@@ -229,18 +241,40 @@ func TestTraceShapePerVariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		attempts := res.Trace.FindAll("attempt")
-		if len(attempts) != res.Attempts {
-			t.Errorf("%v: %d attempt spans, Result.Attempts = %d", v, len(attempts), res.Attempts)
-		}
-		seen := make(map[uint64]bool)
-		for _, a := range attempts {
-			attr, _ := a.Attr("seq")
-			seq, ok := attr.(uint64)
-			if !ok || seq < 1 || seq > uint64(res.Attempts) || seen[seq] {
-				t.Fatalf("%v: attempt span seq %v (%T), want each of 1..%d once", v, attr, attr, res.Attempts)
+		tt := uint64(Params{}.withDefaults().Attempts)
+		read := 0
+		for i, sp := range res.Trace.FindAll("genobf") {
+			c := traceCall(sp)
+			if c.rerun != (i == res.GenObfCalls) || !c.rerun && c.call != i+1 || c.rerun && c.probe {
+				t.Fatalf("%v: genobf span %d is call %d (rerun %v, probe %v) of %d", v, i, c.call, c.rerun, c.probe, res.GenObfCalls)
 			}
-			seen[seq] = true
+			base := uint64(c.call-1) * tt
+			last := base + tt
+			if c.probe && c.ok {
+				last = c.seq
+			}
+			if n, _ := attr[int](sp, "trials"); n != c.trials {
+				t.Errorf("%v: call %d ran %d attempt spans, its trials attr says %d", v, c.call, c.trials, n)
+			}
+			read += c.read
+			seen := make(map[uint64]bool)
+			for _, a := range sp.FindAll("attempt") {
+				seq, ok := attr[uint64](a, "seq")
+				discarded, _ := attr[bool](a, "discarded")
+				if !ok || seq <= base || seq > base+tt || seen[seq] || discarded != (seq > last) {
+					t.Fatalf("%v: call %d attempt seq %v discarded %v, want each of %d..%d once, discarded past %d", v, c.call, seq, discarded, base+1, base+tt, last)
+				}
+				seen[seq] = true
+			}
+			if uint64(c.read) != last-base {
+				t.Fatalf("%v: call %d read %d trials, want seqs %d..%d", v, c.call, c.read, base+1, last)
+			}
+		}
+		if read != res.Attempts {
+			t.Errorf("%v: the calls read %d trials, Result.Attempts = %d", v, read, res.Attempts)
+		}
+		for _, a := range res.Trace.FindAll("attempt") {
+			seq, _ := attr[uint64](a, "seq")
 			var steps []string
 			for _, c := range a.Children {
 				steps = append(steps, c.Name)

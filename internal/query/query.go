@@ -130,6 +130,11 @@ type Engine struct {
 	opts Options
 	est  reliability.Estimator
 
+	// The engine's instruments, resolved once: nil without an Observer.
+	requests, errors *obs.Counter
+	latency          *obs.Latency
+	kinds            map[string]kindInstruments // by query kind
+
 	reqSeq  atomic.Int64
 	spanSeq atomic.Int64
 	span    atomic.Pointer[obs.SpanSnapshot]
@@ -141,9 +146,18 @@ type Engine struct {
 	dist     []float64
 }
 
+// kindInstruments are one query kind's request and error counters and
+// its latency instrument.
+type kindInstruments struct {
+	requests, errors *obs.Counter
+	latency          *obs.Latency
+}
+
 // New returns an engine over g. The engine owns a fresh LabelCache, so
 // the first reliability-backed request (or Warm) samples worlds once
 // and every later request under the same configuration is a lookup.
+// With an Observer attached, every instrument the engine records into is
+// registered here, each kind's too, so a request looks none up by name.
 func New(g *uncertain.Graph, opts Options) *Engine {
 	if opts.SpanEvery == 0 {
 		opts.SpanEvery = 64
@@ -151,7 +165,8 @@ func New(g *uncertain.Graph, opts Options) *Engine {
 	if opts.CentralitySamples <= 0 {
 		opts.CentralitySamples = 32
 	}
-	return &Engine{
+	reg := opts.Obs.Registry()
+	e := &Engine{
 		g:    g,
 		opts: opts,
 		est: reliability.Estimator{
@@ -162,7 +177,19 @@ func New(g *uncertain.Graph, opts Options) *Engine {
 			Obs:     opts.Obs,
 			Cache:   reliability.NewLabelCache(),
 		},
+		requests: reg.Counter("query.requests"),
+		errors:   reg.Counter("query.errors"),
+		latency:  reg.Latency("query.latency.all"),
+		kinds:    make(map[string]kindInstruments),
 	}
+	for _, k := range Kinds() {
+		e.kinds[k] = kindInstruments{
+			requests: reg.Counter("query.requests." + k),
+			errors:   reg.Counter("query.errors." + k),
+			latency:  reg.Latency("query.latency." + k),
+		}
+	}
+	return e
 }
 
 // Graph returns the graph the engine answers over.
@@ -184,8 +211,7 @@ func (e *Engine) LastSpan() *obs.SpanSnapshot { return e.span.Load() }
 // request ID and latency; on error its Error field mirrors err.
 func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	id := requestID(e.reqSeq.Add(1))
-	reg := e.opts.Obs.Registry()
-	reg.Counter("query.requests").Inc()
+	e.requests.Inc()
 
 	var s *obs.Span
 	if n := e.opts.SpanEvery; n > 0 && (e.spanSeq.Add(1)-1)%int64(n) == 0 {
@@ -201,19 +227,19 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	resp.Kind = req.Kind
 	resp.LatencyNS = int64(lat)
 
-	reg.Latency("query.latency.all").Observe(lat)
+	e.latency.Observe(lat)
 	outcome := "ok"
 	if err != nil {
 		resp.Error = err.Error()
 		outcome = "error"
-		reg.Counter("query.errors").Inc()
+		e.errors.Inc()
 	}
-	if reg != nil && isKind(req.Kind) {
-		reg.Counter("query.requests." + req.Kind).Inc()
-		reg.Latency("query.latency." + req.Kind).Observe(lat)
-		if err != nil {
-			reg.Counter("query.errors." + req.Kind).Inc()
-		}
+	// An unknown kind has no instruments: its nil ones record nothing.
+	k := e.kinds[req.Kind]
+	k.requests.Inc()
+	k.latency.Observe(lat)
+	if err != nil {
+		k.errors.Inc()
 	}
 	if s != nil {
 		s.SetAttr("outcome", outcome)
@@ -243,14 +269,6 @@ func requestID(n int64) string {
 		id = append(id, '0')
 	}
 	return string(append(id, d...))
-}
-
-func isKind(k string) bool {
-	switch k {
-	case KindPairReliability, KindKNN, KindDegree, KindDegreeDistribution, KindCentrality:
-		return true
-	}
-	return false
 }
 
 // attrs flattens the request parameters that matter for each kind into

@@ -170,14 +170,19 @@ func TestRequestIDFormat(t *testing.T) {
 	}
 }
 
-// TestEngineDoAllocs: without an observer, wide events or spans, a degree
-// request allocates only its ID string.
+// TestEngineDoAllocs: without wide events or spans, a degree request
+// allocates only its ID string, with an Observer attached or not.
 func TestEngineDoAllocs(t *testing.T) {
 	e := New(testGraph(t), Options{Samples: 50, SpanEvery: -1})
 	ctx := context.Background()
 	req := Request{Kind: KindDegree, U: 1}
 	if allocs := testing.AllocsPerRun(100, func() { e.Do(ctx, req) }); allocs > 1 {
 		t.Fatalf("a degree request allocated %v times, want at most 1", allocs)
+	}
+	// New resolved the Observer's instruments: Do looks none up by name.
+	e = New(testGraph(t), Options{Samples: 50, SpanEvery: -1, Obs: obs.NewObserver()})
+	if allocs := testing.AllocsPerRun(100, func() { e.Do(ctx, req) }); allocs > 1 {
+		t.Fatalf("a traced degree request allocated %v times, want at most 1", allocs)
 	}
 }
 

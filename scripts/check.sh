@@ -80,10 +80,10 @@ fi
 
 echo "== pinned bytes and checkpoint fixtures with FMA off =="
 # math.Exp takes an FMA path on amd64 CPUs that have one; the published
-# bytes must not. The pins and both checkpoint fixtures run again with
-# the runtime told the CPU has no FMA.
+# bytes must not. The pins, both checkpoint fixtures and the resumes of a
+# probe best run again with the runtime told the CPU has no FMA.
 GODEBUG=cpu.fma=off go test -count=1 \
-    -run '^(TestVariantPinnedOutput|TestResumeLegacyCheckpoint|TestResumeRepAnCheckpoint)$' ./internal/core/
+    -run '^(TestVariantPinnedOutput|TestResumeLegacyCheckpoint|TestResumeRepAnCheckpoint|TestResumeAfterProbeAndDuringRerun)$' ./internal/core/
 
 echo "== go test -race =="
 go test -race ./...
