@@ -544,6 +544,29 @@ func TestCLIInterrupt(t *testing.T) {
 		}
 	})
 
+	// A mistyped -run name is a usage error caught before the checkpoint is
+	// opened: the resumable cells survive byte for byte instead of being
+	// cleared by a run that did nothing.
+	t.Run("unknown-artifact", func(t *testing.T) {
+		ckptPath := filepath.Join(dir, "typo.json")
+		ckpt := []byte(`{"version":1,"seed":7,"samples":40,"metric_samples":10,"pairs":2000,"quick":true,` +
+			`"cells":{"dblp-q/RSME/k100":{"Dataset":"dblp-q","Method":"RSME","PaperK":100,"K":5}}}`)
+		if err := os.WriteFile(ckptPath, ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bins["experiments"], "-quick", "-samples", "40", "-seed", "7",
+			"-run", "fig08", "-checkpoint", ckptPath)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		wantExit(t, cmd.Run(), 2, &stderr)
+		if !strings.Contains(stderr.String(), `"fig08"`) {
+			t.Errorf("usage error does not name the bad artifact:\n%s", stderr.String())
+		}
+		if got, err := os.ReadFile(ckptPath); err != nil || !bytes.Equal(got, ckpt) {
+			t.Fatalf("checkpoint changed by a rejected run (err %v):\n%s", err, got)
+		}
+	})
+
 	// Sigma-search interruption: chameleon checkpoints the search state
 	// (every call, via -checkpoint-every 1), SIGINT stops it at the next
 	// safe point, and -resume finishes the search with an output graph

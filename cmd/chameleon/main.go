@@ -184,7 +184,7 @@ func run(env *runner.Env, obs *chameleon.Observer, f runFlags) error {
 			f.k, res.EpsilonTilde, res.Sigma, elapsed.Round(time.Millisecond))
 		writePhaseBreakdown(res)
 	}
-	return writeStats(f.stats, obs)
+	return runner.WriteStats(f.stats, obs)
 }
 
 // writeOutput publishes the result graph per the -out/-binary flags.
@@ -237,25 +237,4 @@ func writePhaseBreakdown(res *chameleon.Result) {
 		"phases: precompute %v%s, sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
 		rnd(pre), layers, (exp.Duration() + bis.Duration()).Round(time.Millisecond),
 		rnd(exp), calls(exp), rnd(bis), calls(bis))
-}
-
-// writeStats dumps the observer snapshot per the -stats flag contract: ""
-// is off, "-" writes aligned text to stderr, anything else is a JSON file.
-func writeStats(dest string, obs *chameleon.Observer) error {
-	switch dest {
-	case "":
-		return nil
-	case "-":
-		return obs.WriteText(os.Stderr)
-	default:
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 }

@@ -1,19 +1,29 @@
-// Command experiments reproduces the paper's evaluation: Table I, Table
-// II, Figure 3 (dataset distributions), Figure 4 (Rep-An distortion vs the
-// Chameleon lower bound) and Figures 8-11 (reliability, average degree,
-// average distance and clustering preservation across methods and k), plus
-// the two ablation studies (ERR estimator cost; ME-vs-unguided entropy
-// gain).
+// Command experiments reproduces the paper's evaluation: Tables I and II,
+// Figures 3, 4 and 8-11, the extension experiments and the ablations. The
+// -run flag selects artifacts by name ("all", the default, prints every
+// one, in this order; any other name is a usage error, exit 2):
 //
-// Usage:
+//	tableII     Table II: the compared methods
+//	fig3        Figure 3: edge-probability and degree distributions
+//	fig4        Figure 4: Rep-An distortion vs the Chameleon lower bound
+//	tableI      Table I: dataset characteristics and privacy parameters
+//	fig8        Figure 8: reliability preservation per method and k
+//	fig9        Figure 9: average-degree error per method and k
+//	fig10       Figure 10: average-distance error per method and k
+//	fig11       Figure 11: clustering-coefficient error per method and k
+//	timing      median anonymize/evaluate wall clock per sweep cell
+//	sweep       the method x k sweep alone (with -csv, its raw grid)
+//	attack      degree-knowledge re-identification attack per method
+//	centrality  expected-betweenness preservation per method
+//	dp          RSME vs k-degree anonymity vs dK-1 differential privacy
+//	knn         reliability k-NN preservation per method
+//	ablations   ERR cost, ME entropy gain, extractors, c, convergence, eps
 //
-//	experiments                  # full sweep (several minutes)
-//	experiments -quick           # miniature datasets, seconds
-//	experiments -run fig8        # one artifact: tableI tableII fig3 fig4
-//	                             # fig8 fig9 fig10 fig11 ablations sweep
-//	experiments -csv runs.csv    # also dump the raw grid
-//	experiments -serve :9100     # live /metrics, /healthz, /runs, /debug/pprof
-//	experiments -journal r.jsonl # append a replayable JSONL run journal
+// fig4 through sweep read (dataset, method, k) cells from one sweep, run
+// once over the methods they need: Figure 4 is the Rep-An and RSME cells
+// Figures 8-11 plot. -quick swaps in miniature datasets (seconds, not
+// minutes); -csv FILE dumps the sweep's raw grid; -serve ADDR and -journal
+// FILE expose live telemetry and a replayable JSONL run journal.
 //
 // Interruption: the first SIGINT/SIGTERM stops the sweep at the next cell
 // boundary (a second forces immediate exit) and -deadline DUR does the
@@ -26,7 +36,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,7 +51,7 @@ import (
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "miniature datasets and reduced sampling budgets")
-		runSel   = flag.String("run", "all", "comma-separated artifacts: tableI,tableII,fig3,fig4,fig8,fig9,fig10,fig11,attack,knn,dp,centrality,timing,ablations,all")
+		runSel   = flag.String("run", "all", runHelp())
 		samples  = flag.Int("samples", 0, "override reliability sample budget")
 		smpMode  = flag.String("sampling-mode", "independent", "world sampling strategy: independent | antithetic | stratified | coupled")
 		tgtRSE   = flag.Float64("target-rse", 0, "adaptive stopping: sample until the relative standard error falls below this target (0 = fixed budget)")
@@ -75,6 +87,12 @@ func main() {
 		ServeAddr:   *serveAt,
 		Observer:    observer,
 	}, func(env *runner.Env) error {
+		// Validate the selection before anything runs: a mistyped name must
+		// not run nothing and then clear a resumable checkpoint.
+		want, err := selectArtifacts(*runSel)
+		if err != nil {
+			return err
+		}
 		mode, err := uncertain.ParseSamplingMode(*smpMode)
 		if err != nil {
 			return err
@@ -100,7 +118,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: resuming sweep, %d cells restored from %s\n", n, *ckptPath)
 			}
 		}
-		err = run(cfg, *runSel, *csvPath, *stats, observer)
+		err = run(cfg, want, *csvPath, *stats, observer)
 		if pErr := stopProfiles(); err == nil {
 			err = pErr
 		}
@@ -108,112 +126,149 @@ func main() {
 	}))
 }
 
-func run(cfg exp.Config, runSel, csvPath, stats string, observer *obs.Observer) error {
+// artifact is one -run value: a table or figure of the evaluation.
+type artifact struct {
+	name, doc string
+	cells     []string // methods whose sweep cells it reads; nil: none
+	write     func(s *session) error
+}
+
+// artifacts is every -run value, in the order "all" prints them.
+var artifacts = []artifact{
+	{"tableII", "Table II: the compared methods", nil, func(s *session) error { exp.WriteTableII(s.out); return nil }},
+	{"fig3", "Figure 3: edge-probability and degree distributions", nil, writeFig3},
+	{"fig4", "Figure 4: Rep-An distortion vs the Chameleon lower bound", []string{"RSME", "Rep-An"}, func(s *session) error { exp.WriteFig4(s.out, s.runs, s.bases); return nil }},
+	{"tableI", "Table I: dataset characteristics and privacy parameters", exp.Methods, func(s *session) error { s.cfg.WriteTableI(s.out, s.bases); return nil }},
+	{"fig8", "Figure 8: reliability preservation per method and k", exp.Methods, figure("fig8")},
+	{"fig9", "Figure 9: average-degree error per method and k", exp.Methods, figure("fig9")},
+	{"fig10", "Figure 10: average-distance error per method and k", exp.Methods, figure("fig10")},
+	{"fig11", "Figure 11: clustering-coefficient error per method and k", exp.Methods, figure("fig11")},
+	{"timing", "median anonymize/evaluate wall clock per sweep cell", exp.Methods, func(s *session) error { exp.WriteTiming(s.out, s.runs); return nil }},
+	{"sweep", "the method x k sweep alone (with -csv, its raw grid)", exp.Methods, writeGrid},
+	{"attack", "degree-knowledge re-identification attack per method", nil, rows(exp.Config.AttackExperiment, exp.WriteAttack)},
+	{"centrality", "expected-betweenness preservation per method", nil, rows(exp.Config.CentralityExperiment, exp.WriteCentrality)},
+	{"dp", "RSME vs k-degree anonymity vs dK-1 differential privacy", nil, rows(exp.Config.DPComparison, exp.WriteDP)},
+	{"knn", "reliability k-NN preservation per method", nil, rows(exp.Config.KNNExperiment, exp.WriteKNN)},
+	{"ablations", "ERR cost, ME entropy gain, extractors, c, convergence, eps", nil, runAblations},
+}
+
+// session is one invocation: the configuration, where the tables go, and
+// the one sweep grid every cell-reading artifact shares.
+type session struct {
+	cfg     exp.Config
+	out     io.Writer
+	csvPath string
+	runs    []exp.Run
+	bases   []exp.Baseline
+}
+
+func figure(id string) func(s *session) error {
+	return func(s *session) error { return exp.WriteFigure(s.out, id, s.runs) }
+}
+
+// rows is an artifact that computes its own rows rather than reading the
+// sweep's cells.
+func rows[R any](compute func(exp.Config) ([]R, error), write func(io.Writer, []R)) func(s *session) error {
+	return func(s *session) error {
+		rs, err := compute(s.cfg)
+		if err == nil {
+			write(s.out, rs)
+		}
+		return err
+	}
+}
+
+func writeFig3(s *session) error {
+	probs, degs, err := s.cfg.Fig3()
+	if err != nil {
+		return err
+	}
+	exp.WriteHistogram(s.out, "Figure 3a: edge probability distributions", probs)
+	exp.WriteHistogram(s.out, "Figure 3b: degree distributions (log-spaced buckets)", degs)
+	return nil
+}
+
+// writeGrid writes the sweep's raw grid to the -csv file.
+func writeGrid(s *session) error {
+	f, err := os.Create(s.csvPath)
+	if err != nil {
+		return err
+	}
+	exp.WriteRunsCSV(f, s.runs)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(s.out, "wrote raw grid to %s\n", s.csvPath)
+	return err
+}
+
+func helpLine(a artifact) string { return fmt.Sprintf("%-11s %s", a.name, a.doc) }
+
+// runHelp is the -run flag's help: the artifact table, one per line.
+func runHelp() string {
+	help := "comma-separated artifacts to print:"
+	for _, a := range append(artifacts, artifact{name: "all", doc: "every artifact above, in this order"}) {
+		help += "\n  " + helpLine(a)
+	}
+	return help
+}
+
+// selectArtifacts resolves a -run value to the names of the artifacts it
+// selects. A name outside the artifact table is a usage error.
+func selectArtifacts(runSel string) (map[string]bool, error) {
 	want := map[string]bool{}
-	for _, r := range strings.Split(runSel, ",") {
-		want[strings.TrimSpace(r)] = true
+	for _, name := range strings.Split(runSel, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "all":
+			for _, a := range artifacts {
+				want[a.name] = true
+			}
+		case slices.ContainsFunc(artifacts, func(a artifact) bool { return a.name == name }):
+			want[name] = true
+		default:
+			return nil, runner.Usagef("unknown -run artifact %q (see -help)", name)
+		}
 	}
-	all := want["all"]
-	out := os.Stdout
+	return want, nil
+}
 
+// sweepMethods is the methods the selected artifacts read cells of, in
+// exp.Methods order; nil when the selection runs no sweep.
+func sweepMethods(want map[string]bool) []string {
+	var methods []string
+	for _, m := range exp.Methods {
+		if slices.ContainsFunc(artifacts, func(a artifact) bool { return want[a.name] && slices.Contains(a.cells, m) }) {
+			methods = append(methods, m)
+		}
+	}
+	return methods
+}
+
+func run(cfg exp.Config, want map[string]bool, csvPath, stats string, observer *obs.Observer) error {
+	s := &session{cfg: cfg, out: os.Stdout, csvPath: csvPath}
 	start := time.Now()
-	if all || want["tableII"] {
-		exp.WriteTableII(out)
-		fmt.Fprintln(out)
-	}
-	if all || want["fig3"] {
-		probs, degs, err := cfg.Fig3()
-		if err != nil {
+	// One sweep serves every selected artifact that reads cells. The sweep
+	// artifact prints only the -csv grid, of whichever artifact ran it.
+	if methods := sweepMethods(want); methods != nil {
+		var err error
+		if s.runs, s.bases, err = cfg.SweepAll(methods); err != nil {
 			return err
 		}
-		exp.WriteHistogram(out, "Figure 3a: edge probability distributions", probs)
-		exp.WriteHistogram(out, "Figure 3b: degree distributions (log-spaced buckets)", degs)
-		fmt.Fprintln(out)
+		want["sweep"] = csvPath != ""
 	}
-	if all || want["fig4"] {
-		rows, err := cfg.Fig4()
-		if err != nil {
+	for _, a := range artifacts {
+		if !want[a.name] {
+			continue
+		}
+		if err := a.write(s); err != nil {
 			return err
 		}
-		exp.WriteFig4(out, rows)
-		fmt.Fprintln(out)
+		fmt.Fprintln(s.out)
 	}
+	fmt.Fprintf(s.out, "total: %v\n", time.Since(start).Round(time.Millisecond))
 
-	needSweep := all || want["tableI"] || want["fig8"] || want["fig9"] || want["fig10"] || want["fig11"] || want["timing"] || want["sweep"]
-	if needSweep {
-		runs, bases, err := cfg.SweepAll(exp.Methods)
-		if err != nil {
-			return err
-		}
-		if all || want["tableI"] {
-			cfg.WriteTableI(out, bases)
-			fmt.Fprintln(out)
-		}
-		for _, fig := range []string{"fig8", "fig9", "fig10", "fig11"} {
-			if all || want[fig] {
-				if err := exp.WriteFigure(out, fig, runs); err != nil {
-					return err
-				}
-				fmt.Fprintln(out)
-			}
-		}
-		if all || want["timing"] {
-			exp.WriteTiming(out, runs)
-			fmt.Fprintln(out)
-		}
-		if csvPath != "" {
-			f, err := os.Create(csvPath)
-			if err != nil {
-				return err
-			}
-			exp.WriteRunsCSV(f, runs)
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote raw grid to %s\n\n", csvPath)
-		}
-	}
-
-	if all || want["attack"] {
-		rows, err := cfg.AttackExperiment()
-		if err != nil {
-			return err
-		}
-		exp.WriteAttack(out, rows)
-		fmt.Fprintln(out)
-	}
-	if all || want["centrality"] {
-		rows, err := cfg.CentralityExperiment()
-		if err != nil {
-			return err
-		}
-		exp.WriteCentrality(out, rows)
-		fmt.Fprintln(out)
-	}
-	if all || want["dp"] {
-		rows, err := cfg.DPComparison()
-		if err != nil {
-			return err
-		}
-		exp.WriteDP(out, rows)
-		fmt.Fprintln(out)
-	}
-	if all || want["knn"] {
-		rows, err := cfg.KNNExperiment()
-		if err != nil {
-			return err
-		}
-		exp.WriteKNN(out, rows)
-		fmt.Fprintln(out)
-	}
-	if all || want["ablations"] {
-		if err := runAblations(cfg, out); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(out, "total: %v\n", time.Since(start).Round(time.Millisecond))
-
-	if err := writeStats(stats, observer); err != nil {
+	if err := runner.WriteStats(stats, observer); err != nil {
 		return err
 	}
 	// The whole requested artifact set completed: a sweep checkpoint has
@@ -221,35 +276,17 @@ func run(cfg exp.Config, runSel, csvPath, stats string, observer *obs.Observer) 
 	return cfg.Finish()
 }
 
-// writeStats dumps the observer snapshot per the -stats flag contract: ""
-// is off, "-" writes aligned text to stderr, anything else is a JSON file.
-func writeStats(dest string, observer *obs.Observer) error {
-	if dest == "" {
-		return nil
-	}
-	if dest == "-" {
-		return observer.WriteText(os.Stderr)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	if err := observer.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func runAblations(cfg exp.Config, out *os.File) error {
+// runAblations prints the ablation studies, blank-line separated.
+func runAblations(s *session) error {
+	cfg, out := s.cfg, s.out
 	// ERR estimator cost on purpose-built small graphs: the naive
 	// estimator of Lemma 2 is quadratic in |E| and exists only to show why
 	// the Algorithm 2 reuse estimator matters.
-	sizes := []int{100, 200, 400}
-	samples := 100
+	sizes, samples := []int{100, 200, 400}, 100
+	budgets, reps := []int{10, 100, 1000}, 10
 	if cfg.Quick {
-		sizes = []int{50, 100}
-		samples = 30
+		sizes, samples = []int{50, 100}, 30
+		budgets, reps = []int{10, 100, 500}, 6
 	}
 	var rows []exp.ERRCostRow
 	for _, m := range sizes {
@@ -262,13 +299,11 @@ func runAblations(cfg exp.Config, out *os.File) error {
 	exp.WriteERRCost(out, rows)
 	fmt.Fprintln(out)
 
-	d := cfg.Datasets()[0]
-	g, err := cfg.BuildDataset(d)
+	g, err := cfg.BuildDataset(cfg.Datasets()[0])
 	if err != nil {
 		return err
 	}
-	gain := exp.EntropyGain(g, []float64{0.01, 0.05, 0.1, 0.2, 0.4}, cfg.Seed)
-	exp.WriteEntropyGain(out, gain)
+	exp.WriteEntropyGain(out, exp.EntropyGain(g, []float64{0.01, 0.05, 0.1, 0.2, 0.4}, cfg.Seed))
 	fmt.Fprintln(out)
 
 	eRows, err := cfg.ExtractionAblation()
@@ -285,14 +320,7 @@ func runAblations(cfg exp.Config, out *os.File) error {
 	exp.WriteCSweep(out, cRows)
 	fmt.Fprintln(out)
 
-	budgets := []int{10, 100, 1000}
-	reps := 10
-	if cfg.Quick {
-		budgets = []int{10, 100, 500}
-		reps = 6
-	}
-	conv := exp.ConvergenceStudy(g, budgets, reps, cfg.Seed, cfg.Workers)
-	exp.WriteConvergence(out, conv)
+	exp.WriteConvergence(out, exp.ConvergenceStudy(g, budgets, reps, cfg.Seed, cfg.Workers))
 	fmt.Fprintln(out)
 
 	epsRows, err := cfg.EpsilonSweep(nil)
@@ -300,6 +328,5 @@ func runAblations(cfg exp.Config, out *os.File) error {
 		return err
 	}
 	exp.WriteEpsilonSweep(out, epsRows)
-	fmt.Fprintln(out)
 	return nil
 }

@@ -302,3 +302,24 @@ func signalExitCode(s os.Signal) int {
 	}
 	return 130
 }
+
+// WriteStats dumps the observer snapshot per the CLIs' -stats flag
+// contract: "" is off, "-" writes aligned text to stderr, anything else is
+// a JSON file.
+func WriteStats(dest string, o *obs.Observer) error {
+	switch dest {
+	case "":
+		return nil
+	case "-":
+		return o.WriteText(os.Stderr)
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return err
+	}
+	if err := o.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

@@ -298,3 +298,24 @@ func TestExitCode(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteStats: "" writes nothing, a path gets the snapshot as JSON.
+func TestWriteStats(t *testing.T) {
+	if err := WriteStats("", nil); err != nil {
+		t.Fatalf("WriteStats off: %v", err)
+	}
+	o := obs.NewObserver()
+	o.Registry().Counter("runs").Inc()
+	path := filepath.Join(t.TempDir(), "stats.json")
+	if err := WriteStats(path, o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(data, &snap); err != nil || snap.Counters["runs"] != 1 {
+		t.Fatalf("stats file = %s (err %v), want the runs counter at 1", data, err)
+	}
+}

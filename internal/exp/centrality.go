@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"chameleon/internal/centrality"
-	"chameleon/internal/core"
 	"chameleon/internal/repan"
 	"chameleon/internal/uncertain"
 )
@@ -43,23 +42,15 @@ func (c Config) CentralityExperiment() ([]CentralityRow, error) {
 		base := centrality.Expected(g, opts)
 		k := d.KScale(paperK)
 		for _, method := range Methods {
-			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
-			if params.Variant, err = core.ParseVariant(method); err != nil {
-				return nil, err
-			}
-			res, err := core.AnonymizeContext(c.ctx(), g, params)
+			res, fail, err := c.release(g, method, c.searchParams(k, d.Epsilon, c.Seed^hashName(method)))
 			if err != nil {
-				if cerr := c.ctx().Err(); cerr != nil {
-					return rows, cerr
-				}
-				rows = append(rows, CentralityRow{Dataset: d.Name, Method: method, K: k, Failed: true})
-				continue
+				return rows, err
 			}
-			pub := centrality.Expected(res.Graph, opts)
-			rows = append(rows, CentralityRow{
-				Dataset: d.Name, Method: method, K: k,
-				Overlap: centrality.TopKOverlap(base, pub, topK),
-			})
+			row := CentralityRow{Dataset: d.Name, Method: method, K: k, Failed: fail != nil}
+			if fail == nil {
+				row.Overlap = centrality.TopKOverlap(base, centrality.Expected(res.Graph, opts), topK)
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -55,7 +55,10 @@ func TestSweepResumeFromCellStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := c1.MeasureBaseline(d, g)
+	base, err := c1.MeasureBaseline(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c1.RunCell(d, g, base, "RSME", 5)
 	if store.Len() != 1 {
 		t.Fatalf("store holds %d cells, want 1", store.Len())
@@ -118,6 +121,18 @@ func TestSweepCancelledCellNotStored(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatalf("cancelled sweep stored %d cells, want 0", store.Len())
+	}
+	// The sweep stops at its baseline; a cell run directly under the
+	// cancelled context fails and stays out of the store too.
+	g, err := c.BuildDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run := c.RunCell(d, g, Baseline{}, "RSME", 5); !run.Failed {
+		t.Fatal("cell under a cancelled context should fail")
+	}
+	if store.Len() != 0 {
+		t.Fatalf("cancelled cell was stored: %d cells, want 0", store.Len())
 	}
 }
 

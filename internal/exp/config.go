@@ -81,26 +81,20 @@ func (c Config) withDefaults() Config {
 	if c.prog == nil {
 		c.prog = &sweepProgress{}
 	}
-	if c.Samples <= 0 {
+	scale := func(quick, full int) int {
 		if c.Quick {
-			c.Samples = 200
-		} else {
-			c.Samples = 1000
+			return quick
 		}
+		return full
+	}
+	if c.Samples <= 0 {
+		c.Samples = scale(200, 1000)
 	}
 	if c.MetricSamples <= 0 {
-		if c.Quick {
-			c.MetricSamples = 10
-		} else {
-			c.MetricSamples = 50
-		}
+		c.MetricSamples = scale(10, 50)
 	}
 	if c.Pairs <= 0 {
-		if c.Quick {
-			c.Pairs = 2000
-		} else {
-			c.Pairs = 20000
-		}
+		c.Pairs = scale(2000, 20000)
 	}
 	if len(c.PaperKs) == 0 {
 		c.PaperKs = []int{100, 150, 200, 250, 300}
@@ -148,6 +142,37 @@ func (c Config) searchParams(k int, eps float64, seed uint64) core.Params {
 		SamplingMode: c.SamplingMode, TargetRSE: c.TargetRSE, MaxSamples: c.MaxSamples,
 		Attempts: 8, MaxDoublings: 10,
 	}
+}
+
+// release anonymizes g with method under p. A failed release — unknown
+// method, or no (k,eps)-obfuscation found — comes back in fail, for a FAIL
+// row. A cancelled run's release fails too, with err set to the context
+// error. res may carry the search trace even when fail is set.
+func (c Config) release(g *uncertain.Graph, method string, p core.Params) (res *core.Result, fail, err error) {
+	if err := c.ctx().Err(); err != nil {
+		return nil, err, err
+	}
+	p.Variant, fail = core.ParseVariant(method)
+	if fail == nil {
+		res, fail = core.AnonymizeContext(c.ctx(), g, p)
+	}
+	if fail != nil {
+		return res, fail, c.ctx().Err()
+	}
+	return res, nil, nil
+}
+
+// discrepancy estimates pub's relative reliability discrepancy against g
+// under the call site's estimator and pair-sample seed offsets. An
+// estimate cut short by cancellation is garbage: it returns the context
+// error instead.
+func (c Config) discrepancy(g, pub *uncertain.Graph, estOff, pairOff uint64) (float64, error) {
+	ps := reliability.PairSample{Pairs: c.Pairs, Seed: c.Seed + pairOff}
+	d, err := c.estimator(0, estOff).RelativeDiscrepancy(g, pub, ps)
+	if err == nil {
+		err = c.ctx().Err()
+	}
+	return d, err
 }
 
 // ctx returns the run's cancellation context, Background when unset.

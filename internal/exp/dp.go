@@ -5,12 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"chameleon/internal/core"
 	"chameleon/internal/dpbaseline"
 	"chameleon/internal/kdeg"
 	"chameleon/internal/metrics"
-	"chameleon/internal/reliability"
 	"chameleon/internal/repan"
+	"chameleon/internal/uncertain"
 )
 
 // DPRow compares one dataset's Chameleon release against the
@@ -37,84 +36,41 @@ type DPRow struct {
 func (c Config) DPComparison() ([]DPRow, error) {
 	c = c.withDefaults()
 	paperK := c.PaperKs[len(c.PaperKs)/2]
-	est := c.estimator(0, 21)
-	ps := reliability.PairSample{Pairs: c.Pairs, Seed: c.Seed + 22}
 	var rows []DPRow
 	for _, d := range c.Datasets() {
-		if err := c.ctx().Err(); err != nil {
-			return rows, err
-		}
 		g, err := c.BuildDataset(d)
 		if err != nil {
 			return nil, err
 		}
-		// Chameleon RSME.
-		params := c.searchParams(d.KScale(paperK), d.Epsilon, c.Seed)
-		res, err := core.AnonymizeContext(c.ctx(), g, params)
+		// One row per release, FAIL where it failed (pub nil): Chameleon
+		// RSME, Liu-Terzi k-degree anonymity on the extracted
+		// representative, and dK-1 DP at a tight and a loose budget.
+		res, fail, err := c.release(g, "RSME", c.searchParams(d.KScale(paperK), d.Epsilon, c.Seed))
 		if err != nil {
-			if cerr := c.ctx().Err(); cerr != nil {
-				return rows, cerr
-			}
-			rows = append(rows, DPRow{Dataset: d.Name, Method: "RSME", Failed: true})
-		} else {
-			disc, err := est.RelativeDiscrepancy(g, res.Graph, ps)
-			if err == nil {
-				err = c.ctx().Err()
-			}
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, DPRow{
-				Dataset:        d.Name,
-				Method:         "RSME",
-				RelDiscrepancy: disc,
-				DegreeErr:      metrics.RelativeError(metrics.AverageDegree(g), metrics.AverageDegree(res.Graph)),
-				DegSeqErr:      dpbaseline.DegreeSequenceError(g, res.Graph),
-			})
+			return rows, err
 		}
-
-		// Liu-Terzi k-degree anonymity on the extracted representative.
-		rep := repan.Representative(g)
-		lt, err := kdeg.Anonymize(rep, d.KScale(paperK))
-		if err != nil {
-			rows = append(rows, DPRow{Dataset: d.Name, Method: "LT-kdeg", Failed: true})
-		} else {
-			disc, err := est.RelativeDiscrepancy(g, lt, ps)
-			if err == nil {
-				err = c.ctx().Err()
-			}
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, DPRow{
-				Dataset:        d.Name,
-				Method:         "LT-kdeg",
-				RelDiscrepancy: disc,
-				DegreeErr:      metrics.RelativeError(metrics.AverageDegree(g), metrics.AverageDegree(lt)),
-				DegSeqErr:      dpbaseline.DegreeSequenceError(g, lt),
-			})
+		methods, pubs := []string{"RSME", "LT-kdeg"}, make([]*uncertain.Graph, 2)
+		if fail == nil {
+			pubs[0] = res.Graph
 		}
-
-		// DP releases at a tight and a loose budget.
+		pubs[1], _ = kdeg.Anonymize(repan.Representative(g), d.KScale(paperK))
 		for _, eps := range []float64{0.5, 2.0} {
 			pub, err := dpbaseline.Release(g, dpbaseline.Params{Epsilon: eps, Seed: c.Seed + 23})
 			if err != nil {
 				return nil, err
 			}
-			disc, err := est.RelativeDiscrepancy(g, pub, ps)
-			if err == nil {
-				err = c.ctx().Err()
+			methods, pubs = append(methods, fmt.Sprintf("DP-1K(%.1f)", eps)), append(pubs, pub)
+		}
+		for i, pub := range pubs {
+			row := DPRow{Dataset: d.Name, Method: methods[i], Failed: pub == nil}
+			if pub != nil {
+				if row.RelDiscrepancy, err = c.discrepancy(g, pub, 21, 22); err != nil {
+					return rows, err
+				}
+				row.DegreeErr = metrics.RelativeError(metrics.AverageDegree(g), metrics.AverageDegree(pub))
+				row.DegSeqErr = dpbaseline.DegreeSequenceError(g, pub)
 			}
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, DPRow{
-				Dataset:        d.Name,
-				Method:         fmt.Sprintf("DP-1K(%.1f)", eps),
-				RelDiscrepancy: disc,
-				DegreeErr:      metrics.RelativeError(metrics.AverageDegree(g), metrics.AverageDegree(pub)),
-				DegSeqErr:      dpbaseline.DegreeSequenceError(g, pub),
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

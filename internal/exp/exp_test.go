@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,7 +75,10 @@ func TestMeasureBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := c.MeasureBaseline(d, g)
+	b, err := c.MeasureBaseline(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Nodes != g.NumNodes() || b.Edges != g.NumEdges() {
 		t.Fatalf("baseline shape wrong: %+v", b)
 	}
@@ -90,7 +94,10 @@ func TestRunCellSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := c.MeasureBaseline(d, g)
+	base, err := c.MeasureBaseline(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := c.RunCell(d, g, base, "RSME", 100)
 	if run.Failed {
 		t.Fatalf("RSME at the smallest k should succeed: %s", run.FailReason)
@@ -212,12 +219,29 @@ func TestWriteFigure(t *testing.T) {
 	}
 }
 
+// TestWriteFig4 reads Figure 4 off sweep cells: one row per (dataset, k)
+// holding both a Rep-An and an RSME cell, in the baselines' dataset order,
+// with the other methods' cells ignored.
 func TestWriteFig4(t *testing.T) {
-	rows := []Fig4Row{{Dataset: "d", PaperK: 100, K: 5, RepAn: 0.4, Chameleon: 0.02, ExtractionOnly: 0.3}}
+	runs := []Run{
+		{Dataset: "d2", Method: "Rep-An", PaperK: 100, K: 4, RelDiscrepancy: 0.7},
+		{Dataset: "d2", Method: "RSME", PaperK: 100, K: 4, Failed: true},
+		{Dataset: "d", Method: "RSME", PaperK: 100, K: 5, RelDiscrepancy: 0.02},
+		{Dataset: "d", Method: "ME", PaperK: 100, K: 5, RelDiscrepancy: 0.9},
+		{Dataset: "d", Method: "Rep-An", PaperK: 100, K: 5, RelDiscrepancy: 0.4},
+		{Dataset: "d", Method: "Rep-An", PaperK: 300, K: 18, RelDiscrepancy: 0.5},
+	}
+	bases := []Baseline{{Dataset: "d", ExtractionOnly: 0.3}, {Dataset: "d2", ExtractionOnly: 0.6}}
 	var buf bytes.Buffer
-	WriteFig4(&buf, rows)
-	if !strings.Contains(buf.String(), "0.4000") || !strings.Contains(buf.String(), "0.0200") {
-		t.Fatalf("fig4 output:\n%s", buf.String())
+	WriteFig4(&buf, runs, bases)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("fig4 should have title, header and 2 rows:\n%s", buf.String())
+	}
+	for i, want := range [][]string{{"d", "100", "5", "0.4000", "0.0200", "0.3000"}, {"d2", "100", "4", "0.7000", "FAIL", "0.6000"}} {
+		if got := strings.Fields(lines[2+i]); !slices.Equal(got, want) {
+			t.Errorf("row %d = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -289,12 +313,12 @@ func TestExtractionOnlyDiscrepancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.ExtractionOnlyDiscrepancy(g)
+	b, err := c.MeasureBaseline(c.Datasets()[0], g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d <= 0 {
-		t.Fatalf("representative extraction should cost reliability, got %v", d)
+	if b.ExtractionOnly <= 0 {
+		t.Fatalf("representative extraction should cost reliability, got %v", b.ExtractionOnly)
 	}
 }
 
@@ -314,7 +338,10 @@ func TestQuickSweepShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := c.MeasureBaseline(d, g)
+			base, err := c.MeasureBaseline(d, g)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rsme := c.RunCell(d, g, base, "RSME", 100)
 			repan := c.RunCell(d, g, base, "Rep-An", 100)
 			if rsme.Failed {

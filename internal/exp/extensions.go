@@ -6,9 +6,7 @@ import (
 	"text/tabwriter"
 
 	"chameleon/internal/attack"
-	"chameleon/internal/core"
 	"chameleon/internal/knn"
-	"chameleon/internal/reliability"
 )
 
 // AttackRow is one dataset's empirical privacy validation: the success of
@@ -19,11 +17,8 @@ type AttackRow struct {
 	Method  string // "original" for the unprotected baseline
 	K       int
 	Failed  bool
-	// Adversary success statistics (see attack.Report).
-	MeanPosterior float64
-	Top1Rate      float64
-	TopKRate      float64
-	MeanRank      float64
+	// Adversary success statistics.
+	attack.Report
 }
 
 // AttackExperiment attacks every method's output at the mid-sweep k. It
@@ -46,33 +41,19 @@ func (c Config) AttackExperiment() ([]AttackRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AttackRow{
-			Dataset: d.Name, Method: "original", K: k,
-			MeanPosterior: base.MeanPosterior, Top1Rate: base.Top1Rate,
-			TopKRate: base.TopKRate, MeanRank: base.MeanRank,
-		})
+		rows = append(rows, AttackRow{Dataset: d.Name, Method: "original", K: k, Report: base})
 		for _, method := range Methods {
-			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
-			if params.Variant, err = core.ParseVariant(method); err != nil {
-				return nil, err
-			}
-			res, err := core.AnonymizeContext(c.ctx(), g, params)
+			res, fail, err := c.release(g, method, c.searchParams(k, d.Epsilon, c.Seed^hashName(method)))
 			if err != nil {
-				if cerr := c.ctx().Err(); cerr != nil {
-					return rows, cerr
+				return rows, err
+			}
+			row := AttackRow{Dataset: d.Name, Method: method, K: k, Failed: fail != nil}
+			if fail == nil {
+				if row.Report, err = attack.Simulate(g, res.Graph, k); err != nil {
+					return nil, err
 				}
-				rows = append(rows, AttackRow{Dataset: d.Name, Method: method, K: k, Failed: true})
-				continue
 			}
-			rep, err := attack.Simulate(g, res.Graph, k)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AttackRow{
-				Dataset: d.Name, Method: method, K: k,
-				MeanPosterior: rep.MeanPosterior, Top1Rate: rep.Top1Rate,
-				TopKRate: rep.TopKRate, MeanRank: rep.MeanRank,
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -115,35 +96,27 @@ func (c Config) KNNExperiment() ([]KNNRow, error) {
 	opts := knn.PreservationOptions{K: 10, Queries: 20, Seed: c.Seed + 78}
 	var rows []KNNRow
 	for _, d := range c.Datasets() {
-		if err := c.ctx().Err(); err != nil {
-			return rows, err
-		}
 		g, err := c.BuildDataset(d)
 		if err != nil {
 			return nil, err
 		}
 		k := d.KScale(paperK)
 		for _, method := range Methods {
-			params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method))
-			if params.Variant, err = core.ParseVariant(method); err != nil {
-				return nil, err
-			}
-			res, err := core.AnonymizeContext(c.ctx(), g, params)
-			if err != nil {
-				if cerr := c.ctx().Err(); cerr != nil {
-					return rows, cerr
-				}
-				rows = append(rows, KNNRow{Dataset: d.Name, Method: method, K: k, Failed: true})
-				continue
-			}
-			score, err := knn.PreservationScore(g, res.Graph, opts, est)
-			if err == nil {
-				err = c.ctx().Err()
-			}
+			res, fail, err := c.release(g, method, c.searchParams(k, d.Epsilon, c.Seed^hashName(method)))
 			if err != nil {
 				return rows, err
 			}
-			rows = append(rows, KNNRow{Dataset: d.Name, Method: method, K: k, Score: score})
+			row := KNNRow{Dataset: d.Name, Method: method, K: k, Failed: fail != nil}
+			if fail == nil {
+				row.Score, err = knn.PreservationScore(g, res.Graph, opts, est)
+				if err == nil {
+					err = c.ctx().Err()
+				}
+				if err != nil {
+					return rows, err
+				}
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -160,77 +133,6 @@ func WriteKNN(w io.Writer, rows []KNNRow) {
 			continue
 		}
 		fmt.Fprintf(tw, "  %s\t%s\t%d\t%.3f\n", r.Dataset, r.Method, r.K, r.Score)
-	}
-	tw.Flush()
-}
-
-// CSweepRow is one point of the candidate-budget ablation: the effect of
-// the size multiplier c on feasibility, the chosen noise level and the
-// utility cost.
-type CSweepRow struct {
-	Dataset string
-	C       float64
-	K       int
-	Failed  bool
-	Sigma   float64
-	RelDisc float64
-}
-
-// CSweepAblation runs RSME on the first dataset at the top-of-sweep k for
-// a range of candidate multipliers. Larger c admits more injection
-// candidates: harder k values become feasible and less noise per edge is
-// needed, at the cost of touching more vertex pairs.
-func (c Config) CSweepAblation(multipliers []float64) ([]CSweepRow, error) {
-	c = c.withDefaults()
-	if len(multipliers) == 0 {
-		multipliers = []float64{1.1, 1.5, 2.0, 3.0}
-	}
-	d := c.Datasets()[0]
-	g, err := c.BuildDataset(d)
-	if err != nil {
-		return nil, err
-	}
-	paperK := c.PaperKs[len(c.PaperKs)-1]
-	k := d.KScale(paperK)
-	est := c.estimator(0, 7)
-	var rows []CSweepRow
-	for _, mult := range multipliers {
-		if err := c.ctx().Err(); err != nil {
-			return rows, err
-		}
-		params := c.searchParams(k, d.Epsilon, c.Seed)
-		params.SizeMultiplier = mult
-		res, err := core.AnonymizeContext(c.ctx(), g, params)
-		if err != nil {
-			if cerr := c.ctx().Err(); cerr != nil {
-				return rows, cerr
-			}
-			rows = append(rows, CSweepRow{Dataset: d.Name, C: mult, K: k, Failed: true})
-			continue
-		}
-		disc, err := est.RelativeDiscrepancy(g, res.Graph, reliability.PairSample{Pairs: c.Pairs, Seed: c.Seed + 11})
-		if err == nil {
-			err = c.ctx().Err()
-		}
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, CSweepRow{Dataset: d.Name, C: mult, K: k, Sigma: res.Sigma, RelDisc: disc})
-	}
-	return rows, nil
-}
-
-// WriteCSweep renders the candidate-budget ablation table.
-func WriteCSweep(w io.Writer, rows []CSweepRow) {
-	fmt.Fprintln(w, "Ablation: candidate-set multiplier c (RSME at the top-of-sweep k)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  dataset\tc\tk\tsigma\trel discrepancy")
-	for _, r := range rows {
-		if r.Failed {
-			fmt.Fprintf(tw, "  %s\t%.1f\t%d\tFAIL\t-\n", r.Dataset, r.C, r.K)
-			continue
-		}
-		fmt.Fprintf(tw, "  %s\t%.1f\t%d\t%.3f\t%.4f\n", r.Dataset, r.C, r.K, r.Sigma, r.RelDisc)
 	}
 	tw.Flush()
 }

@@ -52,43 +52,3 @@ func degreeHistogram(d gen.Dataset, g *uncertain.Graph) Histogram {
 	}
 	return Histogram{Dataset: d.Name, Labels: labels, Counts: counts}
 }
-
-// Fig4 runs the Figure 4 study: for each dataset and k, the Rep-An
-// distortion, the Chameleon (RSME) lower bound, and the distortion of the
-// representative-extraction step alone.
-func (c Config) Fig4() ([]Fig4Row, error) {
-	c = c.withDefaults()
-	var rows []Fig4Row
-	for _, d := range c.Datasets() {
-		g, err := c.BuildDataset(d)
-		if err != nil {
-			return nil, err
-		}
-		base := c.MeasureBaseline(d, g)
-		extraction, err := c.ExtractionOnlyDiscrepancy(g)
-		if err != nil {
-			return nil, err
-		}
-		for _, paperK := range c.PaperKs {
-			repRun := c.RunCell(d, g, base, "Rep-An", paperK)
-			if err := c.ctx().Err(); err != nil {
-				return rows, err
-			}
-			chamRun := c.RunCell(d, g, base, "RSME", paperK)
-			if err := c.ctx().Err(); err != nil {
-				return rows, err
-			}
-			rows = append(rows, Fig4Row{
-				Dataset:        d.Name,
-				PaperK:         paperK,
-				K:              d.KScale(paperK),
-				RepAn:          repRun.RelDiscrepancy,
-				RepAnFailed:    repRun.Failed,
-				Chameleon:      chamRun.RelDiscrepancy,
-				ChamFailed:     chamRun.Failed,
-				ExtractionOnly: extraction,
-			})
-		}
-	}
-	return rows, nil
-}

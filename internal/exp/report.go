@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 )
@@ -99,26 +100,13 @@ func WriteFigure(w io.Writer, id string, runs []Run) error {
 		method  string
 	}
 	cells := make(map[cellKey]Run)
-	datasets := []string{}
-	ks := []int{}
-	methods := []string{}
-	seenD := map[string]bool{}
-	seenK := map[int]bool{}
-	seenM := map[string]bool{}
+	var datasets, methods []string
+	var ks []int
 	for _, r := range runs {
 		cells[cellKey{r.Dataset, r.PaperK, r.Method}] = r
-		if !seenD[r.Dataset] {
-			seenD[r.Dataset] = true
-			datasets = append(datasets, r.Dataset)
-		}
-		if !seenK[r.PaperK] {
-			seenK[r.PaperK] = true
-			ks = append(ks, r.PaperK)
-		}
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
+		datasets = appendNew(datasets, r.Dataset)
+		ks = appendNew(ks, r.PaperK)
+		methods = appendNew(methods, r.Method)
 	}
 	sort.Ints(ks)
 
@@ -154,35 +142,37 @@ func WriteFigure(w io.Writer, id string, runs []Run) error {
 	return nil
 }
 
-// Fig4Row is one point of the Figure 4 study: the structural distortion of
-// Rep-An versus the Chameleon lower bound, per k, plus the
-// extraction-only component.
-type Fig4Row struct {
-	Dataset        string
-	PaperK         int
-	K              int
-	RepAn          float64 // Rep-An total distortion
-	RepAnFailed    bool    // Rep-An found no (k,eps)-obfuscation
-	Chameleon      float64 // RSME distortion (the achievable lower bound)
-	ChamFailed     bool    // RSME found no (k,eps)-obfuscation
-	ExtractionOnly float64 // distortion of the representative alone
-}
-
-// WriteFig4 renders the Figure 4 table.
-func WriteFig4(w io.Writer, rows []Fig4Row) {
+// WriteFig4 renders Figure 4 from the cells of a sweep that ran Rep-An
+// and RSME: for each dataset and k, the structural distortion of Rep-An
+// versus the Chameleon (RSME) lower bound, plus the distortion of the
+// representative-extraction step alone, which the dataset's baseline
+// carries. Datasets follow bases, ks the sweep's order.
+func WriteFig4(w io.Writer, runs []Run, bases []Baseline) {
+	type key struct {
+		dataset, method string
+		paperK          int
+	}
+	cells := map[key]Run{}
+	for _, r := range runs {
+		cells[key{r.Dataset, r.Method, r.PaperK}] = r
+	}
+	cell := func(r Run) string {
+		if r.Failed {
+			return "FAIL"
+		}
+		return fmt.Sprintf("%.4f", r.RelDiscrepancy)
+	}
 	fmt.Fprintln(w, "Figure 4: structural distortion (avg reliability discrepancy ratio) of Rep-An vs Chameleon lower bound")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  dataset\tk(paper)\tk(scaled)\tRep-An\tChameleon(lower bound)\textraction-only")
-	cell := func(v float64, failed bool) string {
-		if failed {
-			return "FAIL"
+	for _, b := range bases {
+		for _, rep := range runs {
+			cham, ok := cells[key{b.Dataset, "RSME", rep.PaperK}]
+			if rep.Dataset == b.Dataset && rep.Method == "Rep-An" && ok {
+				fmt.Fprintf(tw, "  %s\t%d\t%d\t%s\t%s\t%.4f\n",
+					b.Dataset, rep.PaperK, rep.K, cell(rep), cell(cham), b.ExtractionOnly)
+			}
 		}
-		return fmt.Sprintf("%.4f", v)
-	}
-	for _, r := range rows {
-		fmt.Fprintf(tw, "  %s\t%d\t%d\t%s\t%s\t%.4f\n",
-			r.Dataset, r.PaperK, r.K, cell(r.RepAn, r.RepAnFailed),
-			cell(r.Chameleon, r.ChamFailed), r.ExtractionOnly)
 	}
 	tw.Flush()
 }
@@ -209,7 +199,6 @@ func WriteTiming(w io.Writer, runs []Run) {
 	anonTimes := map[key][]float64{}
 	evalTimes := map[key][]float64{}
 	var datasets, methods []string
-	seenD, seenM := map[string]bool{}, map[string]bool{}
 	for _, r := range runs {
 		if r.Failed {
 			continue
@@ -218,14 +207,8 @@ func WriteTiming(w io.Writer, runs []Run) {
 		times[k] = append(times[k], float64(r.Elapsed.Milliseconds()))
 		anonTimes[k] = append(anonTimes[k], float64(r.AnonElapsed.Milliseconds()))
 		evalTimes[k] = append(evalTimes[k], float64(r.EvalElapsed.Milliseconds()))
-		if !seenD[r.Dataset] {
-			seenD[r.Dataset] = true
-			datasets = append(datasets, r.Dataset)
-		}
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
+		datasets = appendNew(datasets, r.Dataset)
+		methods = appendNew(methods, r.Method)
 	}
 	median := func(xs []float64) float64 {
 		if len(xs) == 0 {
@@ -251,4 +234,13 @@ func WriteTiming(w io.Writer, runs []Run) {
 		fmt.Fprintln(tw, row)
 	}
 	tw.Flush()
+}
+
+// appendNew appends x unless xs holds it already: the first-seen order of
+// a handful of table axes.
+func appendNew[T comparable](xs []T, x T) []T {
+	if slices.Contains(xs, x) {
+		return xs
+	}
+	return append(xs, x)
 }

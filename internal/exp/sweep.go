@@ -5,11 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chameleon/internal/core"
 	"chameleon/internal/gen"
 	"chameleon/internal/metrics"
 	"chameleon/internal/obs"
-	"chameleon/internal/reliability"
 	"chameleon/internal/repan"
 	"chameleon/internal/uncertain"
 )
@@ -108,25 +106,32 @@ type Baseline struct {
 	AvgDistance float64
 	EffDiameter float64
 	Clustering  float64
+	// ExtractionOnly is the relative reliability discrepancy of Rep-An's
+	// extracted representative alone (Figure 4's discussion: "the sole
+	// representative extraction step produces high reliability errors").
+	ExtractionOnly float64
 }
 
-// MeasureBaseline computes the original-graph metric values.
-func (c Config) MeasureBaseline(d gen.Dataset, g *uncertain.Graph) Baseline {
+// MeasureBaseline computes the original-graph metric values. Its error is
+// the extraction-only estimate's, in practice the run's cancellation.
+func (c Config) MeasureBaseline(d gen.Dataset, g *uncertain.Graph) (Baseline, error) {
 	c = c.withDefaults()
 	mo := metrics.Options{Samples: c.MetricSamples, Seed: c.Seed, Workers: c.Workers}
 	dist := mo.Distances(g)
+	extraction, err := c.discrepancy(g, repan.Representative(g), 7, 11)
 	return Baseline{
-		Dataset:     d.Name,
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		MeanProb:    g.MeanProb(),
-		Epsilon:     d.Epsilon,
-		AvgDegree:   metrics.AverageDegree(g),
-		MaxDegree:   mo.MaxDegree(g),
-		AvgDistance: dist.AverageDistance,
-		EffDiameter: dist.EffectiveDiameter,
-		Clustering:  mo.ClusteringCoefficient(g),
-	}
+		Dataset:        d.Name,
+		Nodes:          g.NumNodes(),
+		Edges:          g.NumEdges(),
+		MeanProb:       g.MeanProb(),
+		Epsilon:        d.Epsilon,
+		AvgDegree:      metrics.AverageDegree(g),
+		MaxDegree:      mo.MaxDegree(g),
+		AvgDistance:    dist.AverageDistance,
+		EffDiameter:    dist.EffectiveDiameter,
+		Clustering:     mo.ClusteringCoefficient(g),
+		ExtractionOnly: extraction,
+	}, err
 }
 
 // RunCell anonymizes one (dataset, method, k) cell and measures all the
@@ -134,13 +139,14 @@ func (c Config) MeasureBaseline(d gen.Dataset, g *uncertain.Graph) Baseline {
 func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method string, paperK int) Run {
 	c = c.withDefaults()
 	k := d.KScale(paperK)
+	reg := c.Obs.Registry()
 	if cached, ok := c.Cells.Get(d.Name, method, paperK); ok {
 		// Cell seeds depend only on (config seed, method, k), so a stored
 		// cell is exactly what recomputing it would produce.
-		c.Obs.Registry().Counter("exp.cells_restored").Inc()
+		reg.Counter("exp.cells_restored").Inc()
 		c.Obs.Debug("exp: cell restored from sweep checkpoint",
 			"dataset", d.Name, "method", method, "k", k)
-		c.prog.step(c.Obs.Registry())
+		c.prog.step(reg)
 		return cached
 	}
 	run := Run{Dataset: d.Name, Method: method, PaperK: paperK, K: k}
@@ -149,84 +155,65 @@ func (c Config) RunCell(d gen.Dataset, g *uncertain.Graph, base Baseline, method
 	cell.SetAttr("dataset", d.Name)
 	cell.SetAttr("method", method)
 	cell.SetAttr("k", k)
-	finish := func(run *Run) {
-		run.Elapsed = time.Since(start)
-		cell.SetAttr("failed", run.Failed)
-		cell.End()
-		c.Obs.AttachSpan(cell)
-		c.Obs.Registry().Counter("exp.cells").Inc()
-		if run.Failed {
-			c.Obs.Registry().Counter("exp.cells_failed").Inc()
-		}
-		c.Obs.Registry().Latency("exp.cell_seconds").Observe(run.Elapsed)
-		c.Obs.Debug("exp: cell done", "dataset", d.Name, "method", method,
-			"k", k, "failed", run.Failed, "anon", run.AnonElapsed,
-			"eval", run.EvalElapsed, "total", run.Elapsed)
-		c.prog.step(c.Obs.Registry())
-		if c.ctx().Err() == nil {
-			// Only genuinely finished cells are checkpointed: a cell whose
-			// failure is the cancellation itself must be recomputed on
-			// resume, not replayed as a failure.
-			if err := c.Cells.Put(*run); err != nil {
-				c.Obs.Log("exp: sweep checkpoint write failed", "error", err.Error())
-			}
-		}
-	}
 
 	params := c.searchParams(k, d.Epsilon, c.Seed^hashName(method)^uint64(paperK))
 	params.Obs = c.Obs
 	params.ProgressBase, params.ProgressSpan = c.prog.window()
-	var res *core.Result
-	variant, err := core.ParseVariant(method)
-	if err == nil {
-		params.Variant = variant
-		res, err = core.AnonymizeContext(c.ctx(), g, params)
-	}
+	// A cancelled release is a failed cell like any other here; the
+	// checkpoint gate below keeps it out of the store.
+	res, fail, _ := c.release(g, method, params)
 	run.AnonElapsed = time.Since(start)
 	if res != nil {
 		cell.Adopt(res.Trace)
 	}
-	if err != nil {
-		run.Failed = true
-		run.FailReason = err.Error()
-		finish(&run)
-		return run
-	}
-	run.EpsilonTilde = res.EpsilonTilde
-	run.Sigma = res.Sigma
-	cell.SetAttr("sigma", res.Sigma)
-	cell.SetAttr("epsilon_tilde", res.EpsilonTilde)
-
-	evalStart := time.Now()
-	eval := cell.StartChild("evaluate")
-	pub := res.Graph
-	est := c.estimator(0, 7)
-	rel, err := est.RelativeDiscrepancy(g, pub, reliability.PairSample{Pairs: c.Pairs, Seed: c.Seed + 11})
-	if err == nil {
-		// Evaluation truncated by cancellation yields garbage metrics; fold
-		// it into the failure path (finish skips checkpointing it).
-		err = c.ctx().Err()
-	}
-	if err != nil {
-		run.Failed = true
-		run.FailReason = err.Error()
+	if fail == nil {
+		run.EpsilonTilde = res.EpsilonTilde
+		run.Sigma = res.Sigma
+		cell.SetAttr("sigma", res.Sigma)
+		cell.SetAttr("epsilon_tilde", res.EpsilonTilde)
+		evalStart := time.Now()
+		eval := cell.StartChild("evaluate")
+		pub := res.Graph
+		var rel float64
+		if rel, fail = c.discrepancy(g, pub, 7, 11); fail == nil {
+			run.RelDiscrepancy = rel
+			mo := metrics.Options{Samples: c.MetricSamples, Seed: c.Seed + 13, Workers: c.Workers}
+			run.AvgDegreeErr = metrics.RelativeError(base.AvgDegree, metrics.AverageDegree(pub))
+			run.MaxDegreeErr = metrics.RelativeError(base.MaxDegree, mo.MaxDegree(pub))
+			dist := mo.Distances(pub)
+			run.AvgDistanceErr = metrics.RelativeError(base.AvgDistance, dist.AverageDistance)
+			run.EffDiameterErr = metrics.RelativeError(base.EffDiameter, dist.EffectiveDiameter)
+			run.ClusteringErr = metrics.RelativeError(base.Clustering, mo.ClusteringCoefficient(pub))
+		}
 		run.EvalElapsed = time.Since(evalStart)
 		eval.End()
-		finish(&run)
-		return run
 	}
-	run.RelDiscrepancy = rel
+	if fail != nil {
+		run.Failed = true
+		run.FailReason = fail.Error()
+	}
 
-	mo := metrics.Options{Samples: c.MetricSamples, Seed: c.Seed + 13, Workers: c.Workers}
-	run.AvgDegreeErr = metrics.RelativeError(base.AvgDegree, metrics.AverageDegree(pub))
-	run.MaxDegreeErr = metrics.RelativeError(base.MaxDegree, mo.MaxDegree(pub))
-	dist := mo.Distances(pub)
-	run.AvgDistanceErr = metrics.RelativeError(base.AvgDistance, dist.AverageDistance)
-	run.EffDiameterErr = metrics.RelativeError(base.EffDiameter, dist.EffectiveDiameter)
-	run.ClusteringErr = metrics.RelativeError(base.Clustering, mo.ClusteringCoefficient(pub))
-	run.EvalElapsed = time.Since(evalStart)
-	eval.End()
-	finish(&run)
+	run.Elapsed = time.Since(start)
+	cell.SetAttr("failed", run.Failed)
+	cell.End()
+	c.Obs.AttachSpan(cell)
+	reg.Counter("exp.cells").Inc()
+	if run.Failed {
+		reg.Counter("exp.cells_failed").Inc()
+	}
+	reg.Latency("exp.cell_seconds").Observe(run.Elapsed)
+	c.Obs.Debug("exp: cell done", "dataset", d.Name, "method", method,
+		"k", k, "failed", run.Failed, "anon", run.AnonElapsed,
+		"eval", run.EvalElapsed, "total", run.Elapsed)
+	c.prog.step(reg)
+	if c.ctx().Err() == nil {
+		// Only genuinely finished cells are checkpointed: a cell whose
+		// failure is the cancellation itself must be recomputed on resume,
+		// not replayed as a failure.
+		if err := c.Cells.Put(run); err != nil {
+			c.Obs.Log("exp: sweep checkpoint write failed", "error", err.Error())
+		}
+	}
 	return run
 }
 
@@ -238,7 +225,10 @@ func (c Config) Sweep(d gen.Dataset, methods []string) ([]Run, Baseline, error) 
 	if err != nil {
 		return nil, Baseline{}, err
 	}
-	base := c.MeasureBaseline(d, g)
+	base, err := c.MeasureBaseline(d, g)
+	if err != nil {
+		return nil, base, err
+	}
 	var runs []Run
 	for _, method := range methods {
 		for _, paperK := range c.PaperKs {
@@ -275,18 +265,4 @@ func (c Config) SweepAll(methods []string) ([]Run, []Baseline, error) {
 // is cleared so a later invocation starts fresh instead of replaying.
 func (c Config) Finish() error {
 	return c.Cells.Clear()
-}
-
-// ExtractionOnlyDiscrepancy measures the reliability discrepancy caused by
-// the representative-extraction step alone (Figure 4's discussion: "the
-// sole representative extraction step produces high reliability errors").
-func (c Config) ExtractionOnlyDiscrepancy(g *uncertain.Graph) (float64, error) {
-	c = c.withDefaults()
-	rep := repan.Representative(g)
-	est := c.estimator(0, 7)
-	disc, err := est.RelativeDiscrepancy(g, rep, reliability.PairSample{Pairs: c.Pairs, Seed: c.Seed + 11})
-	if err == nil {
-		err = c.ctx().Err()
-	}
-	return disc, err
 }

@@ -25,9 +25,6 @@ type Options struct {
 	Seed uint64
 	// Workers caps parallelism; 0 = GOMAXPROCS.
 	Workers int
-	// ANF configures the neighborhood-function estimator for distance
-	// metrics.
-	ANF anf.Options
 }
 
 func (o Options) samples(def int) int {
@@ -94,9 +91,7 @@ func (o Options) Distances(g *uncertain.Graph) DistanceStats {
 	ad := make([]float64, n)
 	ed := make([]float64, n)
 	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
-		opts := o.ANF
-		opts.Seed = o.Seed ^ (uint64(i) * 0x9e3779b9)
-		r := anf.Neighborhood(w, opts)
+		r := anf.Neighborhood(w, anf.Options{Seed: o.Seed ^ (uint64(i) * 0x9e3779b9)})
 		ad[i] = r.AverageDistance()
 		ed[i] = r.EffectiveDiameter(0.9)
 	})

@@ -80,7 +80,6 @@ func TestDistancesPathGraph(t *testing.T) {
 	// Certain path of 3: avg distance 8/6, effective diameter <= 2.
 	g := certainGraph(t, 3, [2]uncertain.NodeID{0, 1}, [2]uncertain.NodeID{1, 2})
 	o := Options{Samples: 5, Seed: 5}
-	o.ANF.Trials = 128
 	d := o.Distances(g)
 	if math.Abs(d.AverageDistance-8.0/6.0) > 0.4 {
 		t.Fatalf("AverageDistance = %v, want ~%v", d.AverageDistance, 8.0/6.0)
@@ -100,7 +99,6 @@ func TestDistancesScaleWithGraph(t *testing.T) {
 		shortPath.MustAddEdge(uncertain.NodeID(i), uncertain.NodeID(i+1), 1)
 	}
 	o := Options{Samples: 3, Seed: 6}
-	o.ANF.Trials = 64
 	long := o.Distances(longPath)
 	short := o.Distances(shortPath)
 	if long.AverageDistance <= short.AverageDistance {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"chameleon/internal/obs"
 	"chameleon/internal/uncertain"
 )
 
@@ -89,5 +90,33 @@ func TestEdgeRelevanceAllocatesPerWorker(t *testing.T) {
 	if limit := uint64(64 * (workers + 1) * m); got > limit {
 		t.Fatalf("adaptive EdgeRelevance allocated %d bytes, want at most %d = 64·(workers+1)·m (a presence mask per world is %d)",
 			got, limit, est.maxSamples()*m/8)
+	}
+}
+
+// TestTracedCachedQueryAllocs: attaching an Observer costs a cached query
+// no allocations. Every metric name is rendered once per operation at
+// package init, never per call.
+func TestTracedCachedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the non-race pass")
+	}
+	g := randomGraph(41, 400, 1000)
+	measure := func(o *obs.Observer) (pair, vector float64) {
+		est := Estimator{Samples: 256, Seed: 2, Workers: 1, Cache: NewLabelCache(), Obs: o}
+		// Warm-up: fills the label cache and the hub planes, and creates
+		// the observer's instruments.
+		est.PairReliability(g, 0, 1)
+		est.ReliabilityVector(g, 0)
+		pair = testing.AllocsPerRun(20, func() { est.PairReliability(g, 0, 1) })
+		vector = testing.AllocsPerRun(20, func() { est.ReliabilityVector(g, 0) })
+		return pair, vector
+	}
+	pair, vector := measure(nil)
+	tracedPair, tracedVector := measure(obs.NewObserver())
+	if tracedPair != pair {
+		t.Errorf("traced cached PairReliability allocates %v times, untraced %v", tracedPair, pair)
+	}
+	if tracedVector != vector {
+		t.Errorf("traced cached ReliabilityVector allocates %v times, untraced %v", tracedVector, vector)
 	}
 }

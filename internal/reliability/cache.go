@@ -335,7 +335,7 @@ func (e Estimator) WarmCache(g *uncertain.Graph) {
 	if e.Cache == nil {
 		return
 	}
-	defer e.timeOp("WarmCache", time.Now())
+	defer e.timeOp(opWarmCache, time.Now())
 	ls := e.sampleLabelsT(g)
 	if !e.cancelled() {
 		ls.buildPlanes(g)

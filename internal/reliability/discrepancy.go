@@ -64,7 +64,7 @@ func pairWorlds(lg, lh *labelSet) int {
 // Cost is O(N * |V|^2) label comparisons; use SampledPairDiscrepancy for
 // large graphs.
 func (e Estimator) Discrepancy(g, h *uncertain.Graph) (float64, error) {
-	defer e.timeOp("Discrepancy", time.Now())
+	defer e.timeOp(opDiscrepancy, time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
 	}
@@ -87,7 +87,7 @@ func (e Estimator) Discrepancy(g, h *uncertain.Graph) (float64, error) {
 	}
 	// Per-pair values share the same N worlds and are correlated, so this
 	// is a spread diagnostic, not Monte Carlo error: see recordPairSpread.
-	e.recordPairSpread("Discrepancy", w)
+	e.recordPairSpread(opDiscrepancy, w)
 	e.releaseLabels(lg)
 	e.releaseLabels(lh)
 	return delta, nil
@@ -107,7 +107,7 @@ type PairSample struct {
 // the "average reliability discrepancy" (Figure 4) which is exactly this
 // per-pair mean.
 func (e Estimator) SampledPairDiscrepancy(g, h *uncertain.Graph, ps PairSample) (float64, error) {
-	defer e.timeOp("SampledPairDiscrepancy", time.Now())
+	defer e.timeOp(opSampledPairDiscrepancy, time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
 	}
@@ -148,7 +148,7 @@ func (e Estimator) SampledPairDiscrepancy(g, h *uncertain.Graph, ps PairSample) 
 	// error of the mean conditional on the drawn worlds; it says nothing
 	// about world-sampling convergence (all pairs reuse the same N worlds),
 	// hence pairspread rather than quality: see recordPairSpread.
-	e.recordPairSpread("SampledPairDiscrepancy", w)
+	e.recordPairSpread(opSampledPairDiscrepancy, w)
 	e.releaseLabels(lg)
 	e.releaseLabels(lh)
 	return total / float64(pairs), nil
@@ -168,7 +168,7 @@ func (e Estimator) SampledPairDiscrepancy(g, h *uncertain.Graph, ps PairSample) 
 // from per-chunk moments of each graph's counts merged over the counted
 // chunks.
 func (e Estimator) DeltaExpectedConnectedPairs(g, h *uncertain.Graph) (float64, error) {
-	defer e.timeOp("DeltaExpectedConnectedPairs", time.Now())
+	defer e.timeOp(opDeltaExpectedPairs, time.Now())
 	if g.NumNodes() != h.NumNodes() {
 		return 0, fmt.Errorf("reliability: vertex count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
 	}
@@ -182,7 +182,7 @@ func (e Estimator) DeltaExpectedConnectedPairs(g, h *uncertain.Graph) (float64, 
 		ch[i/sampleChunk].Add(float64(ph))
 		return pg - ph
 	})
-	e.recordQuality("DeltaExpectedConnectedPairs", stat.Welford)
+	e.recordQuality(opDeltaExpectedPairs, stat.Welford)
 	n := e.effSamples(stat.Welford)
 	if vd := stat.Variance(); e.Obs != nil && vd > 0 {
 		var sg, sh obs.Welford

@@ -174,6 +174,46 @@ func (e Estimator) rngFor(i int) *rand.Rand {
 	return rand.New(rand.NewPCG(e.Seed, e.streamFor(i)))
 }
 
+// opNames is one estimator operation's metric names, rendered once at
+// package init (as workerNames is) so a traced call formats no strings.
+type opNames struct {
+	op                string
+	ops, latency      string // mc.ops.<op>, mc.latency.<op>
+	quality, spread   streamNames
+	converged, capped string // mc.adaptive.<op>.converged / .capped
+}
+
+// streamNames is a quality stream's name and its last-call gauge names.
+type streamNames struct {
+	name, stderr, ci95Lo, ci95Hi, rse string
+}
+
+func newStreamNames(name string) streamNames {
+	return streamNames{name, name + ".last_stderr", name + ".last_ci95_lo", name + ".last_ci95_hi", name + ".last_rse"}
+}
+
+func newOp(op string) *opNames {
+	return &opNames{
+		op: op, ops: "mc.ops." + op, latency: "mc.latency." + op,
+		quality:   newStreamNames("mc.quality." + op),
+		spread:    newStreamNames("mc.pairspread." + op),
+		converged: "mc.adaptive." + op + ".converged",
+		capped:    "mc.adaptive." + op + ".capped",
+	}
+}
+
+// The estimator's traced operations.
+var (
+	opWarmCache              = newOp("WarmCache")
+	opDiscrepancy            = newOp("Discrepancy")
+	opSampledPairDiscrepancy = newOp("SampledPairDiscrepancy")
+	opDeltaExpectedPairs     = newOp("DeltaExpectedConnectedPairs")
+	opExpectedPairs          = newOp("ExpectedConnectedPairs")
+	opPairReliability        = newOp("PairReliability")
+	opReliabilityVector      = newOp("ReliabilityVector")
+	opEdgeRelevance          = newOp("EdgeRelevance")
+)
+
 // timeOp records one completed estimator operation: its wall time into a
 // per-operation latency instrument (mc.latency.<op>, an HDR histogram
 // whose p50/p99/p999 hold across the microsecond-to-minute range — the
@@ -181,13 +221,13 @@ func (e Estimator) rngFor(i int) *rand.Rand {
 // the largest finite bound) and an invocation counter. Call it deferred
 // with the operation's start time; with Obs nil it costs one pointer
 // test.
-func (e Estimator) timeOp(name string, start time.Time) {
+func (e Estimator) timeOp(op *opNames, start time.Time) {
 	if e.Obs == nil {
 		return
 	}
 	reg := e.Obs.Registry()
-	reg.Counter("mc.ops." + name).Inc()
-	reg.Latency("mc.latency." + name).Observe(time.Since(start))
+	reg.Counter(op.ops).Inc()
+	reg.Latency(op.latency).Observe(time.Since(start))
 }
 
 // scratch is one worker's reusable Monte Carlo state: the PCG that is
@@ -597,8 +637,8 @@ const UndersampledRSE = 0.05
 // sampled world, the forEachSample contract) so that stderr is the Monte
 // Carlo error of the estimate. Per-pair discrepancy values do not qualify
 // — see recordPairSpread.
-func (e Estimator) recordQuality(op string, w obs.Welford) {
-	e.recordStream("mc.quality.", op, w, true)
+func (e Estimator) recordQuality(op *opNames, w obs.Welford) {
+	e.recordStream(op, op.quality, w, true)
 }
 
 // recordPairSpread publishes the dispersion of per-PAIR values under
@@ -609,33 +649,32 @@ func (e Estimator) recordQuality(op string, w obs.Welford) {
 // bound only the pair-sampling error conditional on the drawn worlds,
 // excluding world-sampling noise. These streams therefore never feed the
 // mc.quality.undersampled convergence flag.
-func (e Estimator) recordPairSpread(op string, w obs.Welford) {
-	e.recordStream("mc.pairspread.", op, w, false)
+func (e Estimator) recordPairSpread(op *opNames, w obs.Welford) {
+	e.recordStream(op, op.spread, w, false)
 }
 
-// recordStream merges the accumulator into the quality stream prefix+op and
+// recordStream merges the accumulator into op's quality stream names and
 // sets the last-call gauges. The gauge names carry a "last_" prefix so
 // their sanitized /metrics forms (mc_quality_X_last_stderr, ...) never
 // collide with the stream's own pooled expansion (mc_quality_X_stderr,
 // ...) — a collision would duplicate metric families and abort Prometheus
 // scrapes. convergence gates the under-sampled flag (fixed budget) or the
 // per-op stop-reason counters (adaptive).
-func (e Estimator) recordStream(prefix, op string, w obs.Welford, convergence bool) {
+func (e Estimator) recordStream(op *opNames, names streamNames, w obs.Welford, convergence bool) {
 	if e.Obs == nil || w.Count() < 2 || e.cancelled() {
 		// A cancelled estimate's accumulator covers a truncated sample set;
 		// recording it would pollute the quality streams of the final
 		// (interrupted) snapshot with bogus convergence data.
 		return
 	}
-	name := prefix + op // built past the nil check: no allocation without an observer
 	reg := e.Obs.Registry()
-	reg.Quality(name).Merge(w)
-	reg.Gauge(name + ".last_stderr").Set(w.StdErr())
+	reg.Quality(names.name).Merge(w)
+	reg.Gauge(names.stderr).Set(w.StdErr())
 	lo, hi := w.CI95()
-	reg.Gauge(name + ".last_ci95_lo").Set(lo)
-	reg.Gauge(name + ".last_ci95_hi").Set(hi)
+	reg.Gauge(names.ci95Lo).Set(lo)
+	reg.Gauge(names.ci95Hi).Set(hi)
 	rse := w.RelStdErr()
-	reg.Gauge(name + ".last_rse").Set(rse)
+	reg.Gauge(names.rse).Set(rse)
 	if !convergence {
 		return
 	}
@@ -646,18 +685,18 @@ func (e Estimator) recordStream(prefix, op string, w obs.Welford, convergence bo
 		// before the target was met — and is distinguishable from a
 		// converged one, which the old undersampled counter never was.
 		if rse <= e.TargetRSE {
-			reg.Counter("mc.adaptive." + op + ".converged").Inc()
+			reg.Counter(op.converged).Inc()
 		} else {
-			reg.Counter("mc.adaptive." + op + ".capped").Inc()
+			reg.Counter(op.capped).Inc()
 			e.Obs.Debug("mc: adaptive estimate capped before target RSE",
-				"op", op, "rse", rse, "target", e.TargetRSE, "samples", w.Count())
+				"op", op.op, "rse", rse, "target", e.TargetRSE, "samples", w.Count())
 		}
 		return
 	}
 	if rse > UndersampledRSE {
 		reg.Counter("mc.quality.undersampled").Inc()
 		e.Obs.Debug("mc: estimate under-sampled",
-			"op", op, "rse", rse, "samples", w.Count(), "stderr", w.StdErr())
+			"op", op.op, "rse", rse, "samples", w.Count(), "stderr", w.StdErr())
 	}
 }
 
@@ -687,20 +726,20 @@ func (e Estimator) SampleLabels(g *uncertain.Graph) [][]int32 {
 // ExpectedConnectedPairs estimates E[cc(G)]: the expected number of
 // connected unordered vertex pairs.
 func (e Estimator) ExpectedConnectedPairs(g *uncertain.Graph) float64 {
-	defer e.timeOp("ExpectedConnectedPairs", time.Now())
+	defer e.timeOp(opExpectedPairs, time.Now())
 	if ls := e.cachedLabels(g); ls != nil {
 		var stat tally
 		for _, c := range ls.cc {
 			stat.add(c)
 		}
-		e.recordQuality("ExpectedConnectedPairs", stat.Welford)
+		e.recordQuality(opExpectedPairs, stat.Welford)
 		return meanOf(stat.sum, len(ls.cc))
 	}
 	stat := e.forEachSample(g, nil, func(i int, sc *scratch) int64 {
 		_, pairs := sc.componentsPairs()
 		return pairs
 	})
-	e.recordQuality("ExpectedConnectedPairs", stat.Welford)
+	e.recordQuality(opExpectedPairs, stat.Welford)
 	return meanOf(stat.sum, e.effSamples(stat.Welford))
 }
 
@@ -712,7 +751,7 @@ func (e Estimator) ExpectedConnectedPairs(g *uncertain.Graph) float64 {
 // The hits are 0/1 per world, so the quality stream is recorded from
 // their count in closed form.
 func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) float64 {
-	defer e.timeOp("PairReliability", time.Now())
+	defer e.timeOp(opPairReliability, time.Now())
 	if e.Cache != nil {
 		ls := e.sampleLabelsT(g)
 		ru, rv := ls.row(int(u)), ls.row(int(v))
@@ -724,7 +763,7 @@ func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) fl
 			}
 		}
 		n := len(ru)
-		e.recordQuality("PairReliability", obs.BernoulliWelford(int64(n), int64(hits)))
+		e.recordQuality(opPairReliability, obs.BernoulliWelford(int64(n), int64(hits)))
 		if n == 0 {
 			n = 1 // cancelled before any world: caller discards via Ctx.Err()
 		}
@@ -736,7 +775,7 @@ func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) fl
 		}
 		return 0
 	})
-	e.recordQuality("PairReliability", stat.Welford)
+	e.recordQuality(opPairReliability, stat.Welford)
 	return meanOf(stat.sum, e.effSamples(stat.Welford))
 }
 
@@ -747,7 +786,7 @@ func (e Estimator) PairReliability(g *uncertain.Graph, u, v uncertain.NodeID) fl
 // once, and the cached set's hub planes replace most label compares with
 // popcounts. The counts are integers, so every path gives the same values.
 func (e Estimator) ReliabilityVector(g *uncertain.Graph, src uncertain.NodeID) []float64 {
-	defer e.timeOp("ReliabilityVector", time.Now())
+	defer e.timeOp(opReliabilityVector, time.Now())
 	ls := e.sampleLabelsT(g)
 	if e.Cache != nil {
 		ls.buildPlanes(g)

@@ -61,7 +61,7 @@ func addWorld(sums []edgeSum, present uncertain.Bitset, cc, one int64) {
 // such edge and world. The err.fallback_edges gauge counts these edges,
 // next to err.worlds, the effective N.
 func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
-	defer e.timeOp("EdgeRelevance", time.Now())
+	defer e.timeOp(opEdgeRelevance, time.Now())
 	m := g.NumEdges()
 	perWorker := make([][]edgeSum, e.workers())
 	group := func(sign int64) func(int, *scratch) int64 {
@@ -115,7 +115,7 @@ func (e Estimator) EdgeRelevance(g *uncertain.Graph) []float64 {
 		// result.
 		return make([]float64, m)
 	}
-	e.recordQuality("EdgeRelevance", ccStat.Welford)
+	e.recordQuality(opEdgeRelevance, ccStat.Welford)
 
 	// Per-edge standard error of the ERR estimate, from the pooled cc
 	// variance: Var(ERR^e) ~ Var(cc) * (1/n_e + 1/n_ne) under the grouped

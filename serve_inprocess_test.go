@@ -55,7 +55,7 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		cfg := exp.Config{Quick: true, Samples: 60, Seed: 5, Obs: o}
-		_, err := cfg.Fig4()
+		_, _, err := cfg.SweepAll([]string{"RSME", "Rep-An"}) // Figure 4's cells
 		done <- err
 	}()
 
@@ -66,7 +66,7 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("Fig4 sweep: %v", err)
+				t.Fatalf("Figure 4 sweep: %v", err)
 			}
 			running = false
 		default:
