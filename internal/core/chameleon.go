@@ -154,7 +154,10 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	st.phase = phase
 	bisections := 0
 	for cur.sigmaHi-cur.sigmaLo > p.SigmaTolerance {
-		mid := (cur.sigmaLo + cur.sigmaHi) / 2
+		// The halving compiles to a multiply by 0.5; float64() rounds it,
+		// so the differences below do not fuse it into a multiply-add on
+		// any GOARCH.
+		mid := float64((cur.sigmaLo + cur.sigmaHi) / 2)
 		last := mid-cur.sigmaLo <= p.SigmaTolerance && cur.sigmaHi-mid <= p.SigmaTolerance
 		out, err := st.genObfCtx(ctx, mid, st.seq, !last, res)
 		if err != nil {
@@ -293,10 +296,10 @@ type attemptSlot struct {
 	*searchInputs
 	pcg     *rand.PCG  // the attempt's stream, reseeded per attempt
 	rng     *rand.Rand // reads pcg
-	work    *uncertain.Graph
-	removed []uint32 // by edge index: == epoch when removed from E_C
+	removed []uint32   // by edge index: == epoch when removed from E_C
 	epoch   uint32
 	added   pairSet // injected pairs, in insertion order
+	trial   trial   // the attempt's outcome
 }
 
 func (in *searchInputs) newSlot() *attemptSlot {
@@ -305,6 +308,7 @@ func (in *searchInputs) newSlot() *attemptSlot {
 		searchInputs: in, pcg: pcg, rng: rand.New(pcg),
 		removed: make([]uint32, in.g.NumEdges()),
 		added:   newPairSet(in.target - in.g.NumEdges()),
+		trial:   trial{g: in.g, off: make([]int32, in.g.NumNodes()+2)},
 	}
 }
 

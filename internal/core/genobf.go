@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,12 +84,11 @@ func (st *searchState) genObfCtx(ctx context.Context, sigma float64, base uint64
 // is honored between attempts (each claimed trial polls ctx once); a
 // partial call's outcome is discarded by genObfCtx.
 //
-// Every attempt builds its graph in its slot's working graph, which no
-// winner ever takes: a new best copies its edge list into the call's best
-// list instead. At the end of the call the winner is rebuilt from that
-// list in slot 0's working graph, which leaves the slot for good (the
-// slot's next attempt clones the input afresh), so a graph genObf returns
-// is never touched again.
+// No attempt builds a graph: a trial records its outcome in its slot's
+// flat edge list, and the check reads it through a per-vertex view. A new
+// best copies that list into the call's best list, and at the end of the
+// call the winner is built from it once, by FromEdges, as a fresh graph
+// that no slot or later call holds.
 func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, probe bool, res *Result) genObfOutcome {
 	t := uint64(st.p.Attempts)
 	reg := st.p.Obs.Registry()
@@ -133,11 +133,8 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, p
 			spans[i] = asp
 			asp.SetAttr("sigma", sigma)
 			asp.SetAttr("seq", seq)
-			pub, rep, err := a.attempt(seq, sigma, asp)
-			// Injected candidates that survived perturbation: pub keeps
-			// every original edge, so the edge-count delta is exactly the
-			// re-injected non-edges.
-			asp.SetAttr("injected_edges", pub.NumEdges()-st.g.NumEdges())
+			rep, err := a.attempt(seq, sigma, asp)
+			asp.SetAttr("injected_edges", len(a.trial.injected()))
 			if err != nil {
 				asp.SetAttr("ok", false)
 				asp.SetAttr("error", err.Error())
@@ -159,7 +156,7 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, p
 			}
 			if better {
 				bestEps, bestI = rep.EpsilonTilde, i
-				st.best = pub.AppendEdges(st.best[:0])
+				st.best = append(st.best[:0], a.trial.edges...)
 			}
 			mu.Unlock()
 			if probe {
@@ -184,7 +181,7 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, p
 	best := genObfOutcome{epsilon: bestEps, base: base, probe: probe}
 	read := ran.Load()
 	if best.ok() {
-		best.graph = st.slots[0].publish(st.best)
+		best.graph = st.publish(st.best)
 		sp.SetAttr("epsilon_tilde", best.epsilon)
 		sp.SetAttr("seq", base+bestI)
 		if probe {
@@ -206,55 +203,96 @@ func (st *searchState) genObf(ctx context.Context, sigma float64, base uint64, p
 }
 
 // attempt runs trial seq at noise level sigma: it selects E_C, perturbs
-// it into a.work and checks the result, which it returns as pub. The
-// trial's RNG stream is PCG(Seed^0xC0DEC0DE, seq), reseeded in place.
-// Each of the three steps is timed as a child span of sp: "select",
-// "perturb" and "check".
-func (a *attemptSlot) attempt(seq uint64, sigma float64, sp *obs.Span) (pub *uncertain.Graph, rep privacy.ObfuscationReport, err error) {
+// it into a.trial and checks the graph a.trial stands for. The trial's
+// RNG stream is PCG(Seed^0xC0DEC0DE, seq), reseeded in place. Each of
+// the three steps is timed as a child span of sp: "select", "perturb"
+// and "check".
+func (a *attemptSlot) attempt(seq uint64, sigma float64, sp *obs.Span) (privacy.ObfuscationReport, error) {
 	a.pcg.Seed(a.p.Seed^0xC0DEC0DE, seq)
 	step := sp.StartChild("select")
 	a.selectCandidates(a.rng)
 	step.End()
 	step = sp.StartChild("perturb")
-	pub = a.perturb(sigma, a.rng)
+	t := a.perturb(sigma, a.rng)
 	step.End()
 	step = sp.StartChild("check")
-	rep, err = privacy.CheckObfuscation(pub, a.prop, a.p.K)
+	rep, err := privacy.CheckObfuscation(t, a.prop, a.p.K)
 	step.End()
-	return pub, rep, err
+	return rep, err
 }
 
-// resetWork returns a.work rolled back to the input, or a fresh clone of
-// the input when the slot has none.
-func (a *attemptSlot) resetWork() *uncertain.Graph {
-	if a.work == nil {
-		a.work = a.g.Clone()
-	} else {
-		a.work.Rollback(a.g)
-	}
-	return a.work
+// trial is one attempt's outcome as a flat edge list over the input g:
+// the input's edges in index order, each at its perturbed probability,
+// then the injected edges that survived the minInjectedProb floor, in
+// insertion order. It builds no graph. As a privacy.Published it is the
+// check's view of the graph publish builds from that list.
+type trial struct {
+	g     *uncertain.Graph
+	edges []uncertain.Edge
+
+	// The view's index, built once per attempt by index: vertex v's
+	// injected edges are edges[j] for j in byVertex[off[v]:off[v+1]], in
+	// insertion order, and maxDeg is the largest vertex degree.
+	off      []int32
+	byVertex []int32
+	maxDeg   int
+	inc      []int32 // IncidentProbs' buffer of edge indices
 }
 
-// publish rebuilds the graph whose edge list is edges — an attempt's
-// working graph, copied by AppendEdges — in a's working graph, and hands
-// that graph over: the slot's next attempt clones the input afresh. The
-// first |E| edges are the input's, each with its perturbed probability;
-// the rest are the injected edges in insertion order, re-added in that
-// order, so the result equals the attempt's graph in edge, index and
-// adjacency order alike.
-func (a *attemptSlot) publish(edges []uncertain.Edge) *uncertain.Graph {
-	pub := a.resetWork()
-	a.work = nil
-	m := a.g.NumEdges()
-	for i, e := range edges[:m] {
-		if err := pub.SetProb(i, e.P); err != nil {
-			panic(err) // unreachable: the attempt set the same probability
+// injected returns the trial's injected edges.
+func (t *trial) injected() []uncertain.Edge { return t.edges[t.g.NumEdges():] }
+
+// NumNodes returns |V|.
+func (t *trial) NumNodes() int { return t.g.NumNodes() }
+
+// MaxStructuralDegree returns the largest vertex degree of t's graph.
+func (t *trial) MaxStructuralDegree() int { return t.maxDeg }
+
+// IncidentProbs appends v's incident probabilities in t's graph to buf:
+// v's input edges in adjacency order, then v's injected edges in
+// insertion order. A Graph lists a vertex's edges in edge-index order, so
+// this is the order publish's graph lists them in, and the check's
+// Poisson-binomial DP adds them up in the same sequence. It reuses t's
+// buffer, so one trial serves one caller at a time.
+func (t *trial) IncidentProbs(v uncertain.NodeID, buf []float64) []float64 {
+	t.inc = append(t.g.IncidentEdges(v, t.inc[:0]), t.byVertex[t.off[v]:t.off[v+1]]...)
+	for _, j := range t.inc {
+		buf = append(buf, t.edges[j].P)
+	}
+	return buf
+}
+
+// index buckets the injected edges by endpoint, in insertion order, and
+// sets maxDeg. Counting v's edges at off[v+2] leaves v's bucket start at
+// off[v+1] after the prefix sum, and filling advances it to the bucket's
+// end, which is where v+1's starts.
+func (t *trial) index() {
+	n, m, inj := t.g.NumNodes(), t.g.NumEdges(), t.injected()
+	clear(t.off)
+	for _, e := range inj {
+		t.off[e.U+2]++
+		t.off[e.V+2]++
+	}
+	t.maxDeg = 0
+	for v := 0; v < n; v++ {
+		t.maxDeg = max(t.maxDeg, t.g.Degree(uncertain.NodeID(v))+int(t.off[v+2]))
+		t.off[v+2] += t.off[v+1]
+	}
+	t.byVertex = slices.Grow(t.byVertex[:0], 2*len(inj))[:2*len(inj)]
+	for j, e := range inj {
+		for _, v := range [2]uncertain.NodeID{e.U, e.V} {
+			t.byVertex[t.off[v+1]] = int32(m + j)
+			t.off[v+1]++
 		}
 	}
-	for _, e := range edges[m:] {
-		if err := pub.AddEdge(e.U, e.V, e.P); err != nil {
-			panic(err) // unreachable: the attempt added the same edge
-		}
+}
+
+// publish builds the graph whose edge list is edges, a trial's, with
+// FromEdges. The graph is new, so nothing else ever holds it.
+func (in *searchInputs) publish(edges []uncertain.Edge) *uncertain.Graph {
+	pub, err := uncertain.FromEdges(in.g.NumNodes(), edges)
+	if err != nil {
+		panic(err) // unreachable: perturbProb keeps p~ in [0,1], and injected pairs are non-edges
 	}
 	return pub
 }
@@ -373,27 +411,22 @@ func (a *attemptSlot) qe(c candidate) float64 {
 	return float64((a.q[c.u] + a.q[c.v]) / 2)
 }
 
-// perturb applies the per-edge noise to the candidate set and materializes
-// the published graph in a.work: the input (a.work rolled back to it, or
-// cloned from it when a.work is nil) with each candidate's SetProb or
-// AddEdge applied in candidate order, so the published edge order is the
-// input's edges in index order, then the injected edges in insertion
-// order. Noise budget sigma is redistributed across candidates
-// proportionally to their uncertainty level Q^e = (Q^u + Q^v)/2, so that
-// the mean of sigma(e) equals sigma. With probability q (white noise) the
-// draw is uniform on [0,1] instead of truncated-normal.
-//
-// Max-entropy variants move the probability toward 1/2 along the entropy
-// gradient: p~ = p + (1-2p) * r (Section V-F, Lemma 6). The unguided RS
-// variant applies the same magnitude with a random sign, clamped to [0,1].
-func (a *attemptSlot) perturb(sigma float64, rng *rand.Rand) *uncertain.Graph {
+// perturb applies the per-edge noise to the candidate set and records
+// the outcome in a.trial, in candidate order: a candidate input edge gets
+// its p~, and an injected pair whose p~ lands above minInjectedProb is
+// appended (lower draws carry no entropy or reliability mass but would
+// bloat the published edge list). Noise budget sigma is redistributed
+// across candidates proportionally to their uncertainty level Q^e =
+// (Q^u + Q^v)/2, so that the mean of sigma(e) equals sigma.
+func (a *attemptSlot) perturb(sigma float64, rng *rand.Rand) *trial {
 	var sumQ float64
 	n := 0
 	a.eachCandidate(func(c candidate) {
 		sumQ += a.qe(c)
 		n++
 	})
-	pub := a.resetWork()
+	t := &a.trial
+	t.edges = a.g.AppendEdges(t.edges[:0])
 	useME := a.p.Variant.maxEntropy()
 	a.eachCandidate(func(c candidate) {
 		var sigmaE float64
@@ -402,40 +435,40 @@ func (a *attemptSlot) perturb(sigma float64, rng *rand.Rand) *uncertain.Graph {
 		} else {
 			sigmaE = sigma
 		}
-		var r float64
-		if rng.Float64() < a.p.whiteNoise() {
-			r = rng.Float64()
-		} else {
-			r = truncnorm.Sample(rng, sigmaE)
-		}
-		var pNew float64
-		if useME {
-			// float64() rounds the product: no fused multiply-add on any GOARCH.
-			pNew = c.p + float64((1-2*c.p)*r)
-		} else {
-			if rng.Float64() < 0.5 {
-				r = -r
-			}
-			pNew = c.p + r
-			if pNew < 0 {
-				pNew = 0
-			} else if pNew > 1 {
-				pNew = 1
-			}
-		}
+		pNew := perturbProb(rng, c.p, sigmaE, a.p.whiteNoise(), useME)
 		if c.orig >= 0 {
-			// Existing edge: overwrite its probability.
-			if err := pub.SetProb(c.orig, pNew); err != nil {
-				panic(err) // unreachable: pNew is clamped and index valid
-			}
+			t.edges[c.orig].P = pNew
 		} else if pNew > minInjectedProb {
-			// Injected edge. Draws that land at a negligible probability
-			// are dropped: they carry no entropy or reliability mass but
-			// would bloat the published edge list.
-			if err := pub.AddEdge(c.u, c.v, pNew); err != nil {
-				panic(err) // unreachable: pair validated at selection
-			}
+			t.edges = append(t.edges, uncertain.Edge{U: c.u, V: c.v, P: pNew})
 		}
 	})
-	return pub
+	t.index()
+	return t
+}
+
+// perturbProb draws the perturbed probability p~ of an edge of
+// probability p at noise level sigma. It draws, in this order: the
+// white-noise test, which passes with probability whiteNoise; then r,
+// uniform on [0,1] if it passed and truncated-normal otherwise; then,
+// unguided, the sign of r.
+//
+// The guided (max-entropy) scheme moves p toward 1/2 along the entropy
+// gradient: p~ = p + (1-2p) * r (Section V-F, Lemma 6). The unguided
+// (RS) scheme applies the same magnitude with a random sign, clamped to
+// [0,1].
+func perturbProb(rng *rand.Rand, p, sigma, whiteNoise float64, guided bool) float64 {
+	var r float64
+	if rng.Float64() < whiteNoise {
+		r = rng.Float64()
+	} else {
+		r = truncnorm.Sample(rng, sigma)
+	}
+	if guided {
+		// float64() rounds the product: no fused multiply-add on any GOARCH.
+		return p + float64((1-2*p)*r)
+	}
+	if rng.Float64() < 0.5 {
+		r = -r
+	}
+	return min(max(p+r, 0), 1)
 }

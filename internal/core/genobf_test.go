@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -83,7 +84,7 @@ func TestPerturbKeepsProbabilitiesValid(t *testing.T) {
 		st := newState(t, g, p)
 		rng := rand.New(rand.NewPCG(5, 6))
 		st.slots[0].selectCandidates(rng)
-		pub := st.slots[0].perturb(0.8, rng)
+		pub := st.publish(st.slots[0].perturb(0.8, rng).edges)
 		for i := 0; i < pub.NumEdges(); i++ {
 			pr := pub.Edge(i).P
 			if pr < 0 || pr > 1 || math.IsNaN(pr) {
@@ -186,9 +187,8 @@ func TestInjectedEdgePruning(t *testing.T) {
 	st := newState(t, g, p.withDefaults())
 	rng := rand.New(rand.NewPCG(7, 8))
 	st.slots[0].selectCandidates(rng)
-	pub := st.slots[0].perturb(1e-9, rng)
-	if pub.NumEdges() > g.NumEdges() {
-		t.Fatalf("near-zero noise should not add edges: %d -> %d", g.NumEdges(), pub.NumEdges())
+	if n := len(st.slots[0].perturb(1e-9, rng).injected()); n > 0 {
+		t.Fatalf("near-zero noise should not add edges: %d injected", n)
 	}
 }
 
@@ -204,7 +204,7 @@ func brightkiteGraph(t testing.TB, n int) *uncertain.Graph {
 }
 
 // warmAttempt returns the attempt slot of a search state over g, its
-// working graph having run attempt 1 at sigma already.
+// buffers grown by running attempt 1 at sigma already.
 func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *attemptSlot {
 	t.Helper()
 	st, err := newSearchState(context.Background(), nil, g, Params{K: 40, Epsilon: 0.01, Seed: 7, Variant: ME}.withDefaults())
@@ -212,28 +212,28 @@ func warmAttempt(t testing.TB, g *uncertain.Graph, sigma float64) *attemptSlot {
 		t.Fatal(err)
 	}
 	a := st.slots[0]
-	if _, _, err := a.attempt(1, sigma, nil); err != nil {
+	if _, err := a.attempt(1, sigma, nil); err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
 // BenchmarkGenObfAttempt times one warm GenObf attempt — candidate
-// selection, perturbation into the rolled-back working graph and the
-// obfuscation check — on the 3.6k-node brightkite-s graph of the
+// selection, perturbation into the slot's flat arrays and the
+// obfuscation check through the trial's view — on the 3.6k-node brightkite-s graph of the
 // anon-search benchmark workload, a fresh RNG stream per iteration.
 func BenchmarkGenObfAttempt(b *testing.B) {
 	a := warmAttempt(b, brightkiteGraph(b, 3600), 0.001)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.attempt(uint64(i)+2, 0.001, nil); err != nil {
+		if _, err := a.attempt(uint64(i)+2, 0.001, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestAttemptAllocationsSizeIndependent: once the working graph and the
+// TestAttemptAllocationsSizeIndependent: once the trial's arrays and the
 // selection buffers have grown, repeating an attempt allocates the same
 // handful of objects whatever the graph size — nothing per vertex, per
 // edge or per candidate. Each run is traced under a fresh attempt span,
@@ -242,7 +242,7 @@ func TestAttemptAllocationsSizeIndependent(t *testing.T) {
 	allocs := func(n int) float64 {
 		a := warmAttempt(t, brightkiteGraph(t, n), 0.3)
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := a.attempt(1, 0.3, obs.NewSpan("attempt")); err != nil {
+			if _, err := a.attempt(1, 0.3, obs.NewSpan("attempt")); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -325,8 +325,7 @@ func FuzzQSampler(f *testing.F) {
 
 // TestGenObfNeverWritesEscapedGraphs: the input, and every graph a GenObf
 // call has returned, keep their fingerprint through all later calls —
-// the working graph is rolled back in place, and a winner leaves the
-// search state for good.
+// trials only read the input, and a winner is a graph built afresh.
 func TestGenObfNeverWritesEscapedGraphs(t *testing.T) {
 	g := testGraph(t, 5)
 	inputFP := uncertain.Fingerprint(g)
@@ -349,11 +348,6 @@ func TestGenObfNeverWritesEscapedGraphs(t *testing.T) {
 		t.Fatalf("input fingerprint %#x, was %#x", got, inputFP)
 	}
 	for i, e := range out {
-		for _, a := range st.slots {
-			if e.g == a.work {
-				t.Fatalf("returned graph %d is a working graph", i)
-			}
-		}
 		if got := uncertain.Fingerprint(e.g); got != e.fp {
 			t.Fatalf("returned graph %d: fingerprint %#x, was %#x when returned", i, got, e.fp)
 		}
@@ -372,10 +366,12 @@ func TestGenObfTieGoesToLowestSeq(t *testing.T) {
 	params := func(workers int) Params {
 		return Params{K: 3, Epsilon: 0.5, Seed: 11, Variant: ME, Attempts: 16, Workers: workers}
 	}
-	first, rep, err := newState(t, g, params(1)).slots[0].attempt(1, sigma, nil)
+	a := newState(t, g, params(1)).slots[0]
+	rep, err := a.attempt(1, sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := a.publish(a.trial.edges)
 	serial := newState(t, g, params(1))
 	var want [][]byte
 	for call := 0; call < 3; call++ {
@@ -397,4 +393,73 @@ func TestGenObfTieGoesToLowestSeq(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrialViewMatchesPublishedGraph: the check reads a trial through its
+// per-vertex view, never through a graph. Over seeds, σ values and both
+// perturbation schemes (ME and RS), the report on the trial must equal
+// the report on the graph publish builds from it bit for bit, and every
+// vertex must list the same incident probabilities in the same order in
+// both. The sparse input is mostly isolated vertices, so injected edges
+// share endpoints and some vertices have injected edges only; the test
+// fails if neither input ever showed either case.
+func TestTrialViewMatchesPublishedGraph(t *testing.T) {
+	sparse := uncertain.New(40)
+	for v := uncertain.NodeID(1); v <= 8; v++ {
+		sparse.MustAddEdge(0, v, 0.1*float64(v))
+	}
+	sparse.MustAddEdge(9, 10, 0.7)
+	var shared, injectedOnly bool
+	for _, g := range []*uncertain.Graph{testGraph(t, 17), sparse} {
+		for _, variant := range []Variant{ME, RS} {
+			for _, seed := range []uint64{1, 2, 3} {
+				p := Params{K: 4, Epsilon: 0.1, Samples: 50, Seed: seed, Variant: variant, SizeMultiplier: 3}
+				a := newState(t, g, p).slots[0]
+				for _, sigma := range []float64{0.05, 0.3, 1} {
+					for seq := uint64(1); seq <= 3; seq++ {
+						got, err := a.attempt(seq, sigma, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pub := a.publish(a.trial.edges)
+						want, err := privacy.CheckObfuscation(pub, a.prop, a.p.K)
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := func() string {
+							return fmt.Sprintf("n=%d %v seed %d σ=%v seq %d", g.NumNodes(), variant, seed, sigma, seq)
+						}
+						if !sameReport(got, want) {
+							t.Fatalf("%s: report on the trial %+v, on its graph %+v", where(), got, want)
+						}
+						if a.trial.MaxStructuralDegree() != pub.MaxStructuralDegree() {
+							t.Fatalf("%s: max degree %d, graph's %d", where(), a.trial.MaxStructuralDegree(), pub.MaxStructuralDegree())
+						}
+						for v := range uncertain.NodeID(g.NumNodes()) {
+							view, graph := a.trial.IncidentProbs(v, nil), pub.IncidentProbs(v, nil)
+							if !slices.Equal(view, graph) {
+								t.Fatalf("%s: vertex %d lists %v, its graph %v", where(), v, view, graph)
+							}
+							injected := len(view) - g.Degree(v)
+							shared = shared || injected > 1
+							injectedOnly = injectedOnly || injected > 0 && g.Degree(v) == 0
+						}
+					}
+				}
+			}
+		}
+	}
+	if !shared || !injectedOnly {
+		t.Fatalf("no trial covered the view's edge cases: injected edges sharing an endpoint %v, a vertex with injected edges only %v", shared, injectedOnly)
+	}
+}
+
+// sameReport reports whether two obfuscation reports are equal bit for
+// bit.
+func sameReport(a, b privacy.ObfuscationReport) bool {
+	return a.K == b.K && a.NonObfuscated == b.NonObfuscated &&
+		math.Float64bits(a.EpsilonTilde) == math.Float64bits(b.EpsilonTilde) &&
+		slices.EqualFunc(a.EntropyByDegree, b.EntropyByDegree, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		})
 }

@@ -39,6 +39,17 @@ func (r ObfuscationReport) Obfuscates(eps float64) bool {
 	return r.EpsilonTilde <= eps
 }
 
+// Published is what CheckObfuscation reads of a published uncertain
+// graph: its vertex count, an upper bound on its structural degrees (a
+// buffer size only), and each vertex's incident edge probabilities. The
+// degree DP folds those in the order IncidentProbs lists them, so the
+// order fixes the report's bits. *uncertain.Graph satisfies it.
+type Published interface {
+	NumNodes() int
+	MaxStructuralDegree() int
+	IncidentProbs(v uncertain.NodeID, buf []float64) []float64
+}
+
 // CheckObfuscation verifies Definition 3 on the published uncertain graph
 // pub: for each degree value w that is some vertex's property P(v) it
 // builds the adversary's posterior
@@ -50,7 +61,7 @@ func (r ObfuscationReport) Obfuscates(eps float64) bool {
 // the published graph are treated conservatively as NOT obfuscated (these
 // are exactly the "extreme unique nodes" the epsilon tolerance exists for).
 // A negative property value is read as 0.
-func CheckObfuscation(pub *uncertain.Graph, property []int, k int) (ObfuscationReport, error) {
+func CheckObfuscation(pub Published, property []int, k int) (ObfuscationReport, error) {
 	n := pub.NumNodes()
 	if len(property) != n {
 		return ObfuscationReport{}, fmt.Errorf("privacy: property length %d != |V| %d", len(property), n)

@@ -242,33 +242,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Rollback returns g to base, the inverse of the SetProb and AddEdge
-// calls made on g since it was cloned from base: the edges past index
-// base.NumEdges() are dropped, newest first — their index slots emptied
-// and their half-edges trimmed off the adjacency tails — and the first
-// base.NumEdges() edges get base's probabilities back. g then matches
-// base.Clone() in every index and adjacency order, while keeping its
-// slices' and index's capacity for the next round of mutations. base is
-// only read. The version still advances, so a cache keyed on an earlier
-// (g, version) never outlives the rollback.
-//
-// g must have been cloned from base (or rolled back to it) and mutated
-// only by SetProb and AddEdge since.
-func (g *Graph) Rollback(base *Graph) {
-	m := len(base.edges)
-	for i := len(g.edges) - 1; i >= m; i-- {
-		e := g.edges[i]
-		slot, _ := g.lookup(g.uv[i])
-		g.index[slot] = 0 // an exact undo, newest first (index.go)
-		g.adj[e.U] = g.adj[e.U][:len(g.adj[e.U])-1]
-		g.adj[e.V] = g.adj[e.V][:len(g.adj[e.V])-1]
-	}
-	g.edges = g.edges[:m]
-	g.uv = g.uv[:m]
-	copy(g.edges, base.edges)
-	g.version++
-}
-
 // Equal reports whether g and h have identical vertex counts and identical
 // edge sets with equal probabilities.
 func (g *Graph) Equal(h *Graph) bool {

@@ -3,7 +3,6 @@ package uncertain
 import (
 	"errors"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"testing"
 )
@@ -189,61 +188,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if g.HasEdge(0, 2) {
 		t.Fatal("adding to clone leaked into original")
-	}
-}
-
-// TestRollbackMatchesClone: after any run of SetProb and AddEdge calls on
-// a clone, Rollback leaves it indistinguishable from a fresh base.Clone()
-// — edge list, every adjacency order, every EdgeIndex (a dropped pair
-// reads -1 again) — with a version it never had before, and base unread
-// but for its edges. Several rounds reuse the same rolled-back graph.
-func TestRollbackMatchesClone(t *testing.T) {
-	for _, n := range []int{120, 900} {
-		base, err := addEdgeLoop(n, baEdges(uint64(n), n, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshot := base.Clone()
-		m := base.NumEdges()
-		g := base.Clone()
-		rng := rand.New(rand.NewPCG(uint64(n), 3))
-		for round := 0; round < 6; round++ {
-			var dropped [][2]NodeID
-			for op := 0; op < 4*m; op++ {
-				if rng.IntN(3) == 0 {
-					if err := g.SetProb(rng.IntN(g.NumEdges()), rng.Float64()); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
-				if u == v || g.HasEdge(u, v) {
-					continue
-				}
-				if err := g.AddEdge(u, v, rng.Float64()); err != nil {
-					t.Fatal(err)
-				}
-				dropped = append(dropped, [2]NodeID{u, v})
-			}
-			before := g.Version()
-			g.Rollback(base)
-			if g.Version() <= before {
-				t.Fatalf("n=%d round %d: version %d after rollback, was %d", n, round, g.Version(), before)
-			}
-			want := base.Clone()
-			want.version = g.version
-			if diff := sameGraph(want, g); diff != "" {
-				t.Fatalf("n=%d round %d (%d edges added): %s", n, round, len(dropped), diff)
-			}
-			for _, pair := range dropped {
-				if i, j := g.EdgeIndex(pair[0], pair[1]), g.EdgeIndex(pair[1], pair[0]); i != -1 || j != -1 {
-					t.Fatalf("n=%d round %d: dropped pair %v has EdgeIndex %d/%d", n, round, pair, i, j)
-				}
-			}
-			if diff := sameGraph(snapshot, base); diff != "" {
-				t.Fatalf("n=%d round %d: base changed: %s", n, round, diff)
-			}
-		}
 	}
 }
 

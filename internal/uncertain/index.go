@@ -14,11 +14,8 @@ import (
 //
 // The table always holds what inserting edges 0, 1, …, m-1 in index
 // order into an empty table of its length would: FromEdges and a
-// doubling insert in that order, and AddEdge appends the next index. The
-// only removal, Rollback, drops edges newest first, and the newest edge's
-// insert changed nothing but the one empty slot it took. So emptying
-// that slot is an exact undo: no probe run ever passed through it, no
-// entry needs shifting back, and no tombstone is left.
+// doubling insert in that order, and AddEdge appends the next index.
+// Nothing is ever removed, so the table needs no tombstones.
 
 // hashSeed keys the slot hash per process, as Go maps do: no choice of
 // node IDs can steer many keys into one probe run. The layout it yields is
