@@ -166,13 +166,16 @@ type Options struct {
 	// (0 = only on interrupt). Requires CheckpointPath.
 	CheckpointEvery int
 	// Resume restores a checkpoint written by an earlier interrupted run
-	// over the same graph and parameters; the resumed search replays the
+	// over the same graph and parameters: the resumed search replays its
+	// step log, re-runs the best step's call for its graph, and runs the
 	// remaining work deterministically, so its result is bit-identical to
 	// an uninterrupted run.
 	Resume *Checkpoint
 }
 
-// Checkpoint is a versioned snapshot of an interrupted σ-search; see
+// Checkpoint is a versioned snapshot of an interrupted σ-search: the
+// input's hash, the parameter echo and a log of the completed GenObf
+// calls, from which a resume derives the rest. See
 // Options.CheckpointPath and Options.Resume.
 type Checkpoint = core.Checkpoint
 

@@ -600,13 +600,12 @@ func TestCLIInterrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		type sigmaFile struct {
-			Version     int    `json:"version"`
-			Phase       string `json:"phase"`
-			GenObfCalls int    `json:"genobf_calls"`
+			Version int               `json:"version"`
+			Steps   []json.RawMessage `json:"steps"`
 		}
 		waitThenInterrupt(t, cmd, ckptPath, func(data []byte) bool {
 			var f sigmaFile
-			return json.Unmarshal(data, &f) == nil && f.GenObfCalls >= 1
+			return json.Unmarshal(data, &f) == nil && len(f.Steps) >= 1
 		})
 		wantExit(t, cmd.Wait(), 130, &stderr)
 
@@ -618,7 +617,7 @@ func TestCLIInterrupt(t *testing.T) {
 		if err := json.Unmarshal(data, &ck); err != nil {
 			t.Fatalf("checkpoint is not valid JSON: %v", err)
 		}
-		if ck.Version != core.CheckpointVersion || ck.Phase == "" || ck.GenObfCalls < 1 {
+		if ck.Version != core.CheckpointVersion || len(ck.Steps) < 1 {
 			t.Fatalf("checkpoint = %+v, want version %d with search progress", ck, core.CheckpointVersion)
 		}
 

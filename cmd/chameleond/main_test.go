@@ -351,14 +351,14 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	// no graceful anything; the spool must carry the whole truth.
 	ckptPath := filepath.Join(spool, job.ID, "checkpoint.json")
 	type sigmaFile struct {
-		Version     int `json:"version"`
-		GenObfCalls int `json:"genobf_calls"`
+		Version int               `json:"version"`
+		Steps   []json.RawMessage `json:"steps"`
 	}
 	killDeadline := time.Now().Add(2 * time.Minute)
 	for {
 		if data, err := os.ReadFile(ckptPath); err == nil {
 			var ck sigmaFile
-			if json.Unmarshal(data, &ck) == nil && ck.GenObfCalls >= 1 {
+			if json.Unmarshal(data, &ck) == nil && len(ck.Steps) >= 1 {
 				break
 			}
 		}

@@ -93,7 +93,7 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	res := &Result{Variant: p.Variant, Trace: root}
 	cur := newSearchCursor(p)
 	if p.Resume != nil {
-		if cur, err = restoreCursor(p.Resume, st, res); err != nil {
+		if cur, err = st.resume(ctx, root, p.Resume, res); err != nil {
 			return nil, err
 		}
 		p.Obs.Log("core: resuming σ-search from checkpoint",
@@ -110,26 +110,20 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	if cur.phase == phaseExponential {
 		phase := root.StartChild("exponential-search")
 		st.phase = phase
-		for {
-			out, err := st.genObfCtx(ctx, cur.sigmaHi, st.seq, true, res)
+		for cur.phase == phaseExponential {
+			sigma, probe := cur.next(p.SigmaTolerance)
+			out, err := st.genObfCtx(ctx, sigma, st.seq, probe, res)
 			if err != nil {
 				phase.End()
 				return st.interrupted(cur, res, err)
 			}
-			cur.steps = append(cur.steps, CheckpointStep{Phase: cur.phase, Sigma: cur.sigmaHi, Epsilon: out.epsilon, OK: out.ok()})
-			if out.ok() {
-				cur.best = out
-				cur.bestSigma = cur.sigmaHi
-				break
-			}
-			if cur.doublings >= p.MaxDoublings {
+			if !out.ok() && cur.doublings >= p.MaxDoublings {
 				phase.SetAttr("found", false)
 				phase.SetAttr("doublings", cur.doublings)
 				phase.End()
 				return nil, ErrNoObfuscation
 			}
-			cur.doublings++
-			cur.sigmaLo, cur.sigmaHi = cur.sigmaHi, cur.sigmaHi*4
+			cur.apply(sigma, out)
 			st.publishProgress(cur, res)
 			st.maybeCheckpoint(cur, res)
 		}
@@ -140,38 +134,21 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 		phase.End()
 		p.Obs.Debug("core: exponential search bracketed sigma",
 			"sigma_lo", cur.sigmaLo, "sigma_hi", cur.sigmaHi, "dur", phase.Duration())
-		cur.phase = phaseBisection
-		st.publishProgress(cur, res)
-		st.maybeCheckpoint(cur, res)
 	}
 
 	// Phase 2: bisection for the smallest feasible sigma, keeping the best
-	// obfuscation found. The search reads a call only as success or
-	// failure, and only the best of the last success is published, so a
-	// call is a probe unless the bracket is within tolerance after it,
-	// whichever way it goes.
+	// obfuscation found.
 	phase := root.StartChild("bisection")
 	st.phase = phase
 	bisections := 0
 	for cur.sigmaHi-cur.sigmaLo > p.SigmaTolerance {
-		// The halving compiles to a multiply by 0.5; float64() rounds it,
-		// so the differences below do not fuse it into a multiply-add on
-		// any GOARCH.
-		mid := float64((cur.sigmaLo + cur.sigmaHi) / 2)
-		last := mid-cur.sigmaLo <= p.SigmaTolerance && cur.sigmaHi-mid <= p.SigmaTolerance
-		out, err := st.genObfCtx(ctx, mid, st.seq, !last, res)
+		sigma, probe := cur.next(p.SigmaTolerance)
+		out, err := st.genObfCtx(ctx, sigma, st.seq, probe, res)
 		if err != nil {
 			phase.End()
 			return st.interrupted(cur, res, err)
 		}
-		cur.steps = append(cur.steps, CheckpointStep{Phase: cur.phase, Sigma: mid, Epsilon: out.epsilon, OK: out.ok()})
-		if out.ok() {
-			cur.sigmaHi = mid
-			cur.best = out
-			cur.bestSigma = mid
-		} else {
-			cur.sigmaLo = mid
-		}
+		cur.apply(sigma, out)
 		bisections++
 		st.publishProgress(cur, res)
 		st.maybeCheckpoint(cur, res)

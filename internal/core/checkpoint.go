@@ -1,18 +1,19 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 
 	"chameleon/internal/atomicfile"
+	"chameleon/internal/obs"
 	"chameleon/internal/uncertain"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Loading a
-// checkpoint written by any other version than 3 or this one fails loudly
+// checkpoint written by any version other than 3 to this one fails loudly
 // rather than resuming from state with unknown semantics.
 //
 // Version history:
@@ -30,10 +31,13 @@ import (
 //	    starts.
 //	4 — best_seq and best_probe: a GenObf call became a probe that stops
 //	    at its first accepted trial unless its graph can be published, so
-//	    the best so far may be a probe's, which a resume finishes by
-//	    re-running its call, at stream position best_seq, in full. v3
-//	    files hold a complete best and still load.
-const CheckpointVersion = 4
+//	    the best so far may be a probe's.
+//	5 — the identity block, attempt_count and steps only: a resume
+//	    replays the step log for the cursor and the best and re-runs the
+//	    best step's call for its graph. v3 and v4 files hold the same log
+//	    and still load; their cursor and best fields are ignored, and the
+//	    calls of a v3 file, which predates probes, replay as full calls.
+const CheckpointVersion = 5
 
 // Search phase names as persisted in checkpoints.
 const (
@@ -41,10 +45,10 @@ const (
 	phaseBisection   = "bisection"
 )
 
-// CheckpointStep records one completed GenObf call of the σ-search: the
-// noise level tried and what came back (for a probe, the ε̃ of its first
-// accepted trial). The step log lets a resumed run —
-// or a human reading the file — reconstruct the whole search trajectory.
+// CheckpointStep records one completed GenObf call of the σ-search: its
+// phase, the noise level tried and what came back (for a probe, the ε̃ of
+// its first accepted trial). The step log determines the whole search
+// state: a resume replays it through the search's own transitions.
 type CheckpointStep struct {
 	Phase   string  `json:"phase"`
 	Sigma   float64 `json:"sigma"`
@@ -54,23 +58,20 @@ type CheckpointStep struct {
 
 // Checkpoint is a resumable snapshot of the σ-search, taken only at GenObf
 // call boundaries (a call cut short by cancellation is discarded, so the
-// snapshot never references half-consumed RNG streams). It carries three
-// kinds of state:
+// snapshot never references half-consumed RNG streams). It holds:
 //
 //   - an identity block (format version, input-graph hash, full parameter
 //     echo) used to reject resumption against a different input or
 //     configuration;
-//   - the search cursor (phase, σ bracket, doubling count, RNG stream
-//     position Seq, call/attempt totals);
-//   - the best obfuscation found so far, and whether a resume must still
-//     re-run its call in full (a probe's best), with the graph embedded in
-//     the v2 binary format (float64 bit patterns and sorted edge order
-//     preserved), so a resumed run finishing from this state is
-//     bit-identical to an uninterrupted one. Checkpoints from builds that
-//     embedded v1 still load: the reader accepts either version.
+//   - the step log, one entry per completed call, and the trials read.
 //
-// Everything is plain JSON: floats survive encoding/json round-trips
-// bit-exactly, and BestGraph marshals as base64.
+// Every trial draws from a stream derived from the seed and its position,
+// so the log determines the rest: a resume replays it for the cursor and
+// re-runs the best step's call for its graph, and a resumed run is
+// bit-identical to an uninterrupted one. A log the search could not have
+// written, or a best its re-run disagrees with, is refused with
+// ErrCheckpointMismatch. Floats survive encoding/json round-trips
+// bit-exactly.
 type Checkpoint struct {
 	Version   int    `json:"version"`
 	GraphHash uint64 `json:"graph_hash"`
@@ -91,26 +92,8 @@ type Checkpoint struct {
 	SigmaTolerance float64 `json:"sigma_tolerance"`
 	MaxDoublings   int     `json:"max_doublings"`
 
-	// Search cursor.
-	Phase        string  `json:"phase"`
-	SigmaLo      float64 `json:"sigma_lo"`
-	SigmaHi      float64 `json:"sigma_hi"`
-	Doublings    int     `json:"doublings"`
-	Seq          uint64  `json:"seq"`
-	GenObfCalls  int     `json:"genobf_calls"`
-	AttemptCount int     `json:"attempt_count"`
-
-	// Best obfuscation so far; BestEpsilon == 1 and a nil BestGraph mean
-	// none has been found yet. BestSeq is the stream position of the call
-	// that found it, and BestProbe says that call was a probe, whose best
-	// is its first accepted trial and not yet its best of t.
-	BestEpsilon float64 `json:"best_epsilon"`
-	BestSigma   float64 `json:"best_sigma"`
-	BestGraph   []byte  `json:"best_graph,omitempty"`
-	BestSeq     uint64  `json:"best_seq"`
-	BestProbe   bool    `json:"best_probe"`
-
-	Steps []CheckpointStep `json:"steps"`
+	AttemptCount int              `json:"attempt_count"`
+	Steps        []CheckpointStep `json:"steps"`
 }
 
 // GraphHash fingerprints a graph: the FNV-64a hash of its canonical
@@ -121,8 +104,8 @@ type Checkpoint struct {
 func GraphHash(g *uncertain.Graph) uint64 { return uncertain.Fingerprint(g) }
 
 // LoadCheckpoint reads and version-checks a checkpoint file. Compatibility
-// with a particular graph and parameter set is checked later, by
-// AnonymizeContext, once both are in hand.
+// with a particular graph, parameter set and step log is checked later, by
+// AnonymizeContext, once the graph and parameters are in hand.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -132,13 +115,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, ck); err != nil {
 		return nil, fmt.Errorf("core: parsing checkpoint %s: %w", path, err)
 	}
-	if ck.Version != CheckpointVersion && ck.Version != 3 {
-		return nil, fmt.Errorf("core: checkpoint %s has format version %d, this build reads 3 and %d", path, ck.Version, CheckpointVersion)
-	}
-	switch ck.Phase {
-	case phaseExponential, phaseBisection:
-	default:
-		return nil, fmt.Errorf("core: checkpoint %s has unknown search phase %q", path, ck.Phase)
+	if ck.Version < 3 || ck.Version > CheckpointVersion {
+		return nil, fmt.Errorf("core: checkpoint %s has format version %d, this build reads 3 to %d", path, ck.Version, CheckpointVersion)
 	}
 	return ck, nil
 }
@@ -208,6 +186,8 @@ func removeIfExists(path string) error {
 }
 
 // searchCursor is the live, in-memory form of the resumable search state.
+// next and apply are its only transitions: the live search and the replay
+// of a checkpoint's step log both move it through them.
 type searchCursor struct {
 	phase     string
 	sigmaLo   float64
@@ -227,35 +207,84 @@ func newSearchCursor(p Params) *searchCursor {
 	}
 }
 
-// restoreCursor rebuilds the cursor (and the searchState's RNG position
-// and the Result's call totals) from a validated checkpoint.
-func restoreCursor(ck *Checkpoint, st *searchState, res *Result) (*searchCursor, error) {
-	cur := &searchCursor{
-		phase:     ck.Phase,
-		sigmaLo:   ck.SigmaLo,
-		sigmaHi:   ck.SigmaHi,
-		doublings: ck.Doublings,
-		best:      genObfOutcome{epsilon: 1},
-		bestSigma: ck.BestSigma,
-		steps:     append([]CheckpointStep(nil), ck.Steps...),
+// next returns the noise level of the search's next GenObf call and
+// whether that call is a probe. An exponential call is. The bisection
+// reads a call only as success or failure, and only the best of the last
+// success is published, so a bisection call is a probe unless the bracket
+// is within tol after it, whichever way it goes.
+func (c *searchCursor) next(tol float64) (sigma float64, probe bool) {
+	if c.phase == phaseExponential {
+		return c.sigmaHi, true
 	}
-	if len(ck.BestGraph) > 0 {
-		g, err := uncertain.ReadBinary(bytes.NewReader(ck.BestGraph))
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding checkpointed best graph: %w", err)
+	// The halving compiles to a multiply by 0.5; float64() rounds it, so
+	// the differences below do not fuse it into a multiply-add on any
+	// GOARCH.
+	mid := float64((c.sigmaLo + c.sigmaHi) / 2)
+	return mid, mid-c.sigmaLo > tol || c.sigmaHi-mid > tol
+}
+
+// apply records the outcome of the call at sigma: it logs the step, keeps
+// an accepted outcome as the best, and moves the bracket. The exponential
+// phase quadruples σ until a call succeeds and then hands its bracket to
+// the bisection, which halves it towards the smallest feasible σ.
+func (c *searchCursor) apply(sigma float64, out genObfOutcome) {
+	c.steps = append(c.steps, CheckpointStep{Phase: c.phase, Sigma: sigma, Epsilon: out.epsilon, OK: out.ok()})
+	if out.ok() {
+		c.best, c.bestSigma = out, sigma
+	}
+	switch {
+	case c.phase == phaseBisection && out.ok():
+		c.sigmaHi = sigma
+	case c.phase == phaseBisection:
+		c.sigmaLo = sigma
+	case out.ok():
+		c.phase = phaseBisection
+	default:
+		c.doublings++
+		c.sigmaLo, c.sigmaHi = c.sigmaHi, c.sigmaHi*4
+	}
+}
+
+// resume rebuilds the cursor, the stream position and the Result's call
+// totals from a validated checkpoint by replaying its step log: each step
+// must be the call the search makes from the state the steps before it
+// left. It then re-runs the best step's call, at its σ, stream position
+// and probe flag, for its graph. That re-run is not interrupted (a resumed
+// run cut short still hands back its best), nests its span under a
+// "resume" child of root, adds no attempts, which the checkpoint already
+// counted, and must reproduce the logged ε̃.
+func (st *searchState) resume(ctx context.Context, root *obs.Span, ck *Checkpoint, res *Result) (*searchCursor, error) {
+	cur := newSearchCursor(st.p)
+	t := uint64(st.p.Attempts)
+	for i, s := range ck.Steps {
+		sigma, probe := cur.next(st.p.SigmaTolerance)
+		if s.Phase != cur.phase || s.Sigma != sigma || s.OK != (s.Epsilon < 1) {
+			return nil, fmt.Errorf("%w: step %d (%s σ=%v ok=%v) is not the search's next call (%s σ=%v)",
+				ErrCheckpointMismatch, i, s.Phase, s.Sigma, s.OK, cur.phase, sigma)
 		}
-		cur.best = genObfOutcome{epsilon: ck.BestEpsilon, graph: g, base: ck.BestSeq, probe: ck.BestProbe}
+		cur.apply(sigma, genObfOutcome{epsilon: s.Epsilon, base: uint64(i) * t, probe: probe && ck.Version > 3})
 	}
-	st.seq = ck.Seq
-	res.GenObfCalls = ck.GenObfCalls
+	st.seq = uint64(len(ck.Steps)) * t
+	res.GenObfCalls = len(ck.Steps)
 	res.Attempts = ck.AttemptCount
+	if cur.best.ok() {
+		st.phase = root.StartChild("resume")
+		out := st.genObf(context.WithoutCancel(ctx), cur.bestSigma, cur.best.base, cur.best.probe, res)
+		res.Attempts = ck.AttemptCount
+		st.phase.End()
+		if out.epsilon != cur.best.epsilon {
+			return nil, fmt.Errorf("%w: the best step's call (σ=%v) re-runs to ε̃=%v, the checkpoint logs %v",
+				ErrCheckpointMismatch, cur.bestSigma, out.epsilon, cur.best.epsilon)
+		}
+		cur.best = out
+	}
 	return cur, nil
 }
 
 // checkpoint materializes the cursor into its on-disk form.
-func (st *searchState) checkpoint(cur *searchCursor, res *Result) (*Checkpoint, error) {
+func (st *searchState) checkpoint(cur *searchCursor, res *Result) *Checkpoint {
 	p := st.p
-	ck := &Checkpoint{
+	return &Checkpoint{
 		Version:        CheckpointVersion,
 		GraphHash:      st.graphHash(),
 		K:              p.K,
@@ -271,27 +300,9 @@ func (st *searchState) checkpoint(cur *searchCursor, res *Result) (*Checkpoint, 
 		Seed:           p.Seed,
 		SigmaTolerance: p.SigmaTolerance,
 		MaxDoublings:   p.MaxDoublings,
-		Phase:          cur.phase,
-		SigmaLo:        cur.sigmaLo,
-		SigmaHi:        cur.sigmaHi,
-		Doublings:      cur.doublings,
-		Seq:            st.seq,
-		GenObfCalls:    res.GenObfCalls,
 		AttemptCount:   res.Attempts,
-		BestEpsilon:    cur.best.epsilon,
-		BestSigma:      cur.bestSigma,
-		BestSeq:        cur.best.base,
-		BestProbe:      cur.best.probe,
 		Steps:          cur.steps,
 	}
-	if cur.best.graph != nil {
-		var buf bytes.Buffer
-		if err := uncertain.WriteBinaryV2(&buf, cur.best.graph); err != nil {
-			return nil, fmt.Errorf("core: encoding best graph for checkpoint: %w", err)
-		}
-		ck.BestGraph = buf.Bytes()
-	}
-	return ck, nil
 }
 
 // graphHash caches the input fingerprint: it is pure in the (immutable
@@ -309,11 +320,7 @@ func (st *searchState) writeCheckpoint(cur *searchCursor, res *Result) error {
 	if st.p.CheckpointPath == "" {
 		return nil
 	}
-	ck, err := st.checkpoint(cur, res)
-	if err != nil {
-		return err
-	}
-	if err := ck.WriteFile(st.p.CheckpointPath); err != nil {
+	if err := st.checkpoint(cur, res).WriteFile(st.p.CheckpointPath); err != nil {
 		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	st.lastCkpt = res.GenObfCalls

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,8 +124,7 @@ func encodeGraph(t *testing.T, g *uncertain.Graph) []byte {
 // result bit-identical (graph bytes, sigma, epsilon, effort counters) to
 // the uninterrupted run, with the attempts on one worker or two. Every
 // cut falls inside a GenObf call, and the cut call is discarded whole: the
-// checkpoint holds the stream position and effort totals of the last
-// completed call.
+// checkpoint logs one step per completed call and the trials they read.
 func TestResumeBitIdentical(t *testing.T) {
 	g := testGraph(t, 5)
 	for _, workers := range []int{1, 2} {
@@ -138,7 +139,6 @@ func TestResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			fullBytes := encodeGraph(t, full.Graph)
-			attempts := params("").withDefaults().Attempts
 			calls := tracedCalls(full.Trace)
 
 			// ctx is polled once after the precompute, then per call
@@ -167,12 +167,12 @@ func TestResumeBitIdentical(t *testing.T) {
 				if workers > 1 {
 					// Fewer calls complete when a probe polled for
 					// trials past its chosen one.
-					done = min(done, ck.GenObfCalls)
+					done = min(done, len(ck.Steps))
 				}
 				read := readThrough(calls, done)
-				if ck.GenObfCalls != done || ck.AttemptCount != read || ck.Seq != uint64(done*attempts) {
-					t.Errorf("limit %d: checkpoint (%d calls, %d attempts, seq %d), want the %d completed calls' (%d, %d, %d)",
-						limit, ck.GenObfCalls, ck.AttemptCount, ck.Seq, done, done, read, done*attempts)
+				if len(ck.Steps) != done || ck.AttemptCount != read {
+					t.Errorf("limit %d: checkpoint (%d steps, %d attempts), want the %d completed calls' (%d, %d)",
+						limit, len(ck.Steps), ck.AttemptCount, done, done, read)
 				}
 
 				p.Resume = ck
@@ -240,17 +240,68 @@ func TestAnonymizeContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestCheckpointRejectsMismatch(t *testing.T) {
-	g := testGraph(t, 5)
-	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
-	p := ckParams(ckPath)
-	if _, err := AnonymizeContext(newStepCtx(8), g, p); !errors.Is(err, context.Canceled) {
+// acceptedCheckpoint interrupts p, a ckParams search, on testGraph(5)
+// mid-bisection, after its first accepted call, and returns the
+// checkpoint it wrote to p.CheckpointPath and the index of its last
+// accepted step.
+func acceptedCheckpoint(t *testing.T, p Params) (ck *Checkpoint, best int) {
+	t.Helper()
+	if _, err := AnonymizeContext(newStepCtx(45), testGraph(t, 5), p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("setup: %v", err)
 	}
-	ck, err := LoadCheckpoint(ckPath)
+	ck, err := LoadCheckpoint(p.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	best = lastAccepted(ck.Steps)
+	if best < 0 {
+		t.Fatal("setup: the checkpoint logs no accepted call")
+	}
+	return ck, best
+}
+
+// lastAccepted returns the index of the last accepted step, the best's,
+// or -1.
+func lastAccepted(steps []CheckpointStep) int {
+	for i := len(steps) - 1; i >= 0; i-- {
+		if steps[i].OK {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestCheckpointHoldsOnlyIdentityAndSteps: a checkpoint holds its format
+// version, the input's hash, the parameter echo, the trials read and the
+// step log — no cursor and no best, which the log determines, even once
+// a call has been accepted.
+func TestCheckpointHoldsOnlyIdentityAndSteps(t *testing.T) {
+	p := ckParams(filepath.Join(t.TempDir(), "search.ckpt"))
+	acceptedCheckpoint(t, p)
+	data, err := os.ReadFile(p.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range fields {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{"attempt_count", "attempts", "epsilon", "graph_hash", "k", "max_doublings", "max_samples",
+		"samples", "sampling_mode", "seed", "sigma_tolerance", "size_multiplier", "steps", "target_rse",
+		"variant", "version", "white_noise"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("checkpoint keys = %v, want %v", got, want)
+	}
+}
+
+func TestCheckpointRejectsMismatch(t *testing.T) {
+	g := testGraph(t, 5)
+	ck, best := acceptedCheckpoint(t, ckParams(filepath.Join(t.TempDir(), "search.ckpt")))
 
 	t.Run("different graph", func(t *testing.T) {
 		other := testGraph(t, 6)
@@ -279,17 +330,26 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 			t.Fatal("version mismatch must fail to load")
 		}
 	})
-	t.Run("bad phase", func(t *testing.T) {
-		bad := *ck
-		bad.Phase = "warp"
-		path := filepath.Join(t.TempDir(), "bad.ckpt")
-		if err := bad.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadCheckpoint(path); err == nil {
-			t.Fatal("unknown phase must fail to load")
-		}
-	})
+	// A step log the search could not have written, and a best whose
+	// re-run disagrees with its step, are refused at resume.
+	for name, edit := range map[string]func(steps []CheckpointStep){
+		"phase": func(steps []CheckpointStep) { steps[0].Phase = phaseBisection },
+		"sigma": func(steps []CheckpointStep) { steps[len(steps)-1].Sigma *= 2 },
+		"best epsilon": func(steps []CheckpointStep) {
+			steps[best].Epsilon = math.Nextafter(steps[best].Epsilon, 1)
+		},
+	} {
+		t.Run("bad "+name, func(t *testing.T) {
+			bad := *ck
+			bad.Steps = slices.Clone(ck.Steps)
+			edit(bad.Steps)
+			p := ckParams("")
+			p.Resume = &bad
+			if _, err := AnonymizeContext(context.Background(), g, p); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("resume from a checkpoint with an edited %s: error = %v, want ErrCheckpointMismatch", name, err)
+			}
+		})
+	}
 }
 
 // TestPeriodicCheckpointCadence: -checkpoint-every style runs write during
@@ -310,11 +370,11 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.GenObfCalls == 0 {
+	if len(ck.Steps) == 0 {
 		t.Fatal("checkpoint should record completed genobf calls")
 	}
-	if len(ck.Steps) != ck.GenObfCalls {
-		t.Fatalf("step log has %d entries for %d calls", len(ck.Steps), ck.GenObfCalls)
+	if tt := p.withDefaults().Attempts; ck.AttemptCount < len(ck.Steps) || ck.AttemptCount > len(ck.Steps)*tt {
+		t.Fatalf("checkpoint counts %d trials for %d calls of at most %d", ck.AttemptCount, len(ck.Steps), tt)
 	}
 
 	// A run allowed to finish removes the checkpoint.
@@ -359,21 +419,20 @@ func TestGraphHashPinned(t *testing.T) {
 	}
 }
 
-// binaryVersion returns the version word of an embedded binary graph.
-func binaryVersion(t *testing.T, data []byte) uint32 {
-	t.Helper()
-	if len(data) < 8 {
-		t.Fatalf("embedded graph is %d bytes, too short for a header", len(data))
-	}
-	return binary.LittleEndian.Uint32(data[4:8])
+// sameTrajectory reports whether two step logs make the same calls with
+// the same verdicts. Their ε̃ may differ: a v3 file logs full calls where
+// the search now probes.
+func sameTrajectory(a, b []CheckpointStep) bool {
+	return slices.EqualFunc(a, b, func(x, y CheckpointStep) bool {
+		return x.Phase == y.Phase && x.Sigma == y.Sigma && x.OK == y.OK
+	})
 }
 
 // TestResumeLegacyCheckpoint resumes testdata/legacy-checkpoint.json, a
-// checkpoint written mid-bisection whose best graph is in the legacy v1
-// format, and requires the result to be bit-identical to the
-// uninterrupted run. Checkpoints written now embed v2. The fixture was
-// regenerated for CheckpointVersion 3 from this build's interrupted run,
-// with its best graph re-encoded in v1.
+// version 3 checkpoint written mid-bisection, and requires the result to
+// be bit-identical to the uninterrupted run. Its cursor and best fields,
+// the best graph embedded in the legacy v1 format among them, are
+// ignored: the resume replays its step log and rebuilds the best.
 func TestResumeLegacyCheckpoint(t *testing.T) {
 	g := testGraph(t, 5)
 	full, err := Anonymize(g, ckParams(""))
@@ -385,9 +444,6 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binaryVersion(t, ck.BestGraph); v != 1 {
-		t.Fatalf("fixture best_graph is version %d, want the legacy v1", v)
-	}
 	p := ckParams(filepath.Join(t.TempDir(), "search.ckpt"))
 	p.Resume = ck
 	resumed, err := AnonymizeContext(context.Background(), g, p)
@@ -397,7 +453,7 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 	// The fixture's attempt total counts every trial of its calls, as the
 	// search did before calls became probes.
 	calls := tracedCalls(full.Trace)
-	attempts := ck.AttemptCount + attemptsAfter(calls, ck.GenObfCalls)
+	attempts := ck.AttemptCount + attemptsAfter(calls, len(ck.Steps))
 	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
 		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != attempts {
 		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
@@ -408,23 +464,75 @@ func TestResumeLegacyCheckpoint(t *testing.T) {
 		t.Error("resumed graph bytes differ from the uninterrupted run")
 	}
 
-	// The same interruption point today writes the best graph in v2.
+	// The same interruption point today logs the same trajectory.
 	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
 	p = ckParams(ckPath)
 	p.Workers = 1
-	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, ck.GenObfCalls)), g, p); !errors.Is(err, context.Canceled) {
+	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, len(ck.Steps))), g, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
 	fresh, err := LoadCheckpoint(ckPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binaryVersion(t, fresh.BestGraph); v != 2 {
-		t.Errorf("new checkpoint best_graph is version %d, want 2", v)
+	if fresh.Version != CheckpointVersion || fresh.GraphHash != ck.GraphHash || !sameTrajectory(fresh.Steps, ck.Steps) {
+		t.Errorf("new checkpoint (version %d, hash %#x, steps %v) != legacy (hash %#x, steps %v)",
+			fresh.Version, fresh.GraphHash, fresh.Steps, ck.GraphHash, ck.Steps)
 	}
-	if fresh.GraphHash != ck.GraphHash || fresh.Seq != ck.Seq || fresh.SigmaHi != ck.SigmaHi {
-		t.Errorf("new checkpoint cursor (hash %#x, seq %d, σhi %v) != legacy (%#x, %d, %v)",
-			fresh.GraphHash, fresh.Seq, fresh.SigmaHi, ck.GraphHash, ck.Seq, ck.SigmaHi)
+}
+
+// TestResumeInterruptedDuringRebuild: a resumed run whose context is
+// cancelled while it re-runs the best step's call still finishes that
+// re-run, hands back the best and checkpoints the same log; resumed
+// again, on one worker or two, it publishes the uninterrupted run's bytes
+// and effort totals.
+func TestResumeInterruptedDuringRebuild(t *testing.T) {
+	g := testGraph(t, 5)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := ckParams(filepath.Join(t.TempDir(), "search.ckpt"))
+			p.Workers = workers
+			full, err := Anonymize(g, ckParams(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, best := acceptedCheckpoint(t, p)
+
+			// The precompute's poll passes; every later one, from the
+			// re-run on, reports the cancellation.
+			p.Resume = ck
+			partial, err := AnonymizeContext(newStepCtx(1), g, p)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted resume error = %v, want context.Canceled", err)
+			}
+			if partial.Graph == nil || partial.EpsilonTilde != ck.Steps[best].Epsilon {
+				t.Fatalf("interrupted resume returned graph %v with ε~ %v, want the best step's ε~ %v",
+					partial.Graph != nil, partial.EpsilonTilde, ck.Steps[best].Epsilon)
+			}
+			again, err := LoadCheckpoint(p.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(again.Steps, ck.Steps) || again.AttemptCount != ck.AttemptCount {
+				t.Fatalf("checkpoint after the interrupted resume (%d steps, %d attempts), want the resumed one's (%d, %d)",
+					len(again.Steps), again.AttemptCount, len(ck.Steps), ck.AttemptCount)
+			}
+
+			p.Resume = again
+			resumed, err := AnonymizeContext(context.Background(), g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
+				resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+				t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
+					resumed.Sigma, resumed.EpsilonTilde, resumed.GenObfCalls, resumed.Attempts,
+					full.Sigma, full.EpsilonTilde, full.GenObfCalls, full.Attempts)
+			}
+			if !bytes.Equal(encodeGraph(t, resumed.Graph), encodeGraph(t, full.Graph)) {
+				t.Error("resumed graph bytes differ from the uninterrupted run")
+			}
+		})
 	}
 }
 
@@ -453,8 +561,8 @@ func (c *cutCtx) Err() error {
 // bisection call of the ME search fails, so its winner is a probe's best
 // re-run in full. A run cut right after that probe, and one cut during the
 // re-run, each hand back the probe's chosen trial — a (k, ε)-obfuscation —
-// and checkpoint it as a probe best; resumed, on one worker or two, they
-// publish the uninterrupted run's bytes and effort totals.
+// and log it as the last accepted step; resumed, on one worker or two,
+// they publish the uninterrupted run's bytes and effort totals.
 func TestResumeAfterProbeAndDuringRerun(t *testing.T) {
 	g := testGraph(t, 5)
 	params := func(workers int, path string) Params {
@@ -512,11 +620,11 @@ func TestResumeAfterProbeAndDuringRerun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ck.GenObfCalls != c.calls || ck.AttemptCount != c.attempts || !ck.BestProbe ||
-					ck.BestSeq != uint64((rerun.call-1)*tt) || ck.BestEpsilon != partial.EpsilonTilde {
-					t.Fatalf("checkpoint (%d calls, %d attempts, probe best %v at seq %d, ε~ %v), want (%d, %d, true, %d, %v)",
-						ck.GenObfCalls, ck.AttemptCount, ck.BestProbe, ck.BestSeq, ck.BestEpsilon,
-						c.calls, c.attempts, (rerun.call-1)*tt, partial.EpsilonTilde)
+				best := lastAccepted(ck.Steps)
+				if len(ck.Steps) != c.calls || ck.AttemptCount != c.attempts || best != rerun.call-1 ||
+					ck.Steps[best].Epsilon != partial.EpsilonTilde {
+					t.Fatalf("checkpoint (%d steps, %d attempts, best step %d), want (%d, %d, %d with ε~ %v)",
+						len(ck.Steps), ck.AttemptCount, best, c.calls, c.attempts, rerun.call-1, partial.EpsilonTilde)
 				}
 
 				p.Resume = ck

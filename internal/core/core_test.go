@@ -187,9 +187,9 @@ func TestAnonymizeDoesNotMutateInput(t *testing.T) {
 }
 
 // TestConcurrentAnonymizeSharedInput: two runs over one shared input
-// graph, at once, publish identical bytes. Each run rolls back its own
-// working clone, so the input is only read; under -race this also checks
-// that no reader of the shared graph writes to it.
+// graph, at once, publish identical bytes. Each run's attempt slots fill
+// their own flat trial lists, so the input is only read; under -race this
+// also checks that no reader of the shared graph writes to it.
 func TestConcurrentAnonymizeSharedInput(t *testing.T) {
 	g := testGraph(t, 6)
 	p := Params{K: 25, Epsilon: 0.04, Samples: 60, Seed: 3, Workers: 2}

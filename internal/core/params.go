@@ -138,8 +138,10 @@ type Params struct {
 	CheckpointEvery int
 	// Resume, when non-nil, restores a checkpoint written by an earlier
 	// interrupted run. The checkpoint must match the input graph and every
-	// search-relevant parameter; the resumed search is deterministic and
-	// its result bit-identical to an uninterrupted run.
+	// search-relevant parameter, and its step log must be one this search
+	// writes; the resume replays the log, re-runs the best step's call for
+	// its graph, and continues deterministically, so its result is
+	// bit-identical to an uninterrupted run.
 	Resume *Checkpoint
 
 	// SigmaTolerance terminates the binary search when the bracket width

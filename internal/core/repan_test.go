@@ -159,8 +159,9 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Variant != "Boldi" || ck.Phase != phaseBisection || ck.GraphHash != GraphHash(repan.Representative(g)) {
-		t.Fatalf("fixture echo = (%s, %s, %#x), want a Boldi bisection over the representative", ck.Variant, ck.Phase, ck.GraphHash)
+	if ck.Variant != "Boldi" || ck.Steps[len(ck.Steps)-1].Phase != phaseBisection || ck.GraphHash != GraphHash(repan.Representative(g)) {
+		t.Fatalf("fixture echo = (%s, %s, %#x), want a Boldi bisection over the representative",
+			ck.Variant, ck.Steps[len(ck.Steps)-1].Phase, ck.GraphHash)
 	}
 	p := repAnPinnedParams(filepath.Join(t.TempDir(), "search.ckpt"))
 	p.Resume = ck
@@ -171,7 +172,7 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 	// The fixture's attempt total counts every trial of its calls, as the
 	// search did before calls became probes.
 	calls := tracedCalls(full.Trace)
-	attempts := ck.AttemptCount + attemptsAfter(calls, ck.GenObfCalls)
+	attempts := ck.AttemptCount + attemptsAfter(calls, len(ck.Steps))
 	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde ||
 		resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != attempts {
 		t.Errorf("resumed (σ=%v, ε~=%v, %d calls, %d attempts) != full (σ=%v, ε~=%v, %d, %d)",
@@ -186,7 +187,7 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 	ckPath := filepath.Join(t.TempDir(), "search.ckpt")
 	p = repAnPinnedParams(ckPath)
 	p.Workers = 1
-	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, ck.GenObfCalls)), g, p); !errors.Is(err, context.Canceled) {
+	if _, err := AnonymizeContext(newStepCtx(serialLimit(calls, len(ck.Steps))), g, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
 	fresh, err := LoadCheckpoint(ckPath)
@@ -194,7 +195,7 @@ func TestResumeRepAnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fresh.GraphHash != ck.GraphHash || fresh.SizeMultiplier != ck.SizeMultiplier ||
-		fresh.Variant != ck.Variant || fresh.Seq != ck.Seq || fresh.SigmaHi != ck.SigmaHi {
+		fresh.Variant != ck.Variant || !sameTrajectory(fresh.Steps, ck.Steps) {
 		t.Errorf("fresh checkpoint echo differs from the fixture:\n fresh %+v\n fixture %+v", fresh, ck)
 	}
 }

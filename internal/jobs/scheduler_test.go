@@ -236,7 +236,8 @@ func TestManagerRecovery(t *testing.T) {
 
 // legacySpoolJob is the one job in testdata/legacy-spool: a spool an
 // earlier build wrote while the job was mid-bisection, with a v1 input.ug
-// and a checkpoint whose best_graph is v1.
+// and a version 3 checkpoint whose v1 best_graph a resume now ignores: it
+// replays the step log and rebuilds the best.
 const legacySpoolJob = "20261017T030000-22738-10"
 
 // recoverLegacySpool copies testdata/legacy-spool, after edit has had its
@@ -313,8 +314,8 @@ func legacySpoolFresh(t *testing.T) []byte {
 }
 
 // TestManagerRecoversLegacySpool: a spool written before inputs and
-// checkpoints moved to v2 still recovers, resumes its v1 checkpoint and
-// publishes the same bytes as an uninterrupted run.
+// checkpoints moved to v2 still recovers, resumes its version 3
+// checkpoint and publishes the same bytes as an uninterrupted run.
 func TestManagerRecoversLegacySpool(t *testing.T) {
 	got, journal := recoverLegacySpool(t, func(string) {})
 	if !bytes.Equal(got, legacySpoolFresh(t)) {
@@ -325,33 +326,47 @@ func TestManagerRecoversLegacySpool(t *testing.T) {
 	}
 }
 
-// TestManagerDiscardsUnreadableCheckpoint: a torn checkpoint is not
-// silently dropped. The job reruns from scratch to the same bytes, and
-// the discard is logged to the event journal.
+// TestManagerDiscardsUnreadableCheckpoint: a torn checkpoint, and one
+// whose step log was edited, are not silently dropped. The job reruns
+// from scratch to the same bytes, and the discard is logged to the event
+// journal.
 func TestManagerDiscardsUnreadableCheckpoint(t *testing.T) {
-	got, journal := recoverLegacySpool(t, func(jobDir string) {
-		path := filepath.Join(jobDir, checkpointFile)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !bytes.Equal(got, legacySpoolFresh(t)) {
-		t.Fatal("job rerun after a torn checkpoint differs from a fresh run")
-	}
-	var discarded bool
-	for _, line := range strings.Split(strings.TrimSpace(journal), "\n") {
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		discarded = discarded || (ev.JobID == legacySpoolJob && ev.Event == "checkpoint-discarded" && ev.Detail != "")
-	}
-	if !discarded {
-		t.Fatalf("no checkpoint-discarded event in the journal:\n%s", journal)
+	for name, edit := range map[string]func(data []byte) []byte{
+		"torn": func(data []byte) []byte { return data[:len(data)/2] },
+		"edited step": func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"sigma": 0.004`), []byte(`"sigma": 0.008`), 1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, journal := recoverLegacySpool(t, func(jobDir string) {
+				path := filepath.Join(jobDir, checkpointFile)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edited := edit(data)
+				if bytes.Equal(edited, data) {
+					t.Fatal("the edit left the checkpoint unchanged")
+				}
+				if err := os.WriteFile(path, edited, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !bytes.Equal(got, legacySpoolFresh(t)) {
+				t.Fatal("job rerun after a discarded checkpoint differs from a fresh run")
+			}
+			var discarded bool
+			for _, line := range strings.Split(strings.TrimSpace(journal), "\n") {
+				var ev Event
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatalf("journal line %q: %v", line, err)
+				}
+				discarded = discarded || (ev.JobID == legacySpoolJob && ev.Event == "checkpoint-discarded" && ev.Detail != "")
+			}
+			if !discarded {
+				t.Fatalf("no checkpoint-discarded event in the journal:\n%s", journal)
+			}
+		})
 	}
 }
 
